@@ -3,7 +3,6 @@
 from .quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
-    StepSolverConfig,
     WeightGroup,
     exhaustive_search_step,
     optimize_step,

@@ -7,7 +7,6 @@ import sys
 import click
 
 from . import harness, qat
-from .nn import save_checkpoint
 
 
 def _load_config(path) -> harness.ExperimentConfig:
@@ -28,20 +27,14 @@ def _fail(e: Exception):
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--seed", default=0, type=int)
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--deterministic/--no-deterministic", default=True)
-def train_float_cmd(config_path, seed, out_dir, deterministic):
+def train_float_cmd(config_path, seed, out_dir):
     """Train the floating-point baseline network."""
     try:
         cfg = _load_config(config_path)
-        cfg.deterministic = harness.deterministic_mode(deterministic)
         out = out_dir or cfg.output_dir
-        ckpt, record = harness.train_float(cfg, seed)
-        path = harness.float_checkpoint_path(out, seed)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(path, ckpt)
-        harness._write_record(path.parent / "float" / f"float_s{seed}", record)
+        _, record = harness.train_and_save_float(cfg, seed, out)
         click.echo(f"float test {record.metric_name}: {record.final_test_metric}")
-        click.echo(f"checkpoint: {path}")
+        click.echo(f"checkpoint: {harness.float_checkpoint_path(out, seed)}")
     except Exception as e:
         _fail(e)
 
@@ -51,12 +44,10 @@ def train_float_cmd(config_path, seed, out_dir, deterministic):
 @click.option("--bits", default=2, type=int)
 @click.option("--seed", default=0, type=int)
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--deterministic/--no-deterministic", default=True)
-def quantize_cmd(config_path, bits, seed, out_dir, deterministic):
+def quantize_cmd(config_path, bits, seed, out_dir):
     """Direct quantization of the float checkpoint, no retraining."""
     try:
         cfg = _load_config(config_path)
-        cfg.deterministic = harness.deterministic_mode(deterministic)
         out = out_dir or cfg.output_dir
         record = harness.run_cell(cfg, {"bits": bits, "schedule": "direct"}, seed, out)
         click.echo(f"direct {bits}-bit test {record.metric_name}: {record.final_test_metric}")
@@ -71,12 +62,10 @@ def quantize_cmd(config_path, bits, seed, out_dir, deterministic):
               help="direct | conventional | adaptive | adaptive_fixK | gradual:S-E:N")
 @click.option("--seed", default=0, type=int)
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--deterministic/--no-deterministic", default=True)
-def retrain_cmd(config_path, bits, schedule, seed, out_dir, deterministic):
+def retrain_cmd(config_path, bits, schedule, seed, out_dir):
     """Retrain one (bits, schedule) cell from the float checkpoint."""
     try:
         cfg = _load_config(config_path)
-        cfg.deterministic = harness.deterministic_mode(deterministic)
         out = out_dir or cfg.output_dir
         qat.parse_schedule(schedule)  # validate early
         record = harness.run_cell(cfg, {"bits": bits, "schedule": schedule}, seed, out)
@@ -88,12 +77,10 @@ def retrain_cmd(config_path, bits, schedule, seed, out_dir, deterministic):
 @main.command("sweep")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_dir", default=None, type=click.Path())
-@click.option("--deterministic/--no-deterministic", default=True)
-def sweep_cmd(config_path, out_dir, deterministic):
+def sweep_cmd(config_path, out_dir):
     """Run every configured (bits, schedule, seed) cell and report."""
     try:
         cfg = _load_config(config_path)
-        cfg.deterministic = harness.deterministic_mode(deterministic)
         out = out_dir or cfg.output_dir
         records = harness.sweep(cfg, out)
         harness.report(out)

@@ -156,18 +156,11 @@ def encode_text(text: str):
     return codes, vocab
 
 
-def load_text_corpus(path, fractions=(0.9, 0.05, 0.05)) -> Splits:
-    """UTF-8 character corpus split contiguously train/dev/test (floor rule,
+def text_splits(text: str, fractions=(0.9, 0.05, 0.05)) -> Splits:
+    """Encode `text` and split it contiguously train/dev/test (floor rule,
     remainder to train)."""
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    if not text:
-        raise ValueError(f"{path}: empty corpus")
     codes, vocab = encode_text(text)
-    n = len(codes)
-    n_dev = int(n * fractions[1])
-    n_test = int(n * fractions[2])
-    n_train = n - n_dev - n_test
+    n_train, n_dev, _ = split_indices(len(codes), fractions)
     return Splits(
         train=(codes[:n_train],),
         dev=(codes[n_train : n_train + n_dev],),
@@ -175,6 +168,15 @@ def load_text_corpus(path, fractions=(0.9, 0.05, 0.05)) -> Splits:
         vocab=vocab,
         meta={"vocab_size": len(vocab)},
     )
+
+
+def load_text_corpus(path, fractions=(0.9, 0.05, 0.05)) -> Splits:
+    """UTF-8 character corpus from `path`, split by `text_splits`."""
+    with open(path, "r", encoding="utf-8") as f:
+        text = f.read()
+    if not text:
+        raise ValueError(f"{path}: empty corpus")
+    return text_splits(text, fractions)
 
 
 def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2) -> str:
@@ -233,16 +235,5 @@ def load_dataset(cfg: dict) -> Splits:
             cfg["n_chars"], cfg["seed"],
             vocab_size=cfg.get("vocab_size", 26), order=cfg.get("order", 2),
         )
-        codes, vocab = encode_text(text)
-        n = len(codes)
-        fr = tuple(cfg.get("fractions", (0.9, 0.05, 0.05)))
-        n_dev, n_test = int(n * fr[1]), int(n * fr[2])
-        n_train = n - n_dev - n_test
-        return Splits(
-            train=(codes[:n_train],),
-            dev=(codes[n_train : n_train + n_dev],),
-            test=(codes[n_train + n_dev :],),
-            vocab=vocab,
-            meta={"vocab_size": len(vocab)},
-        )
+        return text_splits(text, tuple(cfg.get("fractions", (0.9, 0.05, 0.05))))
     raise ValueError(f"unknown dataset kind {kind!r}")

@@ -6,8 +6,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,14 +15,12 @@ from . import qat
 from .data import Splits, load_dataset
 from .nn import (
     Checkpoint,
-    LrSchedule,
     OptimizerConfig,
     bits_per_char,
     build_network,
     classification_error,
     cross_entropy,
     load_checkpoint,
-    make_optimizer,
     save_checkpoint,
 )
 from .records import RunRecord
@@ -150,13 +146,11 @@ class ExperimentConfig:
     cells: list[dict] = field(default_factory=list)
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "runs"
-    deterministic: bool = True
 
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         for cell in self.cells:
-            qat.parse_schedule(str(cell["schedule"]))
             sched = qat.parse_schedule(str(cell["schedule"]))
             if not isinstance(sched, qat.Gradual) and int(cell.get("bits", 2)) < 2:
                 raise ValueError(f"cell {cell}: bits must be >= 2")
@@ -193,51 +187,24 @@ def make_task(cfg: ExperimentConfig, seed: int):
 def train_float(cfg: ExperimentConfig, seed: int):
     """Train the floating-point baseline; returns (Checkpoint, RunRecord).
 
-    Keeps the best-on-dev parameters; stops at the lr-schedule floor or
-    max_epochs.
+    Runs the retraining loop on a network with nothing quantized: keeps the
+    best-on-dev parameters and stops at the lr-schedule floor or max_epochs.
     """
     task = make_task(cfg, seed)
-    opt_cfg = OptimizerConfig(**cfg.float_training.get("optimizer", {}))
-    max_epochs = cfg.float_training.get("max_epochs", 30)
-    rng = np.random.default_rng(seed)
-    net = task.build_network(rng)
-    optimizer = make_optimizer(opt_cfg)
-    lr_sched = LrSchedule(opt_cfg.lr_schedule)
+    # with no groups to quantize any schedule that trains gives the same run;
+    # ConventionalFixed never asks for a step solve
+    fcfg = qat.RetrainConfig(
+        schedule=qat.ConventionalFixed(),
+        optimizer=OptimizerConfig(**cfg.float_training.get("optimizer", {})),
+        max_epochs=cfg.float_training.get("max_epochs", 30), seed=seed,
+    )
+    net = task.build_network(np.random.default_rng(seed))
     record = RunRecord(run_id=f"float_s{seed}", cell_bits=0, schedule="float",
                        seed=seed, metric_name=task.metric_name)
-    best_metric, best_params = math.inf, net.get_params()
-    for epoch in range(max_epochs):
-        net.reset_state()
-        total, count = 0.0, 0
-        for x, y in task.batches("train", epoch):
-            net.zero_grads()
-            out = net.forward(x, train=True)
-            loss, dout = task.loss(out, y)
-            if not math.isfinite(loss):
-                raise qat.DivergenceError(f"float training: non-finite loss at epoch {epoch}")
-            net.backward(dout)
-            params = {k: ly.params[p] for k, ly, p in net.param_items()}
-            optimizer.update(params, net.get_grads(), lr_sched.lr)
-            total += loss
-            count += 1
-        record.log_metric(epoch, "train", "loss", total / max(count, 1))
-        net.reset_state()
-        dev = task.evaluate(net, "dev")
-        record.log_metric(epoch, "dev", task.metric_name, dev)
-        if dev < best_metric:
-            best_metric = dev
-            best_params = net.get_params()
-        lr_sched.step(dev)
-        if lr_sched.at_floor and opt_cfg.lr_schedule.initial_lr > opt_cfg.lr_schedule.final_lr:
-            break
-    net.set_params(best_params)
-    net.reset_state()
-    record.final_test_metric = task.evaluate(net, "test")
-    record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
+    shadow = qat.ShadowParams(net.get_params(), {}, {})
+    _, params = qat.fit(fcfg, net, shadow, task, record)
     ckpt = Checkpoint(
-        layer_cfgs=cfg.network, params=best_params,
-        opt_state=optimizer.state(),
-        rng_state=rng.bit_generator.state,
+        layer_cfgs=cfg.network, params=params,
         config_echo={"task": cfg.task, "seed": seed,
                      "float_training": cfg.float_training},
     )
@@ -248,15 +215,22 @@ def float_checkpoint_path(out_dir, seed) -> Path:
     return Path(out_dir) / f"float_s{seed}.npz"
 
 
+def train_and_save_float(cfg: ExperimentConfig, seed: int, out_dir) -> tuple:
+    """Train the float baseline and write its checkpoint and record under
+    `out_dir`; returns (Checkpoint, RunRecord)."""
+    ckpt, record = train_float(cfg, seed)
+    path = float_checkpoint_path(out_dir, seed)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(path, ckpt)
+    _write_record(Path(out_dir) / "float" / f"float_s{seed}", record)
+    return ckpt, record
+
+
 def ensure_float_checkpoint(cfg: ExperimentConfig, seed: int, out_dir) -> Checkpoint:
     path = float_checkpoint_path(out_dir, seed)
     if path.exists():
         return load_checkpoint(path)
-    ckpt, record = train_float(cfg, seed)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(path, ckpt)
-    _write_record(Path(out_dir) / "float" / f"float_s{seed}", record)
-    return ckpt
+    return train_and_save_float(cfg, seed, out_dir)[0]
 
 
 # -- sweep -------------------------------------------------------------------
@@ -389,10 +363,3 @@ def report(results_dir, out_dir=None) -> dict:
         json.dump(summary, f, indent=2, sort_keys=True)
     return summary
 
-
-def deterministic_mode(flag: bool) -> bool:
-    """CLI flag, overridable by the QATKIT_DETERMINISTIC environment variable."""
-    env = os.environ.get("QATKIT_DETERMINISTIC")
-    if env is not None:
-        return env not in ("0", "false", "no", "")
-    return flag

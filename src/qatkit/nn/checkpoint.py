@@ -1,8 +1,8 @@
 """Self-describing model checkpoint container (.npz + embedded JSON meta).
 
-Holds the config echo, layer specs, named parameter tensors, per-group
-quantizer specs, optimizer state and RNG state: enough to resume a
-deterministic run bit-exactly.
+Holds the config echo, layer specs, named parameter tensors and per-group
+quantizer specs.  Older files may also carry optimizer and RNG state
+(`opt_state`/`rng_state` meta keys and `opt/*` arrays); loading ignores them.
 """
 
 from __future__ import annotations
@@ -20,35 +20,13 @@ class Checkpoint:
     layer_cfgs: list[dict]
     params: dict[str, np.ndarray]
     specs: dict[str, QuantizerSpec] = field(default_factory=dict)
-    opt_state: dict = field(default_factory=dict)
-    rng_state: dict | None = None
     config_echo: dict = field(default_factory=dict)
-
-
-def _flatten_arrays(prefix: str, obj, out: dict):
-    """Pull ndarrays out of nested dicts into `out`, leaving placeholders."""
-    if isinstance(obj, np.ndarray):
-        key = f"{prefix}"
-        out[key] = obj
-        return {"__array__": key}
-    if isinstance(obj, dict):
-        return {k: _flatten_arrays(f"{prefix}/{k}", v, out) for k, v in obj.items()}
-    return obj
-
-
-def _restore_arrays(obj, arrays: dict):
-    if isinstance(obj, dict):
-        if set(obj) == {"__array__"}:
-            return arrays[obj["__array__"]]
-        return {k: _restore_arrays(v, arrays) for k, v in obj.items()}
-    return obj
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
     arrays = {}
     for name, arr in ckpt.params.items():
         arrays[f"param/{name}"] = arr
-    opt_meta = _flatten_arrays("opt", ckpt.opt_state, arrays)
     meta = {
         "layer_cfgs": ckpt.layer_cfgs,
         "param_names": sorted(ckpt.params),
@@ -57,8 +35,6 @@ def save_checkpoint(path, ckpt: Checkpoint):
             gid: {"bits": s.bits, "points": s.points, "step": s.step}
             for gid, s in ckpt.specs.items()
         },
-        "opt_state": opt_meta,
-        "rng_state": ckpt.rng_state,
         "config_echo": ckpt.config_echo,
     }
     arrays["__meta__"] = np.frombuffer(
@@ -79,12 +55,9 @@ def load_checkpoint(path) -> Checkpoint:
         gid: QuantizerSpec(bits=s["bits"], points=s["points"], step=s["step"])
         for gid, s in meta["specs"].items()
     }
-    opt_state = _restore_arrays(meta["opt_state"], arrays)
     return Checkpoint(
         layer_cfgs=meta["layer_cfgs"],
         params=params,
         specs=specs,
-        opt_state=opt_state,
-        rng_state=meta["rng_state"],
         config_echo=meta["config_echo"],
     )

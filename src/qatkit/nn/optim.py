@@ -49,12 +49,6 @@ class LrSchedule:
     def at_floor(self) -> bool:
         return self.lr <= self.cfg.final_lr
 
-    def state(self) -> dict:
-        return {"lr": self.lr, "best": self.best, "bad_count": self.bad_count}
-
-    def load_state(self, s: dict):
-        self.lr, self.best, self.bad_count = s["lr"], s["best"], s["bad_count"]
-
 
 @dataclass
 class OptimizerConfig:
@@ -97,12 +91,6 @@ class SGDNesterov:
             self.v[k] = v
             w -= (lr * (g + mu * v)).astype(w.dtype)
 
-    def state(self):
-        return {"v": self.v}
-
-    def load_state(self, s):
-        self.v = s.get("v", {})
-
 
 class AdaDelta:
     """AdaDelta with a learning-rate multiplier on the adaptive step."""
@@ -122,13 +110,6 @@ class AdaDelta:
             ex = self.rho * ex + (1 - self.rho) * dx * dx
             self.eg[k], self.ex[k] = eg, ex
             w += (lr * dx).astype(w.dtype)
-
-    def state(self):
-        return {"eg": self.eg, "ex": self.ex}
-
-    def load_state(self, s):
-        self.eg = s.get("eg", {})
-        self.ex = s.get("ex", {})
 
 
 def make_optimizer(cfg: OptimizerConfig):

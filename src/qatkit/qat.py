@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .nn.optim import LrSchedule, OptimizerConfig, make_optimizer
 from .quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
-    StepSolverConfig,
     WeightGroup,
     optimize_step,
     exhaustive_search_step,
@@ -198,16 +197,14 @@ class ShadowParams:
                     self.master[k].dtype
                 )
 
-    def update_steps(self, solver_cfg: StepSolverConfig, record: RunRecord | None = None):
+    def update_steps(self, record: RunRecord | None = None):
         """Recompute every group's step from the master weights (the adaptive
         scheme).  A degenerate all-zero group keeps its previous step."""
         for gid in self.groups:
             bits = self.specs[gid].bits
             try:
-                step, _ = optimize_step(
-                    WeightGroup(self.group_vector(gid), gid),
-                    self.specs[gid].points, solver_cfg,
-                )
+                step, _ = optimize_step(WeightGroup(self.group_vector(gid), gid),
+                                        self.specs[gid].points)
             except DegenerateGroupError:
                 log.warning("group %s degenerate during adaptation; keeping step %g",
                             gid, self.specs[gid].step)
@@ -219,15 +216,13 @@ class ShadowParams:
 
 
 def init_quantization(master: dict[str, np.ndarray], groups: dict[str, list[str]],
-                      bits: int, solver_cfg: StepSolverConfig | None = None) -> ShadowParams:
+                      bits: int) -> ShadowParams:
     """Determine each group's optimal step at `bits` and build the shadow pair."""
-    if solver_cfg is None:
-        solver_cfg = StepSolverConfig()
     specs = {}
     for gid, keys in groups.items():
         vec = np.concatenate([master[k].ravel() for k in keys])
         try:
-            step, _ = optimize_step(WeightGroup(vec, gid), 2 ** bits - 1, solver_cfg)
+            step, _ = optimize_step(WeightGroup(vec, gid), 2 ** bits - 1)
         except DegenerateGroupError as e:
             raise DegenerateGroupError(f"group {gid!r}: {e}") from e
         specs[gid] = QuantizerSpec.from_bits(bits, step)
@@ -235,6 +230,9 @@ def init_quantization(master: dict[str, np.ndarray], groups: dict[str, list[str]
 
 
 # -- retraining --------------------------------------------------------------
+
+EXHAUSTIVE_CANDIDATES = 8  # steps tried per group by the exhaustive init
+
 
 @dataclass
 class RetrainConfig:
@@ -249,9 +247,7 @@ class RetrainConfig:
     eval_every: int = 1
     stop_at_lr_floor: bool = True
     seed: int = 0
-    solver: StepSolverConfig = field(default_factory=StepSolverConfig)
     exhaustive_init: bool = False
-    exhaustive_candidates: int = 8
 
     def __post_init__(self):
         if isinstance(self.schedule, str):
@@ -263,8 +259,7 @@ class RetrainConfig:
 
 
 def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
-                  loss_fn, decision, solver_cfg: StepSolverConfig,
-                  record: RunRecord | None = None) -> float:
+                  loss_fn, decision, record: RunRecord | None = None) -> float:
     """One pass over `batches` (iterable of (x, y)) with the Fig.-style loop,
     then the epoch-boundary step action per `decision`.  Returns mean loss."""
     total, count = 0.0, 0
@@ -281,7 +276,7 @@ def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
         total += loss
         count += 1
     if isinstance(decision, UpdateStep):
-        shadow.update_steps(solver_cfg, record=record)
+        shadow.update_steps(record=record)
     return total / max(count, 1)
 
 
@@ -290,7 +285,7 @@ def _evaluate_quantized(net, shadow, task, split):
     return task.evaluate(net, split)
 
 
-def _exhaustive_init(shadow, net, task, cfg: RetrainConfig):
+def _exhaustive_init(shadow, net, task):
     """Opt-in baseline initialization: per group, geometric search around the
     L2-optimal step scoring the quantized network on the dev split."""
     for gid in sorted(shadow.groups):
@@ -301,12 +296,80 @@ def _exhaustive_init(shadow, net, task, cfg: RetrainConfig):
             shadow.requantize([gid])
             return _evaluate_quantized(net, shadow, task, "dev")
 
-        best = exhaustive_search_step(
-            WeightGroup(shadow.group_vector(gid), gid), spec.points,
-            spec.step, score, cfg.exhaustive_candidates,
-        )
+        best = exhaustive_search_step(spec.step, score, EXHAUSTIVE_CANDIDATES)
         shadow.specs[gid] = QuantizerSpec.from_bits(spec.bits, best)
         shadow.requantize([gid])
+
+
+def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) -> tuple:
+    """The epoch loop shared by float training and retraining.
+
+    Trains `shadow` for the epochs `cfg` allows (none for Direct), keeping the
+    best-on-dev quantized state and stopping at the lr-schedule floor, then
+    evaluates that state on test.  A float network is one whose shadow has no
+    groups.  Returns (final ShadowParams, best-on-dev parameters).
+    """
+    sched = cfg.schedule
+    n_epochs = 0 if isinstance(sched, Direct) else cfg.max_epochs
+    if n_epochs == 0:
+        record.log_deltas(0, shadow.specs)
+    optimizer = make_optimizer(cfg.optimizer)
+    lr_sched = LrSchedule(cfg.optimizer.lr_schedule)
+    best_dev, best_params = math.inf, None
+    stage_best_dev, stage_best_master = math.inf, None
+    epoch = 0
+    for epoch in range(n_epochs):
+        decision = apply_schedule(sched, epoch)
+        if isinstance(decision, DropBit):
+            # seed the next stage from the best master seen so far, and
+            # restart the optimizer state as a fresh run at the new width would
+            source = stage_best_master if stage_best_master is not None else shadow.master
+            shadow = init_quantization(source, shadow.groups, decision.new_bits)
+            record.events.append(f"drop-bit:{epoch}:{decision.new_bits}")
+            optimizer = make_optimizer(cfg.optimizer)
+            lr_sched = LrSchedule(cfg.optimizer.lr_schedule)
+            stage_best_dev, stage_best_master = math.inf, None
+            decision = apply_schedule(
+                sched.inner if isinstance(sched, Gradual) else sched, 0
+            )
+        net.reset_state()
+        try:
+            mean_loss = retrain_epoch(
+                shadow, net, task.batches("train", epoch), optimizer,
+                lr_sched.lr, task.loss, decision, record=record,
+            )
+        except DivergenceError as e:
+            raise DivergenceError(f"{record.run_id}: epoch {epoch}: {e}") from e
+        record.log_metric(epoch, "train", "loss", mean_loss)
+        record.log_deltas(epoch, shadow.specs)
+        if (epoch + 1) % cfg.eval_every == 0:
+            net.reset_state()
+            dev = _evaluate_quantized(net, shadow, task, "dev")
+            record.log_metric(epoch, "dev", task.metric_name, dev)
+            # keep the best-on-dev quantized state; for Gradual only states
+            # already at the target bit width qualify
+            at_target = (not isinstance(sched, Gradual)
+                         or sched.bits_at(epoch) == sched.end_bits)
+            if dev < best_dev and at_target:
+                best_dev = dev
+                best_params = {k: v.copy() for k, v in shadow.quantized.items()}
+            if dev < stage_best_dev:
+                stage_best_dev = dev
+                stage_best_master = {k: v.copy() for k, v in shadow.master.items()}
+            lr_sched.step(dev)
+            if (cfg.stop_at_lr_floor and not isinstance(sched, Gradual)
+                    and lr_sched.at_floor
+                    and cfg.optimizer.lr_schedule.initial_lr
+                    > cfg.optimizer.lr_schedule.final_lr):
+                break
+
+    if best_params is None:
+        best_params = shadow.quantized
+    net.reset_state()
+    net.set_params(best_params)
+    record.final_test_metric = task.evaluate(net, "test")
+    record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
+    return shadow, best_params
 
 
 def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
@@ -322,83 +385,10 @@ def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
         run_id=run_id, cell_bits=(sched.end_bits if isinstance(sched, Gradual) else cfg.bits),
         schedule=sched.name, seed=cfg.seed, metric_name=task.metric_name,
     )
-    rng = np.random.default_rng(cfg.seed)
-    net = task.build_network(rng)
+    net = task.build_network(np.random.default_rng(cfg.seed))
     net.set_params(float_ckpt.params)
-    master = net.get_params()
-    shadow = init_quantization(master, net.quant_group_map(), bits0, cfg.solver)
-
+    shadow = init_quantization(net.get_params(), net.quant_group_map(), bits0)
     if cfg.exhaustive_init and isinstance(sched, ConventionalFixed):
-        _exhaustive_init(shadow, net, task, cfg)
-
-    n_epochs = 0 if isinstance(sched, Direct) else cfg.max_epochs
-
-    if n_epochs == 0:
-        record.log_deltas(0, shadow.specs)
-        record.final_test_metric = _evaluate_quantized(net, shadow, task, "test")
-        record.log_metric(0, "test", task.metric_name, record.final_test_metric)
-        return shadow, record
-
-    optimizer = make_optimizer(cfg.optimizer)
-    lr_sched = LrSchedule(cfg.optimizer.lr_schedule)
-    best_dev, best_state = math.inf, None
-    stage_best_dev, stage_best_master = math.inf, None
-    for epoch in range(n_epochs):
-        decision = apply_schedule(sched, epoch)
-        if isinstance(decision, DropBit):
-            # seed the next stage from the best master seen so far, and
-            # restart the optimizer state as a fresh run at the new width would
-            source = stage_best_master if stage_best_master is not None else shadow.master
-            shadow = init_quantization(source, shadow.groups,
-                                       decision.new_bits, cfg.solver)
-            record.events.append(f"drop-bit:{epoch}:{decision.new_bits}")
-            optimizer = make_optimizer(cfg.optimizer)
-            lr_sched = LrSchedule(cfg.optimizer.lr_schedule)
-            stage_best_dev, stage_best_master = math.inf, None
-            decision = apply_schedule(
-                sched.inner if isinstance(sched, Gradual) else sched, 0
-            )
-        net.reset_state()
-        try:
-            mean_loss = retrain_epoch(
-                shadow, net, task.batches("train", epoch), optimizer,
-                lr_sched.lr, task.loss, decision, cfg.solver, record=record,
-            )
-        except DivergenceError as e:
-            raise DivergenceError(f"{run_id}: epoch {epoch}: {e}") from e
-        record.log_metric(epoch, "train", "loss", mean_loss)
-        record.log_deltas(epoch, shadow.specs)
-        if (epoch + 1) % cfg.eval_every == 0:
-            net.reset_state()
-            dev = _evaluate_quantized(net, shadow, task, "dev")
-            record.log_metric(epoch, "dev", task.metric_name, dev)
-            # keep the best-on-dev quantized state, as in float training; for
-            # Gradual only states already at the target bit width qualify
-            at_target = (not isinstance(sched, Gradual)
-                         or sched.bits_at(epoch) == sched.end_bits)
-            if dev < best_dev and at_target:
-                best_dev = dev
-                best_state = (
-                    {k: v.copy() for k, v in shadow.quantized.items()},
-                    dict(shadow.specs),
-                )
-            if dev < stage_best_dev:
-                stage_best_dev = dev
-                stage_best_master = {k: v.copy() for k, v in shadow.master.items()}
-            lr_sched.step(dev)
-            if (cfg.stop_at_lr_floor and not isinstance(sched, Gradual)
-                    and lr_sched.at_floor
-                    and cfg.optimizer.lr_schedule.initial_lr
-                    > cfg.optimizer.lr_schedule.final_lr):
-                break
-
-    net.reset_state()
-    if best_state is not None:
-        best_quantized, _ = best_state
-        net.set_params(best_quantized)
-        record.final_test_metric = task.evaluate(net, "test")
-    else:
-        record.final_test_metric = _evaluate_quantized(net, shadow, task, "test")
-    record.log_metric(record.deltas[-1].epoch, "test", task.metric_name,
-                      record.final_test_metric)
+        _exhaustive_init(shadow, net, task)
+    shadow, _ = fit(cfg, net, shadow, task, record)
     return shadow, record

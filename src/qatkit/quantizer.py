@@ -2,15 +2,15 @@
 
 A weight group is quantized onto the grid {n * step : |n| <= (M-1)/2} where
 M = 2^bits - 1 levels are symmetric about zero.  The step size that minimizes
-the squared error between float and quantized weights is found by a
-Lloyd-style alternating solver with multistart.
+the squared error between float and quantized weights is found exactly, by a
+sweep over the breakpoints where a weight changes level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -76,23 +76,6 @@ class WeightGroup:
             raise ValueError(f"group {self.group_id!r} contains non-finite values")
 
 
-@dataclass
-class StepSolverConfig:
-    max_iterations: int = 100
-    convergence_tol: float = 1e-8
-    multistart_factors: Sequence[float] = field(default_factory=lambda: (1.0, 0.5, 0.25))
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if len(self.multistart_factors) == 0 or any(
-            f <= 0 for f in self.multistart_factors
-        ):
-            raise ValueError("multistart_factors must be nonempty and positive")
-
-
 def _levels(w: np.ndarray, step: float, max_level: int) -> np.ndarray:
     """Integer level index per weight: sgn(w) * min(floor(|w|/step + 0.5), K)."""
     n = np.floor(np.abs(w) / step + 0.5)
@@ -130,9 +113,7 @@ def _mse_for_step(absw: np.ndarray, step: float, max_level: int) -> float:
     return 0.5 * float(np.dot(d, d))
 
 
-def optimize_step(
-    group: WeightGroup, M: int, cfg: StepSolverConfig | None = None
-) -> tuple[float, float]:
+def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     """Find the step size minimizing quant_mse for a group with M levels.
 
     The objective is piecewise quadratic in the step: each weight's level
@@ -147,8 +128,6 @@ def optimize_step(
     Raises DegenerateGroupError for an all-zero group.  The returned step is
     the smallest global minimizer, deterministically.
     """
-    if cfg is None:
-        cfg = StepSolverConfig()
     if M < 3 or M % 2 == 0:
         raise ValueError(f"M must be odd and >= 3, got {M}")
     max_level = (M - 1) // 2
@@ -193,11 +172,7 @@ def optimize_step(
 
 
 def exhaustive_search_step(
-    group: WeightGroup,
-    M: int,
-    initial_step: float,
-    eval_fn: Callable[[float], float],
-    num_candidates: int,
+    initial_step: float, eval_fn: Callable[[float], float], num_candidates: int
 ) -> float:
     """Black-box search over geometrically spaced steps in [init/2, 2*init].
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 
 from qatkit.nn import Checkpoint, build_network, load_checkpoint, save_checkpoint
@@ -12,8 +14,6 @@ def test_round_trip(tmp_path):
         layer_cfgs=cfgs,
         params=net.get_params(),
         specs={"fc0": QuantizerSpec.from_bits(2, 0.25)},
-        opt_state={"v": {"fc0.W": np.ones((3, 2))}},
-        rng_state=rng.bit_generator.state,
         config_echo={"task": "test"},
     )
     path = tmp_path / "ck.npz"
@@ -24,20 +24,36 @@ def test_round_trip(tmp_path):
         np.testing.assert_array_equal(back.params[k], ckpt.params[k])
         assert back.params[k].dtype == ckpt.params[k].dtype
     assert back.specs["fc0"] == ckpt.specs["fc0"]
-    np.testing.assert_array_equal(back.opt_state["v"]["fc0.W"], np.ones((3, 2)))
     assert back.config_echo == {"task": "test"}
 
 
-def test_rng_state_resumes_identically(tmp_path):
-    rng = np.random.default_rng(7)
-    rng.normal(size=10)
-    ckpt = Checkpoint(layer_cfgs=[], params={}, rng_state=rng.bit_generator.state)
-    path = tmp_path / "ck.npz"
-    save_checkpoint(path, ckpt)
+def test_loads_file_with_optimizer_and_rng_state(tmp_path):
+    # files from before the checkpoint dropped optimizer and RNG state carry
+    # `opt_state`/`rng_state` meta keys and `opt/*` arrays; they still load
+    cfgs = [{"kind": "fc", "in": 3, "out": 2}, {"kind": "softmax"}]
+    params = build_network(cfgs, np.random.default_rng(0)).get_params()
+    meta = {
+        "layer_cfgs": cfgs,
+        "param_names": sorted(params),
+        "param_dtypes": {k: str(v.dtype) for k, v in params.items()},
+        "specs": {"fc0": {"bits": 2, "points": 3, "step": 0.25}},
+        "opt_state": {"v": {"fc0.W": {"__array__": "opt/v/fc0.W"}}},
+        "rng_state": np.random.default_rng(7).bit_generator.state,
+        "config_echo": {"task": "test"},
+    }
+    arrays = {f"param/{k}": v for k, v in params.items()}
+    arrays["opt/v/fc0.W"] = np.ones((3, 2))
+    arrays["__meta__"] = np.frombuffer(
+        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
+    )
+    path = tmp_path / "old.npz"
+    np.savez(path, **arrays)
     back = load_checkpoint(path)
-    resumed = np.random.default_rng()
-    resumed.bit_generator.state = back.rng_state
-    np.testing.assert_array_equal(resumed.normal(size=5), rng.normal(size=5))
+    assert back.layer_cfgs == cfgs
+    for k in params:
+        np.testing.assert_array_equal(back.params[k], params[k])
+    assert back.specs["fc0"] == QuantizerSpec.from_bits(2, 0.25)
+    assert back.config_echo == {"task": "test"}
 
 
 def test_network_rebuild_from_checkpoint(tmp_path):

@@ -56,6 +56,16 @@ class TestTrainFloat:
         for k in a.params:
             np.testing.assert_array_equal(a.params[k], b.params[k])
 
+    def test_zero_epochs_evaluates_init_params(self):
+        cfg = mlp_config(float_training={"max_epochs": 0})
+        ckpt, record = harness.train_float(cfg, seed=0)
+        task = harness.make_task(cfg, seed=0)
+        net = task.build_network(np.random.default_rng(0))
+        for k, v in net.get_params().items():
+            np.testing.assert_array_equal(ckpt.params[k], v)
+        assert record.final_test_metric == task.evaluate(net, "test")
+        assert [(r.epoch, r.split) for r in record.rows] == [(0, "test")]
+
     def test_char_lm_on_periodic_corpus(self, tmp_path):
         corpus = tmp_path / "ab.txt"
         corpus.write_text("ab" * 500, encoding="utf-8")
@@ -225,11 +235,3 @@ class TestCli:
         res = runner.invoke(cli_main, ["report", "--results", str(tmp_path / "empty")])
         assert res.exit_code == 1
         assert res.stderr.startswith("error: EmptyInputError:")
-
-    def test_deterministic_env_override(self, monkeypatch):
-        monkeypatch.setenv("QATKIT_DETERMINISTIC", "0")
-        assert harness.deterministic_mode(True) is False
-        monkeypatch.setenv("QATKIT_DETERMINISTIC", "1")
-        assert harness.deterministic_mode(False) is True
-        monkeypatch.delenv("QATKIT_DETERMINISTIC")
-        assert harness.deterministic_mode(True) is True

@@ -8,7 +8,6 @@ from qatkit.nn import Checkpoint, OptimizerConfig, build_network, make_optimizer
 from qatkit.quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
-    StepSolverConfig,
     WeightGroup,
     optimize_step,
     quantize,
@@ -137,7 +136,7 @@ class TestRetrainEpoch:
         before_q = {k: v.copy() for k, v in shadow.quantized.items()}
         opt = make_optimizer(OptimizerConfig(kind="sgd_nesterov", learning_rate=1.0))
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.0,
-                          task.loss, qat.FreezeStep(), StepSolverConfig())
+                          task.loss, qat.FreezeStep())
         for k in before_master:
             np.testing.assert_array_equal(shadow.master[k], before_master[k])
             np.testing.assert_array_equal(shadow.quantized[k], before_q[k])
@@ -147,14 +146,14 @@ class TestRetrainEpoch:
         before = dict(shadow.specs)
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, qat.FreezeStep(), StepSolverConfig())
+                          task.loss, qat.FreezeStep())
         assert shadow.specs == before
 
     def test_update_step_matches_independent_solver(self):
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, qat.UpdateStep(), StepSolverConfig())
+                          task.loss, qat.UpdateStep())
         for gid in shadow.groups:
             step, _ = optimize_step(
                 WeightGroup(shadow.group_vector(gid), gid), shadow.specs[gid].points
@@ -171,7 +170,7 @@ class TestRetrainEpoch:
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, qat.FreezeStep(), StepSolverConfig())
+                          task.loss, qat.FreezeStep())
         gid = next(iter(shadow.groups))
         k = shadow.groups[gid][0]
         mult = shadow.master[k] / shadow.specs[gid].step

@@ -4,7 +4,6 @@ import pytest
 from qatkit.quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
-    StepSolverConfig,
     WeightGroup,
     exhaustive_search_step,
     optimize_step,
@@ -130,9 +129,8 @@ class TestOptimizeStep:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         w = rng.normal(0, 1, size=200)
-        cfg = StepSolverConfig()
-        assert optimize_step(WeightGroup(w, "g"), 7, cfg) == optimize_step(
-            WeightGroup(w, "g"), 7, cfg
+        assert optimize_step(WeightGroup(w, "g"), 7) == optimize_step(
+            WeightGroup(w, "g"), 7
         )
 
     def test_stationarity_fixed_point(self):
@@ -174,13 +172,12 @@ class TestExhaustiveSearch:
         def score(step):
             return quant_mse(g, QuantizerSpec.from_bits(2, step))
 
-        best = exhaustive_search_step(g, 3, 1.0, score, 33)
+        best = exhaustive_search_step(1.0, score, 33)
         candidates = np.geomspace(0.5, 2.0, 33)
         assert best == pytest.approx(candidates[np.argmin(np.abs(candidates - 1.0))])
 
     def test_constant_score_ties_to_smallest(self):
-        g = WeightGroup(np.array([1.0]), "g")
-        best = exhaustive_search_step(g, 3, 0.8, lambda s: 1.0, 9)
+        best = exhaustive_search_step(0.8, lambda s: 1.0, 9)
         assert best == pytest.approx(0.4)
 
     def test_agrees_with_restricted_grid(self):
@@ -192,31 +189,20 @@ class TestExhaustiveSearch:
         def score(step):
             return quant_mse(g, QuantizerSpec.from_bits(3, step))
 
-        best = exhaustive_search_step(g, 7, init, score, 64)
+        best = exhaustive_search_step(init, score, 64)
         candidates = np.geomspace(init / 2, 2 * init, 64)
         grid_best, _ = grid_search_mse(w, 7, candidates)
         spacing = candidates[1] / candidates[0]
         assert grid_best / spacing <= best <= grid_best * spacing
 
     def test_input_validation(self):
-        g = WeightGroup(np.array([1.0]), "g")
         with pytest.raises(ValueError):
-            exhaustive_search_step(g, 3, -1.0, lambda s: 0.0, 8)
+            exhaustive_search_step(-1.0, lambda s: 0.0, 8)
         with pytest.raises(ValueError):
-            exhaustive_search_step(g, 3, 1.0, lambda s: 0.0, 1)
+            exhaustive_search_step(1.0, lambda s: 0.0, 1)
 
 
 class TestSolverConfigValidation:
-    def test_bad_configs(self):
-        with pytest.raises(ValueError):
-            StepSolverConfig(max_iterations=0)
-        with pytest.raises(ValueError):
-            StepSolverConfig(convergence_tol=0)
-        with pytest.raises(ValueError):
-            StepSolverConfig(multistart_factors=())
-        with pytest.raises(ValueError):
-            StepSolverConfig(multistart_factors=(1.0, -0.5))
-
     def test_group_validation(self):
         with pytest.raises(ValueError):
             WeightGroup(np.array([]), "g")
