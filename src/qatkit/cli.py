@@ -6,11 +6,7 @@ import sys
 
 import click
 
-from . import harness, qat
-
-
-def _load_config(path) -> harness.ExperimentConfig:
-    return harness.ExperimentConfig.from_file(path)
+from . import harness
 
 
 @click.group()
@@ -30,7 +26,7 @@ def _fail(e: Exception):
 def train_float_cmd(config_path, seed, out_dir):
     """Train the floating-point baseline network."""
     try:
-        cfg = _load_config(config_path)
+        cfg = harness.ExperimentConfig.from_file(config_path)
         out = out_dir or cfg.output_dir
         _, record = harness.train_and_save_float(cfg, seed, out)
         click.echo(f"float test {record.metric_name}: {record.final_test_metric}")
@@ -47,7 +43,7 @@ def train_float_cmd(config_path, seed, out_dir):
 def quantize_cmd(config_path, bits, seed, out_dir):
     """Direct quantization of the float checkpoint, no retraining."""
     try:
-        cfg = _load_config(config_path)
+        cfg = harness.ExperimentConfig.from_file(config_path)
         out = out_dir or cfg.output_dir
         record = harness.run_cell(cfg, {"bits": bits, "schedule": "direct"}, seed, out)
         click.echo(f"direct {bits}-bit test {record.metric_name}: {record.final_test_metric}")
@@ -65,9 +61,8 @@ def quantize_cmd(config_path, bits, seed, out_dir):
 def retrain_cmd(config_path, bits, schedule, seed, out_dir):
     """Retrain one (bits, schedule) cell from the float checkpoint."""
     try:
-        cfg = _load_config(config_path)
+        cfg = harness.ExperimentConfig.from_file(config_path)
         out = out_dir or cfg.output_dir
-        qat.parse_schedule(schedule)  # validate early
         record = harness.run_cell(cfg, {"bits": bits, "schedule": schedule}, seed, out)
         click.echo(f"{schedule} {bits}-bit test {record.metric_name}: {record.final_test_metric}")
     except Exception as e:
@@ -80,7 +75,7 @@ def retrain_cmd(config_path, bits, schedule, seed, out_dir):
 def sweep_cmd(config_path, out_dir):
     """Run every configured (bits, schedule, seed) cell and report."""
     try:
-        cfg = _load_config(config_path)
+        cfg = harness.ExperimentConfig.from_file(config_path)
         out = out_dir or cfg.output_dir
         records = harness.sweep(cfg, out)
         harness.report(out)

@@ -78,7 +78,11 @@ class Splits:
         return getattr(self, name)
 
 
-def split_indices(n: int, fractions=(0.9, 0.05, 0.05)):
+CLASSIFICATION_FRACTIONS = (0.7, 0.15, 0.15)  # train, dev, test
+TEXT_FRACTIONS = (0.9, 0.05, 0.05)
+
+
+def split_indices(n: int, fractions=TEXT_FRACTIONS):
     """Sizes by floor rule, remainder to train."""
     n_dev = int(n * fractions[1])
     n_test = int(n * fractions[2])
@@ -86,12 +90,12 @@ def split_indices(n: int, fractions=(0.9, 0.05, 0.05)):
     return n_train, n_dev, n_test
 
 
-def synthetic_clusters(n_samples: int, n_classes: int, dim: int, seed: int,
-                       spread: float = 1.0, fractions=(0.7, 0.15, 0.15)) -> Splits:
+def synthetic_clusters(n_samples: int, classes: int, dim: int, seed: int,
+                       spread: float = 1.0, fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Seeded Gaussian-cluster classification data, shuffled then split."""
     rng = np.random.default_rng(seed)
-    centers = rng.normal(0.0, 1.0, size=(n_classes, dim))
-    y = rng.integers(0, n_classes, size=n_samples)
+    centers = rng.normal(0.0, 1.0, size=(classes, dim))
+    y = rng.integers(0, classes, size=n_samples)
     x = centers[y] + rng.normal(0.0, spread, size=(n_samples, dim))
     order = rng.permutation(n_samples)
     x, y = x[order], y[order]
@@ -100,18 +104,18 @@ def synthetic_clusters(n_samples: int, n_classes: int, dim: int, seed: int,
         train=(x[:n_train], y[:n_train]),
         dev=(x[n_train : n_train + n_dev], y[n_train : n_train + n_dev]),
         test=(x[n_train + n_dev :], y[n_train + n_dev :]),
-        meta={"dim": dim, "classes": n_classes},
+        meta={"dim": dim, "classes": classes},
     )
 
 
-def synthetic_digit_images(n_samples: int, n_classes: int, seed: int,
+def synthetic_digit_images(n_samples: int, classes: int, seed: int,
                            size: int = 8, noise: float = 0.25,
-                           fractions=(0.7, 0.15, 0.15)) -> Splits:
+                           fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Digit-style images: one random blocky template per class plus noise."""
     rng = np.random.default_rng(seed)
-    coarse = rng.uniform(0.0, 1.0, size=(n_classes, size // 2, size // 2))
+    coarse = rng.uniform(0.0, 1.0, size=(classes, size // 2, size // 2))
     templates = coarse.repeat(2, axis=1).repeat(2, axis=2)
-    y = rng.integers(0, n_classes, size=n_samples)
+    y = rng.integers(0, classes, size=n_samples)
     x = templates[y] + rng.normal(0.0, noise, size=(n_samples, size, size))
     x = x[:, None, :, :]  # channel axis
     order = rng.permutation(n_samples)
@@ -121,22 +125,22 @@ def synthetic_digit_images(n_samples: int, n_classes: int, seed: int,
         train=(x[:n_train], y[:n_train]),
         dev=(x[n_train : n_train + n_dev], y[n_train : n_train + n_dev]),
         test=(x[n_train + n_dev :], y[n_train + n_dev :]),
-        meta={"size": size, "classes": n_classes},
+        meta={"size": size, "classes": classes},
     )
 
 
-def load_idx_classification(images_path, labels_path, fractions=(0.7, 0.15, 0.15),
+def load_idx_classification(images, labels, fractions=CLASSIFICATION_FRACTIONS,
                             seed: int = 0) -> Splits:
-    images = read_idx(images_path)
-    labels = read_idx(labels_path)
-    if images.ndim != 3:
-        raise IdxParseError(f"{images_path}: expected 3-d image file, got {images.ndim}-d")
-    if labels.ndim != 1 or labels.shape[0] != images.shape[0]:
+    x = read_idx(images)
+    y = read_idx(labels)
+    if x.ndim != 3:
+        raise IdxParseError(f"{images}: expected 3-d image file, got {x.ndim}-d")
+    if y.ndim != 1 or y.shape[0] != x.shape[0]:
         raise IdxParseError(
-            f"{labels_path}: label count {labels.shape} does not match images {images.shape[0]}"
+            f"{labels}: label count {y.shape} does not match images {x.shape[0]}"
         )
-    x = images.astype(np.float64)[:, None, :, :] / 255.0
-    y = labels.astype(np.int64)
+    x = x.astype(np.float64)[:, None, :, :] / 255.0
+    y = y.astype(np.int64)
     rng = np.random.default_rng(seed)
     order = rng.permutation(x.shape[0])
     x, y = x[order], y[order]
@@ -156,7 +160,7 @@ def encode_text(text: str):
     return codes, vocab
 
 
-def text_splits(text: str, fractions=(0.9, 0.05, 0.05)) -> Splits:
+def text_splits(text: str, fractions=TEXT_FRACTIONS) -> Splits:
     """Encode `text` and split it contiguously train/dev/test (floor rule,
     remainder to train)."""
     codes, vocab = encode_text(text)
@@ -170,7 +174,7 @@ def text_splits(text: str, fractions=(0.9, 0.05, 0.05)) -> Splits:
     )
 
 
-def load_text_corpus(path, fractions=(0.9, 0.05, 0.05)) -> Splits:
+def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
     """UTF-8 character corpus from `path`, split by `text_splits`."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
@@ -205,35 +209,26 @@ def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2
     return "".join(chars[c] for c in out)
 
 
+def synthetic_text_corpus(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2,
+                          fractions=TEXT_FRACTIONS) -> Splits:
+    """`synthetic_text`, split by `text_splits`."""
+    return text_splits(synthetic_text(n_chars, seed, vocab_size, order), fractions)
+
+
+# dataset kind -> builder; a dataset config's other keys are the builder's arguments
+DATASET_BUILDERS = {
+    "clusters": synthetic_clusters,
+    "digit-images": synthetic_digit_images,
+    "idx": load_idx_classification,
+    "text": load_text_corpus,
+    "synthetic-text": synthetic_text_corpus,
+}
+
+
 def load_dataset(cfg: dict) -> Splits:
-    """Dispatch on cfg['kind']: clusters | digit-images | idx | text | synthetic-text."""
-    kind = cfg["kind"]
-    if kind == "clusters":
-        return synthetic_clusters(
-            cfg["n_samples"], cfg["classes"], cfg["dim"], cfg["seed"],
-            spread=cfg.get("spread", 1.0),
-            fractions=tuple(cfg.get("fractions", (0.7, 0.15, 0.15))),
-        )
-    if kind == "digit-images":
-        return synthetic_digit_images(
-            cfg["n_samples"], cfg["classes"], cfg["seed"],
-            size=cfg.get("size", 8), noise=cfg.get("noise", 0.25),
-            fractions=tuple(cfg.get("fractions", (0.7, 0.15, 0.15))),
-        )
-    if kind == "idx":
-        return load_idx_classification(
-            cfg["images"], cfg["labels"],
-            fractions=tuple(cfg.get("fractions", (0.7, 0.15, 0.15))),
-            seed=cfg.get("seed", 0),
-        )
-    if kind == "text":
-        return load_text_corpus(
-            cfg["path"], fractions=tuple(cfg.get("fractions", (0.9, 0.05, 0.05)))
-        )
-    if kind == "synthetic-text":
-        text = synthetic_text(
-            cfg["n_chars"], cfg["seed"],
-            vocab_size=cfg.get("vocab_size", 26), order=cfg.get("order", 2),
-        )
-        return text_splits(text, tuple(cfg.get("fractions", (0.9, 0.05, 0.05))))
-    raise ValueError(f"unknown dataset kind {kind!r}")
+    """Build the dataset of kind cfg['kind'] from the config's other keys."""
+    args = dict(cfg)
+    kind = args.pop("kind")
+    if kind not in DATASET_BUILDERS:
+        raise ValueError(f"unknown dataset kind {kind!r}")
+    return DATASET_BUILDERS[kind](**args)

@@ -4,6 +4,7 @@ sweeps over (bits, schedule, seed) cells, and CSV/JSON reporting."""
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import logging
 from dataclasses import dataclass, field
@@ -12,10 +13,9 @@ from pathlib import Path
 import numpy as np
 
 from . import qat
-from .data import Splits, load_dataset
+from .data import DATASET_BUILDERS, Splits, load_dataset
 from .nn import (
     Checkpoint,
-    OptimizerConfig,
     bits_per_char,
     build_network,
     classification_error,
@@ -40,22 +40,21 @@ class ClassificationTask:
     metric_name = "error"
 
     def __init__(self, splits: Splits, layer_cfgs: list[dict], batch_size: int = 32,
-                 seed: int = 0, dtype=np.float64):
+                 seed: int = 0):
         self.splits = splits
         self.layer_cfgs = layer_cfgs
         self.batch_size = batch_size
         self.seed = seed
-        self.dtype = dtype
 
     def build_network(self, rng):
-        return build_network(self.layer_cfgs, rng, dtype=self.dtype)
+        return build_network(self.layer_cfgs, rng)
 
     def batches(self, split: str, epoch: int):
         x, y = self.splits.get(split)
         order = np.random.default_rng((self.seed, epoch)).permutation(x.shape[0])
         for start in range(0, x.shape[0], self.batch_size):
             idx = order[start : start + self.batch_size]
-            yield x[idx].astype(self.dtype), y[idx]
+            yield x[idx], y[idx]
 
     def loss(self, outputs, targets):
         return cross_entropy(outputs, targets)
@@ -64,7 +63,7 @@ class ClassificationTask:
         x, y = self.splits.get(split)
         probs = []
         for start in range(0, x.shape[0], 256):
-            probs.append(net.forward(x[start : start + 256].astype(self.dtype), train=False))
+            probs.append(net.forward(x[start : start + 256], train=False))
         return classification_error(np.concatenate(probs), y)
 
 
@@ -79,8 +78,7 @@ class CharLMTask:
     metric_name = "bpc"
 
     def __init__(self, splits: Splits, layer_cfgs: list[dict], unroll: int = 256,
-                 update_stride: int = 128, streams: int = 64, seed: int = 0,
-                 dtype=np.float64):
+                 update_stride: int = 128, streams: int = 64, seed: int = 0):
         self.splits = splits
         self.layer_cfgs = layer_cfgs
         self.vocab_size = splits.meta["vocab_size"]
@@ -88,10 +86,9 @@ class CharLMTask:
         self.update_stride = update_stride
         self.streams = streams
         self.seed = seed
-        self.dtype = dtype
 
     def build_network(self, rng):
-        return build_network(self.layer_cfgs, rng, dtype=self.dtype)
+        return build_network(self.layer_cfgs, rng)
 
     def _stream_matrix(self, split: str):
         (codes,) = self.splits.get(split)
@@ -104,7 +101,7 @@ class CharLMTask:
     def _window(self, mat, t0, t1):
         xs = mat[:, t0:t1].T  # (T, B)
         ys = mat[:, t0 + 1 : t1 + 1].T
-        eye = np.eye(self.vocab_size, dtype=self.dtype)
+        eye = np.eye(self.vocab_size)
         return eye[xs], ys
 
     def batches(self, split: str, epoch: int):
@@ -136,6 +133,33 @@ class CharLMTask:
 
 # -- experiment configuration ------------------------------------------------
 
+# float_training keys that go to qat.RetrainConfig; the rest go to the task class
+FIT_KEYS = ("max_epochs", "optimizer")
+
+# The keys each config section accepts; ExperimentConfig rejects any other.
+# Each key is a parameter of the constructor its section is passed to, and
+# that signature holds its default: retrain and cell keys go to
+# qat.RetrainConfig, dataset keys (besides `kind`) to DATASET_BUILDERS[kind].
+CONFIG_KEYS = {
+    "float_training": {
+        "classification-vector": FIT_KEYS + ("batch_size",),
+        "classification-image": FIT_KEYS + ("batch_size",),
+        "char-language-model": FIT_KEYS + ("unroll", "update_stride", "streams"),
+    },
+    "retrain": ("max_epochs", "optimizer", "stop_at_lr_floor"),
+    "cell": ("bits", "schedule", "exhaustive_init"),
+    "dataset": {kind: ("kind", *inspect.signature(build).parameters)
+                for kind, build in DATASET_BUILDERS.items()},
+}
+
+
+def _reject_unknown(what: str, given, accepted):
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}; "
+                         f"accepted: {', '.join(accepted)}")
+
+
 @dataclass
 class ExperimentConfig:
     task: str  # classification-vector | classification-image | char-language-model
@@ -150,10 +174,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
-        for cell in self.cells:
-            sched = qat.parse_schedule(str(cell["schedule"]))
-            if not isinstance(sched, qat.Gradual) and int(cell.get("bits", 2)) < 2:
-                raise ValueError(f"cell {cell}: bits must be >= 2")
+        kind = self.dataset.get("kind")
+        _reject_unknown("task", [self.task], CONFIG_KEYS["float_training"])
+        _reject_unknown("dataset kind", [kind], CONFIG_KEYS["dataset"])
+        _reject_unknown(f"{kind} dataset key", self.dataset, CONFIG_KEYS["dataset"][kind])
+        _reject_unknown(f"{self.task} float_training key", self.float_training,
+                        CONFIG_KEYS["float_training"][self.task])
+        _reject_unknown("retrain key", self.retrain, CONFIG_KEYS["retrain"])
+        _float_retrain_config(self, self.seeds[0])
+        for i, cell in enumerate(self.cells):
+            _reject_unknown(f"cells[{i}] key", cell, CONFIG_KEYS["cell"])
+            make_retrain_config(self, cell, self.seeds[0])
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -165,21 +196,22 @@ class ExperimentConfig:
 
 
 def make_task(cfg: ExperimentConfig, seed: int):
-    splits = load_dataset(cfg.dataset)
-    if cfg.task in ("classification-vector", "classification-image"):
-        return ClassificationTask(
-            splits, cfg.network,
-            batch_size=cfg.float_training.get("batch_size", 32), seed=seed,
-        )
-    if cfg.task == "char-language-model":
-        return CharLMTask(
-            splits, cfg.network,
-            unroll=cfg.float_training.get("unroll", 256),
-            update_stride=cfg.float_training.get("update_stride", 128),
-            streams=cfg.float_training.get("streams", 64),
-            seed=seed,
-        )
-    raise ValueError(f"unknown task {cfg.task!r}")
+    task_cls = CharLMTask if cfg.task == "char-language-model" else ClassificationTask
+    batching = {k: v for k, v in cfg.float_training.items() if k not in FIT_KEYS}
+    return task_cls(load_dataset(cfg.dataset), cfg.network, seed=seed, **batching)
+
+
+def make_retrain_config(cfg: ExperimentConfig, cell: dict, seed: int) -> qat.RetrainConfig:
+    return qat.RetrainConfig(**cfg.retrain, **cell, seed=seed)
+
+
+def _float_retrain_config(cfg: ExperimentConfig, seed: int) -> qat.RetrainConfig:
+    # with no groups to quantize any schedule that trains gives the same run;
+    # ConventionalFixed never asks for a step solve.  The float baseline has
+    # its own defaults for FIT_KEYS; retraining's are RetrainConfig's.
+    fit = {k: v for k, v in cfg.float_training.items() if k in FIT_KEYS}
+    return qat.RetrainConfig(schedule=qat.ConventionalFixed(), seed=seed,
+                             **{"max_epochs": 30, "optimizer": {}, **fit})
 
 
 # -- float baseline ----------------------------------------------------------
@@ -191,24 +223,21 @@ def train_float(cfg: ExperimentConfig, seed: int):
     best-on-dev parameters and stops at the lr-schedule floor or max_epochs.
     """
     task = make_task(cfg, seed)
-    # with no groups to quantize any schedule that trains gives the same run;
-    # ConventionalFixed never asks for a step solve
-    fcfg = qat.RetrainConfig(
-        schedule=qat.ConventionalFixed(),
-        optimizer=OptimizerConfig(**cfg.float_training.get("optimizer", {})),
-        max_epochs=cfg.float_training.get("max_epochs", 30), seed=seed,
-    )
+    fcfg = _float_retrain_config(cfg, seed)
     net = task.build_network(np.random.default_rng(seed))
     record = RunRecord(run_id=f"float_s{seed}", cell_bits=0, schedule="float",
                        seed=seed, metric_name=task.metric_name)
     shadow = qat.ShadowParams(net.get_params(), {}, {})
     _, params = qat.fit(fcfg, net, shadow, task, record)
-    ckpt = Checkpoint(
-        layer_cfgs=cfg.network, params=params,
-        config_echo={"task": cfg.task, "seed": seed,
-                     "float_training": cfg.float_training},
-    )
+    ckpt = Checkpoint(layer_cfgs=cfg.network, params=params,
+                      config_echo=_float_config_echo(cfg, seed))
     return ckpt, record
+
+
+def _float_config_echo(cfg: ExperimentConfig, seed: int) -> dict:
+    """The config sections a float checkpoint depends on, besides its network."""
+    return {"task": cfg.task, "seed": seed, "dataset": cfg.dataset,
+            "float_training": cfg.float_training}
 
 
 def float_checkpoint_path(out_dir, seed) -> Path:
@@ -227,38 +256,33 @@ def train_and_save_float(cfg: ExperimentConfig, seed: int, out_dir) -> tuple:
 
 
 def ensure_float_checkpoint(cfg: ExperimentConfig, seed: int, out_dir) -> Checkpoint:
+    """Load the float checkpoint under `out_dir`, or train it if there is none.
+
+    Raises ValueError, naming the section, when the existing checkpoint was
+    trained under another task, dataset, network or float_training config.
+    """
     path = float_checkpoint_path(out_dir, seed)
-    if path.exists():
-        return load_checkpoint(path)
-    return train_and_save_float(cfg, seed, out_dir)[0]
+    if not path.exists():
+        return train_and_save_float(cfg, seed, out_dir)[0]
+    ckpt = load_checkpoint(path)
+    stored = {**ckpt.config_echo, "network": ckpt.layer_cfgs}
+    # compare as stored: JSON turns tuples into lists
+    wanted = json.loads(json.dumps({**_float_config_echo(cfg, seed), "network": cfg.network}))
+    for section, value in wanted.items():
+        if stored.get(section) != value:
+            raise ValueError(f"{path} was trained with a different {section}; "
+                             "delete it or use another output directory")
+    return ckpt
 
 
 # -- sweep -------------------------------------------------------------------
 
-def make_retrain_config(cfg: ExperimentConfig, cell: dict, seed: int) -> qat.RetrainConfig:
-    schedule = qat.parse_schedule(str(cell["schedule"]))
-    rcfg = dict(cfg.retrain)
-    opt = OptimizerConfig(**rcfg.pop("optimizer", {
-        "kind": "sgd_nesterov", "learning_rate": 5e-4,
-        "lr_schedule": {"initial_lr": 5e-4, "final_lr": 3.90625e-6,
-                        "decay_factor": 2.0, "patience_evals": 4},
-    }))
-    return qat.RetrainConfig(
-        schedule=schedule, bits=int(cell.get("bits", 2)), optimizer=opt,
-        max_epochs=rcfg.get("max_epochs", 20),
-        eval_every=rcfg.get("eval_every", 1),
-        stop_at_lr_floor=rcfg.get("stop_at_lr_floor", True),
-        seed=seed,
-        exhaustive_init=bool(cell.get("exhaustive_init", False)),
-    )
-
-
 def run_cell(cfg: ExperimentConfig, cell: dict, seed: int, out_dir) -> RunRecord:
     """One (bits, schedule, seed) retraining run, records written to disk."""
+    rcfg = make_retrain_config(cfg, cell, seed)
     ckpt = ensure_float_checkpoint(cfg, seed, out_dir)
     task = make_task(cfg, seed)
-    rcfg = make_retrain_config(cfg, cell, seed)
-    run_id = f"b{cell.get('bits', rcfg.bits)}_{rcfg.schedule.name}_s{seed}"
+    run_id = f"b{rcfg.bits}_{rcfg.schedule.name}_s{seed}"
     _, record = qat.run(rcfg, ckpt, task, run_id=run_id)
     _write_record(Path(out_dir) / "runs" / run_id, record)
     return record
@@ -286,17 +310,23 @@ def _write_record(run_dir: Path, record: RunRecord):
     run_dir.mkdir(parents=True, exist_ok=True)
     with open(run_dir / "record.json", "w", encoding="utf-8") as f:
         json.dump(record.to_dict(), f, indent=2, sort_keys=True)
-    with open(run_dir / "trajectory.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["run_id", "epoch", "group_id", "delta"])
-        for d in record.deltas:
-            w.writerow([record.run_id, d.epoch, d.group_id, repr(d.delta)])
+    _write_trajectory(run_dir / "trajectory.csv", [record])
 
 
 # -- reporting ---------------------------------------------------------------
 
 RESULTS_HEADER = ["cell_bits", "schedule", "seed", "split", "metric", "value"]
 TRAJECTORY_HEADER = ["run_id", "epoch", "group_id", "delta"]
+
+
+def _write_trajectory(path: Path, records: list[RunRecord]):
+    """Per-epoch step size of every group of every record, one row each."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)
+        w.writerow(TRAJECTORY_HEADER)
+        for r in records:
+            for d in r.deltas:
+                w.writerow([r.run_id, d.epoch, d.group_id, repr(d.delta)])
 
 
 def collect_records(results_dir) -> list[RunRecord]:
@@ -327,12 +357,7 @@ def report(results_dir, out_dir=None) -> dict:
                 w.writerow([r.cell_bits, r.schedule, r.seed, "test",
                             r.metric_name, repr(r.final_test_metric)])
 
-    with open(out_dir / "trajectory.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(TRAJECTORY_HEADER)
-        for r in records:
-            for d in r.deltas:
-                w.writerow([r.run_id, d.epoch, d.group_id, repr(d.delta)])
+    _write_trajectory(out_dir / "trajectory.csv", records)
 
     cells: dict[tuple, dict] = {}
     for r in records:

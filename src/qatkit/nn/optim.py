@@ -66,6 +66,12 @@ class OptimizerConfig:
             raise ValueError("momentum must be in [0, 1)")
         if isinstance(self.lr_schedule, dict):
             self.lr_schedule = LrScheduleConfig(**self.lr_schedule)
+        # training starts at lr_schedule.initial_lr; learning_rate must agree
+        if self.learning_rate != self.lr_schedule.initial_lr:
+            raise ValueError(
+                f"learning_rate {self.learning_rate} differs from lr_schedule.initial_lr "
+                f"{self.lr_schedule.initial_lr}; set both to the starting rate"
+            )
 
 
 class SGDNesterov:

@@ -244,7 +244,6 @@ class RetrainConfig:
                      "decay_factor": 2.0, "patience_evals": 4},
     ))
     max_epochs: int = 20
-    eval_every: int = 1
     stop_at_lr_floor: bool = True
     seed: int = 0
     exhaustive_init: bool = False
@@ -255,7 +254,7 @@ class RetrainConfig:
         if isinstance(self.optimizer, dict):
             self.optimizer = OptimizerConfig(**self.optimizer)
         if not isinstance(self.schedule, Gradual) and self.bits < 2:
-            raise ValueError("bits must be >= 2")
+            raise ValueError(f"bits must be >= 2, got {self.bits}")
 
 
 def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
@@ -342,26 +341,25 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
             raise DivergenceError(f"{record.run_id}: epoch {epoch}: {e}") from e
         record.log_metric(epoch, "train", "loss", mean_loss)
         record.log_deltas(epoch, shadow.specs)
-        if (epoch + 1) % cfg.eval_every == 0:
-            net.reset_state()
-            dev = _evaluate_quantized(net, shadow, task, "dev")
-            record.log_metric(epoch, "dev", task.metric_name, dev)
-            # keep the best-on-dev quantized state; for Gradual only states
-            # already at the target bit width qualify
-            at_target = (not isinstance(sched, Gradual)
-                         or sched.bits_at(epoch) == sched.end_bits)
-            if dev < best_dev and at_target:
-                best_dev = dev
-                best_params = {k: v.copy() for k, v in shadow.quantized.items()}
-            if dev < stage_best_dev:
-                stage_best_dev = dev
-                stage_best_master = {k: v.copy() for k, v in shadow.master.items()}
-            lr_sched.step(dev)
-            if (cfg.stop_at_lr_floor and not isinstance(sched, Gradual)
-                    and lr_sched.at_floor
-                    and cfg.optimizer.lr_schedule.initial_lr
-                    > cfg.optimizer.lr_schedule.final_lr):
-                break
+        net.reset_state()
+        dev = _evaluate_quantized(net, shadow, task, "dev")
+        record.log_metric(epoch, "dev", task.metric_name, dev)
+        # keep the best-on-dev quantized state; for Gradual only states
+        # already at the target bit width qualify
+        at_target = (not isinstance(sched, Gradual)
+                     or sched.bits_at(epoch) == sched.end_bits)
+        if dev < best_dev and at_target:
+            best_dev = dev
+            best_params = {k: v.copy() for k, v in shadow.quantized.items()}
+        if dev < stage_best_dev:
+            stage_best_dev = dev
+            stage_best_master = {k: v.copy() for k, v in shadow.master.items()}
+        lr_sched.step(dev)
+        if (cfg.stop_at_lr_floor and not isinstance(sched, Gradual)
+                and lr_sched.at_floor
+                and cfg.optimizer.lr_schedule.initial_lr
+                > cfg.optimizer.lr_schedule.final_lr):
+            break
 
     if best_params is None:
         best_params = shadow.quantized

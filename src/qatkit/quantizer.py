@@ -99,18 +99,14 @@ def quantize(w, spec: QuantizerSpec):
     return out
 
 
+def _half_squared_error(w: np.ndarray, step: float, max_level: int) -> float:
+    d = step * _levels(w, step, max_level) - w
+    return 0.5 * float(np.dot(d, d))
+
+
 def quant_mse(group: WeightGroup, spec: QuantizerSpec) -> float:
     """Half the summed squared quantization error: (1/2) sum (Q(w) - w)^2."""
-    q = quantize(group.values, spec)
-    d = q - group.values
-    return 0.5 * float(np.dot(d, d))
-
-
-def _mse_for_step(absw: np.ndarray, step: float, max_level: int) -> float:
-    n = np.floor(absw / step + 0.5)
-    np.minimum(n, max_level, out=n)
-    d = n * step - absw
-    return 0.5 * float(np.dot(d, d))
+    return _half_squared_error(group.values, spec.step, spec.max_level)
 
 
 def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
@@ -168,7 +164,7 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
         raise DegenerateGroupError(f"group {group.group_id!r}: no positive step found")
     # re-evaluate through the forward rounding path so the reported mse is
     # bit-identical to quant_mse at the returned step
-    return best_step, _mse_for_step(np.abs(group.values), best_step, max_level)
+    return best_step, _half_squared_error(group.values, best_step, max_level)
 
 
 def exhaustive_search_step(

@@ -417,7 +417,7 @@ def test_10_cnn_and_char_lm_smoke(tmp_path):
                                       "lr_schedule": {"initial_lr": 1.0, "final_lr": 1e-2,
                                                       "decay_factor": 2.0,
                                                       "patience_evals": 3}}},
-        retrain={"max_epochs": 15, "unroll": 16, "update_stride": 16, "streams": 16,
+        retrain={"max_epochs": 15,
                  "optimizer": {"kind": "adadelta", "learning_rate": 0.5,
                                "lr_schedule": {"initial_lr": 0.5, "final_lr": 0.5 / 64,
                                                "decay_factor": 2.0, "patience_evals": 3}}},

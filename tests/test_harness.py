@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,6 +92,33 @@ class TestTrainFloat:
         assert record.final_test_metric < 0.1  # periodic source has ~0 entropy
 
 
+class TestFloatCheckpointReuse:
+    def test_same_config_reuses_checkpoint(self, tmp_path, monkeypatch):
+        # tuple fractions come back from the checkpoint as a list
+        cfg = mlp_config(dataset={**mlp_config().dataset, "fractions": (0.6, 0.2, 0.2)},
+                         float_training={"max_epochs": 1})
+        first = harness.ensure_float_checkpoint(cfg, 0, tmp_path)
+        monkeypatch.setattr(harness, "train_and_save_float", None)  # must not retrain
+        again = harness.ensure_float_checkpoint(cfg, 0, tmp_path)
+        for k in first.params:
+            np.testing.assert_array_equal(first.params[k], again.params[k])
+
+    @pytest.mark.parametrize("section, change", [
+        ("float_training", {"float_training": {"max_epochs": 2}}),
+        ("dataset", {"dataset": {**mlp_config().dataset, "spread": 0.5}}),
+        ("network", {"network": [{"kind": "fc", "in": 4, "out": 16},
+                                 {"kind": "activation", "fn": "relu"},
+                                 {"kind": "fc", "in": 16, "out": 2},
+                                 {"kind": "softmax"}]}),
+    ])
+    def test_mismatched_checkpoint_rejected(self, tmp_path, section, change):
+        harness.ensure_float_checkpoint(mlp_config(float_training={"max_epochs": 1}),
+                                        0, tmp_path)
+        with pytest.raises(ValueError, match=f"different {section}"):
+            harness.ensure_float_checkpoint(
+                mlp_config(**{"float_training": {"max_epochs": 1}, **change}), 0, tmp_path)
+
+
 class TestSweepAndReport:
     def test_direct_only_sweep_has_no_training_epochs(self, tmp_path):
         cfg = mlp_config(cells=[{"bits": 2, "schedule": "direct"}], seeds=[0, 1])
@@ -137,11 +166,13 @@ class TestSweepAndReport:
     def test_sweep_records_failures_and_continues(self, tmp_path):
         cfg = mlp_config(cells=[{"bits": 2, "schedule": "direct"}], seeds=[0])
         # inject a failing cell after construction (bits too low bypasses validation)
-        cfg.cells.append({"bits": 2, "schedule": "direct", "exhaustive_init": "boom"})
+        cfg.cells.append({"bits": 1, "schedule": "direct"})
         records = harness.sweep(cfg, tmp_path)
         with open(tmp_path / "failures.json") as f:
             failures = json.load(f)
-        assert len(records) + len(failures) == 2
+        assert len(records) == 1 and len(failures) == 1
+        assert failures[0]["cell"] == {"bits": 1, "schedule": "direct"}
+        assert "got 1" in failures[0]["error"]
 
     def test_report_empty_dir_raises(self, tmp_path):
         with pytest.raises(EmptyInputError):
@@ -161,7 +192,54 @@ class TestSweepAndReport:
         assert records[0].final_test_metric == pytest.approx(task.evaluate(net, "test"))
 
 
+def char_lm_config(**overrides):
+    base = dict(
+        task="char-language-model",
+        dataset={"kind": "synthetic-text", "n_chars": 2000, "vocab_size": 4, "seed": 3},
+        network=[
+            {"kind": "lstm", "in": 4, "hidden": 8},
+            {"kind": "fc", "in": 8, "out": 4},
+            {"kind": "softmax"},
+        ],
+        float_training={"max_epochs": 1, "unroll": 16, "update_stride": 16, "streams": 8},
+        retrain={"max_epochs": 1},
+        cells=[{"bits": 2, "schedule": "adaptive"}],
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("make, section, key", [
+        (mlp_config, "dataset", "sprad"),
+        (char_lm_config, "dataset", "spread"),
+        (mlp_config, "float_training", "unroll"),
+        (char_lm_config, "float_training", "batch_size"),
+        (mlp_config, "retrain", "unroll"),
+        (mlp_config, "retrain", "bits"),
+        (mlp_config, "retrain", "eval_every"),
+        (mlp_config, "cells", "bitz"),
+    ])
+    def test_unknown_key_rejected_at_load(self, make, section, key):
+        good = make()
+        bad = ([{**good.cells[0], key: 2}] if section == "cells"
+               else {**getattr(good, section), key: 2})
+        with pytest.raises(ValueError, match=f"unknown .*{section}.* key '{key}'"):
+            make(**{section: bad})
+
+    def test_readme_example_loads(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+        assert len(blocks) == 1
+        p = tmp_path / "exp.yaml"
+        p.write_text(blocks[0], encoding="utf-8")
+        cfg = ExperimentConfig.from_file(p)
+        assert cfg.cells
+        for cell in cfg.cells:
+            for seed in cfg.seeds:
+                rcfg = harness.make_retrain_config(cfg, cell, seed)
+                assert rcfg.bits == cell["bits"] and rcfg.seed == seed
+
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
             mlp_config(seeds=[])

@@ -304,6 +304,10 @@ class TestOptimizers:
             OptimizerConfig(learning_rate=0)
         with pytest.raises(ValueError):
             OptimizerConfig(momentum=1.0)
+        # training starts at lr_schedule.initial_lr, so learning_rate must match it
+        with pytest.raises(ValueError, match=r"learning_rate 0\.1 .*initial_lr 0\.01"):
+            OptimizerConfig(learning_rate=0.1, lr_schedule={"initial_lr": 0.01,
+                                                            "final_lr": 1e-4})
 
 
 class TestLrSchedule:

@@ -23,7 +23,7 @@ MLP = [
 
 
 def toy_task(seed=0):
-    splits = synthetic_clusters(n_samples=300, n_classes=3, dim=6, seed=5, spread=0.6)
+    splits = synthetic_clusters(n_samples=300, classes=3, dim=6, seed=5, spread=0.6)
     return ClassificationTask(splits, MLP, batch_size=32, seed=seed)
 
 
@@ -134,7 +134,7 @@ class TestRetrainEpoch:
         task, net, shadow = self._setup()
         before_master = {k: v.copy() for k, v in shadow.master.items()}
         before_q = {k: v.copy() for k, v in shadow.quantized.items()}
-        opt = make_optimizer(OptimizerConfig(kind="sgd_nesterov", learning_rate=1.0))
+        opt = make_optimizer(OptimizerConfig(kind="sgd_nesterov"))
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.0,
                           task.loss, qat.FreezeStep())
         for k in before_master:
