@@ -66,12 +66,12 @@ def write_idx(path, arr: np.ndarray):
 @dataclass
 class Splits:
     """Train/dev/test splits.  For classification: (x, y) arrays per split.
-    For character corpora: integer-coded arrays plus the vocabulary."""
+    For character corpora: one integer-coded array per split, with the
+    vocabulary size in meta["vocab_size"]."""
 
     train: tuple
     dev: tuple
     test: tuple
-    vocab: list[str] | None = None
     meta: dict = field(default_factory=dict)
 
     def get(self, name: str) -> tuple:
@@ -169,7 +169,6 @@ def text_splits(text: str, fractions=TEXT_FRACTIONS) -> Splits:
         train=(codes[:n_train],),
         dev=(codes[n_train : n_train + n_dev],),
         test=(codes[n_train + n_dev :],),
-        vocab=vocab,
         meta={"vocab_size": len(vocab)},
     )
 

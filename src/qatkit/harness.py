@@ -23,6 +23,7 @@ from .nn import (
     load_checkpoint,
     save_checkpoint,
 )
+from .nn.network import layer_arguments, reject_unknown
 from .records import RunRecord
 
 log = logging.getLogger(__name__)
@@ -153,13 +154,6 @@ CONFIG_KEYS = {
 }
 
 
-def _reject_unknown(what: str, given, accepted):
-    unknown = sorted(set(given) - set(accepted))
-    if unknown:
-        raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}; "
-                         f"accepted: {', '.join(accepted)}")
-
-
 @dataclass
 class ExperimentConfig:
     task: str  # classification-vector | classification-image | char-language-model
@@ -175,15 +169,16 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         kind = self.dataset.get("kind")
-        _reject_unknown("task", [self.task], CONFIG_KEYS["float_training"])
-        _reject_unknown("dataset kind", [kind], CONFIG_KEYS["dataset"])
-        _reject_unknown(f"{kind} dataset key", self.dataset, CONFIG_KEYS["dataset"][kind])
-        _reject_unknown(f"{self.task} float_training key", self.float_training,
-                        CONFIG_KEYS["float_training"][self.task])
-        _reject_unknown("retrain key", self.retrain, CONFIG_KEYS["retrain"])
+        reject_unknown("task", [self.task], CONFIG_KEYS["float_training"])
+        reject_unknown("dataset kind", [kind], CONFIG_KEYS["dataset"])
+        reject_unknown(f"{kind} dataset key", self.dataset, CONFIG_KEYS["dataset"][kind])
+        reject_unknown(f"{self.task} float_training key", self.float_training,
+                       CONFIG_KEYS["float_training"][self.task])
+        reject_unknown("retrain key", self.retrain, CONFIG_KEYS["retrain"])
+        layer_arguments(self.network, rng=None)  # checks the layers, draws no weights
         _float_retrain_config(self, self.seeds[0])
         for i, cell in enumerate(self.cells):
-            _reject_unknown(f"cells[{i}] key", cell, CONFIG_KEYS["cell"])
+            reject_unknown(f"cells[{i}] key", cell, CONFIG_KEYS["cell"])
             make_retrain_config(self, cell, self.seeds[0])
 
     @classmethod

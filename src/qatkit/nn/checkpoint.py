@@ -1,8 +1,9 @@
 """Self-describing model checkpoint container (.npz + embedded JSON meta).
 
 Holds the config echo, layer specs, named parameter tensors and per-group
-quantizer specs.  Older files may also carry optimizer and RNG state
-(`opt_state`/`rng_state` meta keys and `opt/*` arrays); loading ignores them.
+quantizer specs.  Each array keeps its own dtype in the .npz.  Older files
+may also carry optimizer and RNG state (`opt_state`/`rng_state` meta keys and
+`opt/*` arrays) and a `param_dtypes` meta key; loading ignores them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ def save_checkpoint(path, ckpt: Checkpoint):
     meta = {
         "layer_cfgs": ckpt.layer_cfgs,
         "param_names": sorted(ckpt.params),
-        "param_dtypes": {k: str(v.dtype) for k, v in ckpt.params.items()},
         "specs": {
             gid: {"bits": s.bits, "points": s.points, "step": s.step}
             for gid, s in ckpt.specs.items()
@@ -47,10 +47,7 @@ def load_checkpoint(path) -> Checkpoint:
     with np.load(path) as data:
         arrays = {k: data[k] for k in data.files}
     meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
-    params = {
-        name: arrays[f"param/{name}"].astype(meta["param_dtypes"][name])
-        for name in meta["param_names"]
-    }
+    params = {name: arrays[f"param/{name}"] for name in meta["param_names"]}
     specs = {
         gid: QuantizerSpec(bits=s["bits"], points=s["points"], step=s["step"])
         for gid, s in meta["specs"].items()

@@ -18,17 +18,16 @@ class InvalidStateError(RuntimeError):
     """Backward called without a matching forward cache."""
 
 
-def uniform_fan_init(rng: np.random.Generator, shape, fan_in, fan_out, dtype):
+def uniform_fan_init(rng: np.random.Generator, shape, fan_in, fan_out):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 class Layer:
     """Base class; subclasses fill params/grads/quantizable."""
 
-    def __init__(self, name: str, dtype=np.float64):
+    def __init__(self, name: str):
         self.name = name
-        self.dtype = np.dtype(dtype)
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         self.quantizable: frozenset = frozenset()
@@ -56,11 +55,11 @@ class Layer:
 
 
 class FullyConnected(Layer):
-    def __init__(self, name, fan_in, fan_out, rng, dtype=np.float64):
-        super().__init__(name, dtype)
+    def __init__(self, name, fan_in, fan_out, rng):
+        super().__init__(name)
         self.fan_in, self.fan_out = fan_in, fan_out
-        self.params["W"] = uniform_fan_init(rng, (fan_in, fan_out), fan_in, fan_out, self.dtype)
-        self.params["b"] = np.zeros(fan_out, dtype=self.dtype)
+        self.params["W"] = uniform_fan_init(rng, (fan_in, fan_out), fan_in, fan_out)
+        self.params["b"] = np.zeros(fan_out)
         self.quantizable = frozenset({"W"})
         self.zero_grads()
 
@@ -93,8 +92,8 @@ _ACTS = {
 
 
 class Activation(Layer):
-    def __init__(self, name, fn: str, dtype=np.float64):
-        super().__init__(name, dtype)
+    def __init__(self, name, fn: str):
+        super().__init__(name)
         if fn not in _ACTS:
             raise ValueError(f"{name}: unknown activation {fn!r}")
         self.fn = fn
@@ -164,16 +163,14 @@ def _col2im(cols, x_shape, kh, kw, stride, pad):
 
 
 class Conv2D(Layer):
-    def __init__(self, name, in_ch, out_ch, kernel, rng, stride=1, padding=0, dtype=np.float64):
-        super().__init__(name, dtype)
+    def __init__(self, name, in_ch, out_ch, kernel, rng, stride=1, padding=0):
+        super().__init__(name)
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.padding = kernel, stride, padding
         fan_in = in_ch * kernel * kernel
         fan_out = out_ch * kernel * kernel
-        self.params["W"] = uniform_fan_init(
-            rng, (out_ch, in_ch, kernel, kernel), fan_in, fan_out, self.dtype
-        )
-        self.params["b"] = np.zeros(out_ch, dtype=self.dtype)
+        self.params["W"] = uniform_fan_init(rng, (out_ch, in_ch, kernel, kernel), fan_in, fan_out)
+        self.params["b"] = np.zeros(out_ch)
         self.quantizable = frozenset({"W"})
         self.zero_grads()
 
@@ -203,8 +200,8 @@ class Conv2D(Layer):
 
 
 class MaxPool2D(Layer):
-    def __init__(self, name, size, stride=None, dtype=np.float64):
-        super().__init__(name, dtype)
+    def __init__(self, name, size, stride=None):
+        super().__init__(name)
         self.size = size
         self.stride = stride or size
 
@@ -240,13 +237,13 @@ class BatchNorm(Layer):
     with the configured momentum are used at inference.
     """
 
-    def __init__(self, name, features, momentum=0.9, eps=1e-5, dtype=np.float64):
-        super().__init__(name, dtype)
+    def __init__(self, name, features, momentum=0.9, eps=1e-5):
+        super().__init__(name)
         self.features, self.momentum, self.eps = features, momentum, eps
-        self.params["gamma"] = np.ones(features, dtype=self.dtype)
-        self.params["beta"] = np.zeros(features, dtype=self.dtype)
-        self.running_mean = np.zeros(features, dtype=np.float64)
-        self.running_var = np.ones(features, dtype=np.float64)
+        self.params["gamma"] = np.ones(features)
+        self.params["beta"] = np.zeros(features)
+        self.running_mean = np.zeros(features)
+        self.running_var = np.ones(features)
         self.zero_grads()
 
     def _to2d(self, x):
@@ -298,14 +295,14 @@ class LSTM(Layer):
     to the next forward call (truncated BPTT: gradients stop at chunk edges).
     """
 
-    def __init__(self, name, input_size, hidden_size, rng, stateful=False, dtype=np.float64):
-        super().__init__(name, dtype)
+    def __init__(self, name, input_size, hidden_size, rng, stateful=False):
+        super().__init__(name)
         self.input_size, self.hidden_size = input_size, hidden_size
         self.stateful = stateful
         h = hidden_size
-        self.params["Wx"] = uniform_fan_init(rng, (input_size, 4 * h), input_size, h, self.dtype)
-        self.params["Wh"] = uniform_fan_init(rng, (h, 4 * h), h, h, self.dtype)
-        b = np.zeros(4 * h, dtype=self.dtype)
+        self.params["Wx"] = uniform_fan_init(rng, (input_size, 4 * h), input_size, h)
+        self.params["Wh"] = uniform_fan_init(rng, (h, 4 * h), h, h)
+        b = np.zeros(4 * h)
         b[h : 2 * h] = 1.0  # forget-gate bias
         self.params["b"] = b
         self.quantizable = frozenset({"Wx", "Wh"})
@@ -328,9 +325,9 @@ class LSTM(Layer):
         if self.stateful and self._state is not None and self._state[0].shape[0] == bsz:
             h_prev, c_prev = self._state
         else:
-            h_prev = np.zeros((bsz, hsz), dtype=self.dtype)
-            c_prev = np.zeros((bsz, hsz), dtype=self.dtype)
-        hs = np.empty((t_len, bsz, hsz), dtype=self.dtype)
+            h_prev = np.zeros((bsz, hsz))
+            c_prev = np.zeros((bsz, hsz))
+        hs = np.empty((t_len, bsz, hsz))
         steps = []
         for t in range(t_len):
             z = x[t] @ self.params["Wx"] + h_prev @ self.params["Wh"] + self.params["b"]
@@ -352,8 +349,8 @@ class LSTM(Layer):
     def backward(self, dy):
         steps = self._take_cache()
         hsz = self.hidden_size
-        dx = np.empty((len(steps), dy.shape[1], self.input_size), dtype=self.dtype)
-        dh_next = np.zeros((dy.shape[1], hsz), dtype=self.dtype)
+        dx = np.empty((len(steps), dy.shape[1], self.input_size))
+        dh_next = np.zeros((dy.shape[1], hsz))
         dc_next = np.zeros_like(dh_next)
         for t in reversed(range(len(steps))):
             xt, h_prev, c_prev, i, f, g, o, tc = steps[t]

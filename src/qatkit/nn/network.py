@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import layers as L
@@ -47,9 +49,14 @@ class Network:
         return {key: ly.params[p].copy() for key, ly, p in self.param_items()}
 
     def set_params(self, values: dict[str, np.ndarray]):
-        for key, ly, p in self.param_items():
-            if key in values:
-                ly.params[p] = values[key].astype(ly.params[p].dtype, copy=True)
+        """Copy in a value for every parameter; a missing or extra key raises."""
+        items = list(self.param_items())
+        keys = {key for key, _, _ in items}
+        if values.keys() != keys:
+            raise ValueError(f"set_params: missing keys {sorted(keys - values.keys())}, "
+                             f"extra keys {sorted(values.keys() - keys)}")
+        for key, ly, p in items:
+            ly.params[p] = values[key].copy()
 
     def get_grads(self) -> dict[str, np.ndarray]:
         return {key: ly.grads[p] for key, ly, p in self.param_items()}
@@ -109,49 +116,55 @@ def bits_per_char(probs: np.ndarray, labels: np.ndarray) -> float:
 
 # -- builder ----------------------------------------------------------------
 
-def build_network(layer_cfgs: list[dict], rng: np.random.Generator, dtype=np.float64) -> Network:
-    """Build a Network from a list of layer description dicts.
+# layer kind -> class.  A kind's config keys are `kind` and its constructor's
+# parameters but `rng`, renamed by CONFIG_KEY_NAMES; each takes its default
+# from the signature, and `name` defaults to the kind and the layer index.
+LAYER_TYPES = {
+    "fc": L.FullyConnected, "activation": L.Activation, "softmax": L.Softmax,
+    "flatten": L.Flatten, "conv2d": L.Conv2D, "maxpool2d": L.MaxPool2D,
+    "batchnorm": L.BatchNorm, "lstm": L.LSTM,
+}
+# constructor parameter -> config key, where the key cannot be a parameter name
+CONFIG_KEY_NAMES = {"fan_in": "in", "fan_out": "out", "input_size": "in",
+                    "hidden_size": "hidden"}
 
-    Supported kinds: fc, activation, softmax, flatten, conv2d, maxpool2d,
-    batchnorm, lstm.  Initialization draws from `rng` in layer order, so a
-    fixed seed gives identical parameters.
+
+def reject_unknown(what: str, given, accepted):
+    """Raise ValueError naming every entry of `given` that `accepted` lacks."""
+    unknown = sorted(set(given) - set(accepted))
+    if unknown:
+        raise ValueError(f"unknown {what} {', '.join(map(repr, unknown))}; "
+                         f"accepted: {', '.join(accepted)}")
+
+
+def layer_arguments(layer_cfgs: list[dict], rng) -> list[tuple[type, dict]]:
+    """(class, constructor arguments) of each layer config; the layers that
+    draw initial weights get `rng`.
+
+    Raises ValueError, naming the layer index, kind and key, for an unknown
+    kind, an unknown key or a missing required key.
     """
     out = []
     for i, cfg in enumerate(layer_cfgs):
-        kind = cfg["kind"]
-        name = cfg.get("name", f"{kind}{i}")
-        if kind == "fc":
-            out.append(L.FullyConnected(name, cfg["in"], cfg["out"], rng, dtype=dtype))
-        elif kind == "activation":
-            out.append(L.Activation(name, cfg["fn"], dtype=dtype))
-        elif kind == "softmax":
-            out.append(L.Softmax(name, dtype=dtype))
-        elif kind == "flatten":
-            out.append(L.Flatten(name, dtype=dtype))
-        elif kind == "conv2d":
-            out.append(
-                L.Conv2D(
-                    name, cfg["in_ch"], cfg["out_ch"], cfg["kernel"], rng,
-                    stride=cfg.get("stride", 1), padding=cfg.get("padding", 0),
-                    dtype=dtype,
-                )
-            )
-        elif kind == "maxpool2d":
-            out.append(L.MaxPool2D(name, cfg["size"], stride=cfg.get("stride"), dtype=dtype))
-        elif kind == "batchnorm":
-            out.append(
-                L.BatchNorm(
-                    name, cfg["features"], momentum=cfg.get("momentum", 0.9),
-                    eps=cfg.get("eps", 1e-5), dtype=dtype,
-                )
-            )
-        elif kind == "lstm":
-            out.append(
-                L.LSTM(
-                    name, cfg["in"], cfg["hidden"], rng,
-                    stateful=cfg.get("stateful", False), dtype=dtype,
-                )
-            )
-        else:
-            raise ValueError(f"unknown layer kind {kind!r}")
-    return Network(out)
+        kind = cfg.get("kind")
+        reject_unknown(f"network[{i}] layer kind", [kind], LAYER_TYPES)
+        params = inspect.signature(LAYER_TYPES[kind]).parameters
+        keys = {CONFIG_KEY_NAMES.get(p, p): p for p in params if p != "rng"}
+        reject_unknown(f"network[{i}] {kind} key", cfg, ("kind", *keys))
+        kwargs = {"name": f"{kind}{i}", **{keys[k]: v for k, v in cfg.items() if k != "kind"}}
+        missing = [k for k, p in keys.items()
+                   if p not in kwargs and params[p].default is params[p].empty]
+        if missing:
+            raise ValueError(f"network[{i}] {kind}: missing required key "
+                             f"{', '.join(map(repr, missing))}")
+        if "rng" in params:
+            kwargs["rng"] = rng
+        out.append((LAYER_TYPES[kind], kwargs))
+    return out
+
+
+def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
+    """Build a Network from a list of layer description dicts (see
+    LAYER_TYPES).  Initialization draws from `rng` in layer order, so a fixed
+    seed gives identical parameters."""
+    return Network([cls(**kwargs) for cls, kwargs in layer_arguments(layer_cfgs, rng)])

@@ -86,16 +86,16 @@ class SGDNesterov:
     def update(self, params: dict, grads: dict, lr: float):
         mu = self.momentum
         for k, w in params.items():
-            g = grads[k].astype(np.float64)
+            g = grads[k]
             if mu == 0.0:
-                w -= (lr * g).astype(w.dtype)
+                w -= lr * g
                 continue
             v = self.v.get(k)
             if v is None:
                 v = np.zeros_like(g)
             v = mu * v + g
             self.v[k] = v
-            w -= (lr * (g + mu * v)).astype(w.dtype)
+            w -= lr * (g + mu * v)
 
 
 class AdaDelta:
@@ -108,14 +108,14 @@ class AdaDelta:
 
     def update(self, params: dict, grads: dict, lr: float):
         for k, w in params.items():
-            g = grads[k].astype(np.float64)
+            g = grads[k]
             eg = self.eg.get(k, np.zeros_like(g))
             ex = self.ex.get(k, np.zeros_like(g))
             eg = self.rho * eg + (1 - self.rho) * g * g
             dx = -np.sqrt(ex + self.eps) / np.sqrt(eg + self.eps) * g
             ex = self.rho * ex + (1 - self.rho) * dx * dx
             self.eg[k], self.ex[k] = eg, ex
-            w += (lr * dx).astype(w.dtype)
+            w += lr * dx
 
 
 def make_optimizer(cfg: OptimizerConfig):

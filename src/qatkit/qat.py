@@ -193,9 +193,7 @@ class ShadowParams:
         for gid in (gids if gids is not None else self.groups):
             spec = self.specs[gid]
             for k in self.groups[gid]:
-                self.quantized[k] = quantize(self.master[k], spec).astype(
-                    self.master[k].dtype
-                )
+                self.quantized[k] = quantize(self.master[k], spec)
 
     def update_steps(self, record: RunRecord | None = None):
         """Recompute every group's step from the master weights (the adaptive

@@ -73,6 +73,13 @@ def grid_search_mse(values, points, candidates):
     return float(candidates[best]), float(mse[best])
 
 
+def assert_on_grid(q, step, points):
+    """Every entry of q equals n*step for an integer n with |n| <= (M-1)/2."""
+    n = np.rint(np.asarray(q) / step)
+    np.testing.assert_array_equal(n * step, q)
+    assert np.abs(n).max() <= (points - 1) // 2
+
+
 def finite_difference_grads(f, params, eps=1e-6):
     """Central-difference gradient of scalar f() w.r.t. each array in `params`
     (dict name -> ndarray, mutated in place during probing)."""

@@ -209,6 +209,12 @@ def char_lm_config(**overrides):
     return ExperimentConfig(**base)
 
 
+def bn_mlp_config(**overrides):
+    """mlp_config with a batch-norm layer first."""
+    network = [{"kind": "batchnorm", "features": 4}, *mlp_config().network]
+    return mlp_config(**{"network": network, **overrides})
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("make, section, key", [
         (mlp_config, "dataset", "sprad"),
@@ -219,13 +225,27 @@ class TestConfigValidation:
         (mlp_config, "retrain", "bits"),
         (mlp_config, "retrain", "eval_every"),
         (mlp_config, "cells", "bitz"),
+        (mlp_config, "network", "widht"),
+        (bn_mlp_config, "network", "momentun"),
     ])
     def test_unknown_key_rejected_at_load(self, make, section, key):
         good = make()
-        bad = ([{**good.cells[0], key: 2}] if section == "cells"
-               else {**getattr(good, section), key: 2})
+        if section in ("cells", "network"):
+            first, *rest = getattr(good, section)
+            bad = [{**first, key: 2}, *rest]
+        else:
+            bad = {**getattr(good, section), key: 2}
         with pytest.raises(ValueError, match=f"unknown .*{section}.* key '{key}'"):
             make(**{section: bad})
+
+    @pytest.mark.parametrize("layer, message", [
+        ({"kind": "dense", "in": 4, "out": 8}, r"unknown network\[0\] layer kind 'dense'"),
+        ({"kind": "fc", "in": 4}, r"network\[0\] fc: missing required key 'out'"),
+    ], ids=["unknown-kind", "missing-key"])
+    def test_bad_layer_rejected_at_load(self, layer, message):
+        network = mlp_config().network
+        with pytest.raises(ValueError, match=message):
+            mlp_config(network=[layer, *network[1:]])
 
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

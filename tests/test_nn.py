@@ -83,6 +83,17 @@ class TestForward:
         with pytest.raises(InvalidStateError):
             net.backward(np.zeros((1, 2)))
 
+    def test_set_params_copies_and_rejects_missing_or_extra_key(self):
+        net = build_network([{"kind": "fc", "in": 2, "out": 2}], rng())
+        params = net.get_params()
+        with pytest.raises(ValueError, match=r"missing keys \['fc0.b'\]"):
+            net.set_params({"fc0.W": params["fc0.W"]})
+        with pytest.raises(ValueError, match=r"extra keys \['fc1.W'\]"):
+            net.set_params({**params, "fc1.W": params["fc0.W"]})
+        net.set_params(params)
+        params["fc0.W"] += 1.0
+        assert not np.array_equal(net.layers[0].params["W"], params["fc0.W"])
+
 
 # -- gradient checks ---------------------------------------------------------
 

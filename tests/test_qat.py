@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qatkit import qat
 from qatkit.data import synthetic_clusters
@@ -12,6 +13,8 @@ from qatkit.quantizer import (
     optimize_step,
     quantize,
 )
+
+from oracles import assert_on_grid
 
 
 MLP = [
@@ -72,6 +75,21 @@ class TestSchedules:
             if isinstance(d := qat.apply_schedule(s, e), qat.DropBit)
         ]
         assert drops == [5, 4, 3, 2]
+
+    @given(end=st.integers(2, 8), extra=st.integers(1, 6), eps=st.integers(1, 5),
+           inner=st.sampled_from([qat.Direct(), qat.ConventionalFixed(),
+                                  qat.AdaptiveEveryEpoch(), qat.AdaptiveFirstKThenFix(2)]))
+    def test_gradual_drops_match_bits_at(self, end, extra, eps, inner):
+        s = qat.Gradual(start_bits=end + extra, end_bits=end, epochs_per_stage=eps,
+                        inner=inner)
+        horizon = (s.num_stages + 2) * eps
+        drops = {e: d.new_bits for e in range(horizon)
+                 if isinstance(d := qat.apply_schedule(s, e), qat.DropBit)}
+        assert drops == {k * eps: s.start_bits - k for k in range(1, s.num_stages)}
+        bits = s.start_bits
+        for e in range(horizon):
+            bits = drops.get(e, bits)
+            assert bits == s.bits_at(e)
 
     def test_gradual_validation(self):
         with pytest.raises(ValueError):
@@ -268,6 +286,18 @@ class TestRun:
             "drop-bit:2:3", "drop-bit:4:2",
         ]
         assert all(s.bits == 2 for s in shadow.specs.values())
+
+    @pytest.mark.parametrize("schedule", [
+        "direct", "conventional", "adaptive", "adaptive_fix2", "gradual:4-2:1",
+    ])
+    def test_quantized_weights_on_grid(self, schedule):
+        ckpt = _float_ckpt_for_toy()
+        shadow, _ = qat.run(self.retrain_cfg(schedule, max_epochs=4), ckpt, toy_task())
+        assert shadow.groups
+        for gid, keys in shadow.groups.items():
+            for k in keys:
+                assert_on_grid(shadow.quantized[k], shadow.specs[gid].step,
+                               shadow.specs[gid].points)
 
     def test_seed_reproducibility(self):
         ckpt = _float_ckpt_for_toy()
