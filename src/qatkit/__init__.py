@@ -11,18 +11,10 @@ from .quantizer import (
     quantize,
 )
 from .qat import (
-    AdaptiveEveryEpoch,
-    AdaptiveFirstKThenFix,
-    ConventionalFixed,
-    Direct,
     DivergenceError,
-    DropBit,
-    FreezeStep,
-    Gradual,
     RetrainConfig,
+    Schedule,
     ShadowParams,
-    UpdateStep,
-    apply_schedule,
     init_quantization,
     parse_schedule,
     retrain_epoch,

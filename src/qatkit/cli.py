@@ -6,7 +6,7 @@ import sys
 
 import click
 
-from . import harness
+from . import harness, qat
 
 
 @click.group()
@@ -53,9 +53,8 @@ def quantize_cmd(config_path, bits, seed, out_dir):
 
 @main.command("retrain")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--bits", default=2, type=int)
-@click.option("--schedule", default="adaptive",
-              help="direct | conventional | adaptive | adaptive_fixK | gradual:S-E:N")
+@click.option("--bits", default=2, type=int, help="the width retraining ends at")
+@click.option("--schedule", default="adaptive", help=qat.SCHEDULE_FORMS)
 @click.option("--seed", default=0, type=int)
 @click.option("--out", "out_dir", default=None, type=click.Path())
 def retrain_cmd(config_path, bits, schedule, seed, out_dir):

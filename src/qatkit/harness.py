@@ -23,7 +23,7 @@ from .nn import (
     load_checkpoint,
     save_checkpoint,
 )
-from .nn.network import layer_arguments, reject_unknown
+from .nn.network import reject_unknown
 from .records import RunRecord
 
 log = logging.getLogger(__name__)
@@ -175,11 +175,18 @@ class ExperimentConfig:
         reject_unknown(f"{self.task} float_training key", self.float_training,
                        CONFIG_KEYS["float_training"][self.task])
         reject_unknown("retrain key", self.retrain, CONFIG_KEYS["retrain"])
-        layer_arguments(self.network, rng=None)  # checks the layers, draws no weights
+        build_network(self.network, np.random.default_rng(0))  # checks keys and values
         _float_retrain_config(self, self.seeds[0])
+        writers = {}  # run id -> (cell index, seed) writing it
         for i, cell in enumerate(self.cells):
             reject_unknown(f"cells[{i}] key", cell, CONFIG_KEYS["cell"])
-            make_retrain_config(self, cell, self.seeds[0])
+            for seed in self.seeds:
+                rid = run_id(make_retrain_config(self, cell, seed))
+                if rid in writers:
+                    j, other = writers[rid]
+                    raise ValueError(f"cells[{j}] {self.cells[j]} seed {other} and cells[{i}] "
+                                     f"{cell} seed {seed} would both write run {rid!r}")
+                writers[rid] = (i, seed)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -200,12 +207,17 @@ def make_retrain_config(cfg: ExperimentConfig, cell: dict, seed: int) -> qat.Ret
     return qat.RetrainConfig(**cfg.retrain, **cell, seed=seed)
 
 
+def run_id(rcfg: qat.RetrainConfig) -> str:
+    """The name of a cell's run directory and record."""
+    return f"b{rcfg.bits}_{rcfg.schedule.name}_s{rcfg.seed}"
+
+
 def _float_retrain_config(cfg: ExperimentConfig, seed: int) -> qat.RetrainConfig:
     # with no groups to quantize any schedule that trains gives the same run;
-    # ConventionalFixed never asks for a step solve.  The float baseline has
-    # its own defaults for FIT_KEYS; retraining's are RetrainConfig's.
+    # conventional never asks for a step solve.  The float baseline has its
+    # own defaults for FIT_KEYS; retraining's are RetrainConfig's.
     fit = {k: v for k, v in cfg.float_training.items() if k in FIT_KEYS}
-    return qat.RetrainConfig(schedule=qat.ConventionalFixed(), seed=seed,
+    return qat.RetrainConfig(schedule="conventional", seed=seed,
                              **{"max_epochs": 30, "optimizer": {}, **fit})
 
 
@@ -277,9 +289,8 @@ def run_cell(cfg: ExperimentConfig, cell: dict, seed: int, out_dir) -> RunRecord
     rcfg = make_retrain_config(cfg, cell, seed)
     ckpt = ensure_float_checkpoint(cfg, seed, out_dir)
     task = make_task(cfg, seed)
-    run_id = f"b{rcfg.bits}_{rcfg.schedule.name}_s{seed}"
-    _, record = qat.run(rcfg, ckpt, task, run_id=run_id)
-    _write_record(Path(out_dir) / "runs" / run_id, record)
+    _, record = qat.run(rcfg, ckpt, task, run_id=run_id(rcfg))
+    _write_record(Path(out_dir) / "runs" / record.run_id, record)
     return record
 
 

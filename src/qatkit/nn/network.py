@@ -137,14 +137,16 @@ def reject_unknown(what: str, given, accepted):
                          f"accepted: {', '.join(accepted)}")
 
 
-def layer_arguments(layer_cfgs: list[dict], rng) -> list[tuple[type, dict]]:
-    """(class, constructor arguments) of each layer config; the layers that
-    draw initial weights get `rng`.
+def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
+    """Build a Network from a list of layer description dicts (see
+    LAYER_TYPES).  Initialization draws from `rng` in layer order, so a fixed
+    seed gives identical parameters.
 
     Raises ValueError, naming the layer index, kind and key, for an unknown
-    kind, an unknown key or a missing required key.
+    kind, an unknown key or a missing required key; a layer constructor
+    raises for a bad value.
     """
-    out = []
+    layers = []
     for i, cfg in enumerate(layer_cfgs):
         kind = cfg.get("kind")
         reject_unknown(f"network[{i}] layer kind", [kind], LAYER_TYPES)
@@ -159,12 +161,5 @@ def layer_arguments(layer_cfgs: list[dict], rng) -> list[tuple[type, dict]]:
                              f"{', '.join(map(repr, missing))}")
         if "rng" in params:
             kwargs["rng"] = rng
-        out.append((LAYER_TYPES[kind], kwargs))
-    return out
-
-
-def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
-    """Build a Network from a list of layer description dicts (see
-    LAYER_TYPES).  Initialization draws from `rng` in layer order, so a fixed
-    seed gives identical parameters."""
-    return Network([cls(**kwargs) for cls, kwargs in layer_arguments(layer_cfgs, rng)])
+        layers.append(LAYER_TYPES[kind](**kwargs))
+    return Network(layers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,134 +35,70 @@ class DivergenceError(RuntimeError):
 
 # -- schedules ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Direct:
-    """Quantize once, no retraining."""
-    name = "direct"
+SCHEDULE_FORMS = ("direct | conventional | adaptive | adaptive_fixK (K >= 1, default 1) | "
+                  "gradual:START-END:EPOCHS_PER_STAGE[:conventional|adaptive|adaptive_fixK] "
+                  "(START > END >= 2, EPOCHS_PER_STAGE >= 1, inner form adaptive by default)")
 
 
 @dataclass(frozen=True)
-class ConventionalFixed:
-    """Step size frozen at its initial value for all of retraining."""
-    name = "conventional"
+class Schedule:
+    """When retraining re-solves the step size, and at which bit width each
+    epoch trains.  Built by `parse_schedule`.
+
+    `adapt_epochs` is 0 for a frozen step, None to re-solve it after every
+    epoch, and K to re-solve it after each of the first K epochs of a stage.
+    A gradual schedule trains `epochs_per_stage` epochs at each width from
+    `start_bits` down, then stays at `end_bits`; any other has one stage.
+    """
+    name: str
+    adapt_epochs: int | None = 0
+    start_bits: int | None = None
+    end_bits: int | None = None
+    epochs_per_stage: int | None = None
+
+    def plan(self, bits: int, max_epochs: int) -> list[tuple[int, bool]]:
+        """(bit width, re-solve the step after the epoch) for each epoch, for
+        a run that ends at `bits`; empty for direct."""
+        if self.name == "direct":
+            return []
+        drops = 0 if self.start_bits is None else self.start_bits - self.end_bits
+        eps = self.epochs_per_stage or 1
+        out = []
+        for epoch in range(max_epochs):
+            stage = min(epoch // eps, drops)
+            since = epoch - stage * eps
+            out.append((bits + drops - stage,
+                        self.adapt_epochs is None or since < self.adapt_epochs))
+        return out
 
 
-@dataclass(frozen=True)
-class AdaptiveEveryEpoch:
-    """Recompute the step size at every epoch boundary."""
-    name = "adaptive"
-
-
-@dataclass(frozen=True)
-class AdaptiveFirstKThenFix:
-    """Recompute the step size for the first k epochs, then freeze it."""
-    k: int = 1
-
-    @property
-    def name(self):
-        return f"adaptive_fix{self.k}"
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-
-
-@dataclass(frozen=True)
-class Gradual:
-    """Lower the bit width one bit per stage, start_bits down to end_bits,
-    running `inner` within each stage."""
-    start_bits: int
-    end_bits: int
-    epochs_per_stage: int
-    inner: object = field(default_factory=AdaptiveEveryEpoch)
-
-    def __post_init__(self):
-        if not (self.start_bits > self.end_bits >= 2):
-            raise ValueError("need start_bits > end_bits >= 2")
-        if self.epochs_per_stage < 1:
-            raise ValueError("epochs_per_stage must be >= 1")
-        if isinstance(self.inner, Gradual):
-            raise ValueError("gradual schedules do not nest")
-
-    @property
-    def name(self):
-        return f"gradual{self.start_bits}to{self.end_bits}"
-
-    @property
-    def num_stages(self):
-        return self.start_bits - self.end_bits + 1
-
-    def bits_at(self, epoch_index: int) -> int:
-        stage = min(epoch_index // self.epochs_per_stage, self.num_stages - 1)
-        return self.start_bits - stage
-
-
-Schedule = Direct | ConventionalFixed | AdaptiveEveryEpoch | AdaptiveFirstKThenFix | Gradual
+def _step_rule(text: str):
+    """(name, adapt_epochs) of a schedule without stages, or None."""
+    if text in ("direct", "conventional"):
+        return text, 0
+    if text == "adaptive":
+        return text, None
+    m = re.fullmatch(r"adaptive_fix(\d*)", text)
+    k = int(m.group(1) or 1) if m else 0
+    return (f"adaptive_fix{k}", k) if k >= 1 else None
 
 
 def parse_schedule(text: str) -> Schedule:
-    """Parse a schedule from config/CLI text.
+    """Parse a schedule from config/CLI text in one of SCHEDULE_FORMS.
 
-    Forms: direct | conventional | adaptive | adaptive_fix[K] |
-    gradual:START-END:EPOCHS_PER_STAGE[:inner]
+    Raises ValueError naming the text and the accepted forms.
     """
     t = text.strip().lower()
-    if t == "direct":
-        return Direct()
-    if t == "conventional":
-        return ConventionalFixed()
-    if t == "adaptive":
-        return AdaptiveEveryEpoch()
-    if t.startswith("adaptive_fix"):
-        rest = t[len("adaptive_fix"):]
-        return AdaptiveFirstKThenFix(k=int(rest) if rest else 1)
-    if t.startswith("gradual:"):
-        parts = t.split(":")
-        span, eps = parts[1], int(parts[2])
-        start, end = (int(x) for x in span.split("-"))
-        inner = parse_schedule(parts[3]) if len(parts) > 3 else AdaptiveEveryEpoch()
-        return Gradual(start_bits=start, end_bits=end, epochs_per_stage=eps, inner=inner)
-    raise ValueError(f"unknown schedule {text!r}")
-
-
-# -- schedule decisions ------------------------------------------------------
-
-@dataclass(frozen=True)
-class UpdateStep:
-    pass
-
-
-@dataclass(frozen=True)
-class FreezeStep:
-    pass
-
-
-@dataclass(frozen=True)
-class DropBit:
-    new_bits: int
-
-
-def apply_schedule(schedule: Schedule, epoch_index: int):
-    """Pure decision for one epoch: update the step, freeze it, or drop a bit.
-
-    For Gradual a DropBit fires at every stage boundary after the first stage;
-    other epochs defer to the inner schedule (indexed within the stage).
-    """
-    if epoch_index < 0:
-        raise ValueError("epoch_index must be >= 0")
-    if isinstance(schedule, (Direct, ConventionalFixed)):
-        return FreezeStep()
-    if isinstance(schedule, AdaptiveEveryEpoch):
-        return UpdateStep()
-    if isinstance(schedule, AdaptiveFirstKThenFix):
-        return UpdateStep() if epoch_index < schedule.k else FreezeStep()
-    if isinstance(schedule, Gradual):
-        eps = schedule.epochs_per_stage
-        stage = epoch_index // eps
-        if epoch_index % eps == 0 and 0 < stage <= schedule.num_stages - 1:
-            return DropBit(schedule.start_bits - stage)
-        return apply_schedule(schedule.inner, epoch_index % eps)
-    raise TypeError(f"not a schedule: {schedule!r}")
+    rule = _step_rule(t)
+    if rule is not None:
+        return Schedule(*rule)
+    m = re.fullmatch(r"gradual:(\d+)-(\d+):(\d+)(?::(.+))?", t)
+    if m:
+        start, end, eps = (int(g) for g in m.group(1, 2, 3))
+        inner = _step_rule(m.group(4) or "adaptive")
+        if start > end >= 2 and eps >= 1 and inner is not None and inner[0] != "direct":
+            return Schedule(f"gradual{start}to{end}", inner[1], start, end, eps)
+    raise ValueError(f"bad schedule {text!r}; accepted: {SCHEDULE_FORMS}")
 
 
 # -- shadow parameters -------------------------------------------------------
@@ -234,8 +171,8 @@ EXHAUSTIVE_CANDIDATES = 8  # steps tried per group by the exhaustive init
 
 @dataclass
 class RetrainConfig:
-    schedule: Schedule
-    bits: int = 2
+    schedule: Schedule  # given as text in one of SCHEDULE_FORMS, parsed here
+    bits: int = 2  # the width retraining ends at; for gradual, END
     optimizer: OptimizerConfig = field(default_factory=lambda: OptimizerConfig(
         kind="sgd_nesterov", learning_rate=5e-4,
         lr_schedule={"initial_lr": 5e-4, "final_lr": 3.90625e-6,
@@ -247,18 +184,26 @@ class RetrainConfig:
     exhaustive_init: bool = False
 
     def __post_init__(self):
-        if isinstance(self.schedule, str):
-            self.schedule = parse_schedule(self.schedule)
+        self.schedule = sched = parse_schedule(self.schedule)
         if isinstance(self.optimizer, dict):
             self.optimizer = OptimizerConfig(**self.optimizer)
-        if not isinstance(self.schedule, Gradual) and self.bits < 2:
+        if self.bits < 2:
             raise ValueError(f"bits must be >= 2, got {self.bits}")
+        if sched.start_bits is not None:
+            need = (sched.start_bits - sched.end_bits) * sched.epochs_per_stage + 1
+            if self.bits != sched.end_bits or self.max_epochs < need:
+                raise ValueError(f"schedule {sched.name} needs bits {sched.end_bits} and "
+                                 f"max_epochs >= {need}, got bits {self.bits} and "
+                                 f"max_epochs {self.max_epochs}")
+        if self.exhaustive_init and sched.name != "conventional":
+            raise ValueError("exhaustive_init applies only to the conventional "
+                             f"schedule, not {sched.name}")
 
 
 def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
-                  loss_fn, decision, record: RunRecord | None = None) -> float:
+                  loss_fn, update_steps: bool, record: RunRecord | None = None) -> float:
     """One pass over `batches` (iterable of (x, y)) with the Fig.-style loop,
-    then the epoch-boundary step action per `decision`.  Returns mean loss."""
+    then a re-solve of every group's step if `update_steps`; the mean loss."""
     total, count = 0.0, 0
     for x, y in batches:
         net.set_params(shadow.quantized)
@@ -272,7 +217,7 @@ def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
         shadow.requantize()
         total += loss
         count += 1
-    if isinstance(decision, UpdateStep):
+    if update_steps:
         shadow.update_steps(record=record)
     return total / max(count, 1)
 
@@ -301,39 +246,34 @@ def _exhaustive_init(shadow, net, task):
 def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) -> tuple:
     """The epoch loop shared by float training and retraining.
 
-    Trains `shadow` for the epochs `cfg` allows (none for Direct), keeping the
-    best-on-dev quantized state and stopping at the lr-schedule floor, then
-    evaluates that state on test.  A float network is one whose shadow has no
-    groups.  Returns (final ShadowParams, best-on-dev parameters).
+    Walks the schedule's plan.  A change of width starts a stage: the shadow
+    is quantized afresh from the stage before's best-on-dev master, with a
+    fresh optimizer and lr schedule.  Keeps the final stage's best-on-dev
+    quantized state, stops at the lr-schedule floor (not under gradual),
+    then evaluates that state on test.  A float network is one whose shadow
+    has no groups.  Returns (final ShadowParams, best-on-dev parameters).
     """
-    sched = cfg.schedule
-    n_epochs = 0 if isinstance(sched, Direct) else cfg.max_epochs
-    if n_epochs == 0:
+    plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
+    if not plan:
         record.log_deltas(0, shadow.specs)
-    optimizer = make_optimizer(cfg.optimizer)
-    lr_sched = LrSchedule(cfg.optimizer.lr_schedule)
-    best_dev, best_params = math.inf, None
-    stage_best_dev, stage_best_master = math.inf, None
+    lr_cfg = cfg.optimizer.lr_schedule
+    stop_at_floor = (cfg.stop_at_lr_floor and cfg.schedule.start_bits is None
+                     and lr_cfg.initial_lr > lr_cfg.final_lr)
+    optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
+    best_dev, best_master, best_params = math.inf, None, None
     epoch = 0
-    for epoch in range(n_epochs):
-        decision = apply_schedule(sched, epoch)
-        if isinstance(decision, DropBit):
-            # seed the next stage from the best master seen so far, and
-            # restart the optimizer state as a fresh run at the new width would
-            source = stage_best_master if stage_best_master is not None else shadow.master
-            shadow = init_quantization(source, shadow.groups, decision.new_bits)
-            record.events.append(f"drop-bit:{epoch}:{decision.new_bits}")
-            optimizer = make_optimizer(cfg.optimizer)
-            lr_sched = LrSchedule(cfg.optimizer.lr_schedule)
-            stage_best_dev, stage_best_master = math.inf, None
-            decision = apply_schedule(
-                sched.inner if isinstance(sched, Gradual) else sched, 0
-            )
+    for epoch, (bits, update_steps) in enumerate(plan):
+        if epoch and bits != plan[epoch - 1][0]:
+            source = best_master if best_master is not None else shadow.master
+            shadow = init_quantization(source, shadow.groups, bits)
+            record.events.append(f"drop-bit:{epoch}:{bits}")
+            optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
+            best_dev, best_master, best_params = math.inf, None, None
         net.reset_state()
         try:
             mean_loss = retrain_epoch(
                 shadow, net, task.batches("train", epoch), optimizer,
-                lr_sched.lr, task.loss, decision, record=record,
+                lr_sched.lr, task.loss, update_steps, record=record,
             )
         except DivergenceError as e:
             raise DivergenceError(f"{record.run_id}: epoch {epoch}: {e}") from e
@@ -342,21 +282,12 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         net.reset_state()
         dev = _evaluate_quantized(net, shadow, task, "dev")
         record.log_metric(epoch, "dev", task.metric_name, dev)
-        # keep the best-on-dev quantized state; for Gradual only states
-        # already at the target bit width qualify
-        at_target = (not isinstance(sched, Gradual)
-                     or sched.bits_at(epoch) == sched.end_bits)
-        if dev < best_dev and at_target:
+        if dev < best_dev:
             best_dev = dev
+            best_master = {k: v.copy() for k, v in shadow.master.items()}
             best_params = {k: v.copy() for k, v in shadow.quantized.items()}
-        if dev < stage_best_dev:
-            stage_best_dev = dev
-            stage_best_master = {k: v.copy() for k, v in shadow.master.items()}
         lr_sched.step(dev)
-        if (cfg.stop_at_lr_floor and not isinstance(sched, Gradual)
-                and lr_sched.at_floor
-                and cfg.optimizer.lr_schedule.initial_lr
-                > cfg.optimizer.lr_schedule.final_lr):
+        if stop_at_floor and lr_sched.at_floor:
             break
 
     if best_params is None:
@@ -375,16 +306,14 @@ def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     evaluate(net, split) -> metric (lower is better), loss(outputs, targets)
     -> (loss, grad), and metric_name.  Returns (final ShadowParams, RunRecord).
     """
-    sched = cfg.schedule
-    bits0 = sched.start_bits if isinstance(sched, Gradual) else cfg.bits
-    record = RunRecord(
-        run_id=run_id, cell_bits=(sched.end_bits if isinstance(sched, Gradual) else cfg.bits),
-        schedule=sched.name, seed=cfg.seed, metric_name=task.metric_name,
-    )
+    plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
+    record = RunRecord(run_id=run_id, cell_bits=cfg.bits, schedule=cfg.schedule.name,
+                       seed=cfg.seed, metric_name=task.metric_name)
     net = task.build_network(np.random.default_rng(cfg.seed))
     net.set_params(float_ckpt.params)
-    shadow = init_quantization(net.get_params(), net.quant_group_map(), bits0)
-    if cfg.exhaustive_init and isinstance(sched, ConventionalFixed):
+    shadow = init_quantization(net.get_params(), net.quant_group_map(),
+                               plan[0][0] if plan else cfg.bits)
+    if cfg.exhaustive_init:
         _exhaustive_init(shadow, net, task)
     shadow, _ = fit(cfg, net, shadow, task, record)
     return shadow, record

@@ -241,7 +241,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("layer, message", [
         ({"kind": "dense", "in": 4, "out": 8}, r"unknown network\[0\] layer kind 'dense'"),
         ({"kind": "fc", "in": 4}, r"network\[0\] fc: missing required key 'out'"),
-    ], ids=["unknown-kind", "missing-key"])
+        ({"kind": "activation", "fn": "relux"}, r"activation0: unknown activation 'relux'"),
+    ], ids=["unknown-kind", "missing-key", "bad-value"])
     def test_bad_layer_rejected_at_load(self, layer, message):
         network = mlp_config().network
         with pytest.raises(ValueError, match=message):
@@ -267,6 +268,30 @@ class TestConfigValidation:
     def test_bad_cell_schedule_rejected(self):
         with pytest.raises(ValueError):
             mlp_config(cells=[{"bits": 2, "schedule": "zigzag"}])
+
+    @pytest.mark.parametrize("cells, message", [
+        ([{"bits": 4, "schedule": "gradual:4-2:1"}],
+         "gradual4to2 needs bits 2 and max_epochs >= 3, got bits 4"),
+        ([{"bits": 2, "schedule": "gradual:4-2:2"}],
+         "gradual4to2 needs bits 2 and max_epochs >= 5, got bits 2 and max_epochs 3"),
+        ([{"bits": 2, "schedule": "adaptive", "exhaustive_init": True}],
+         "exhaustive_init applies only to the conventional schedule, not adaptive"),
+        ([{"bits": 2, "schedule": "gradual:4-2:1"},
+          {"bits": 2, "schedule": "gradual:4-2:1:conventional"}],
+         r"cells\[0\] .* seed 0 and cells\[1\] .*conventional.* seed 0 "
+         r"would both write run 'b2_gradual4to2_s0'"),
+        ([{"bits": 3, "schedule": "direct"}, {"bits": 2, "schedule": "adaptive_fix"},
+          {"bits": 2, "schedule": "adaptive_fix1"}],
+         r"cells\[1\] .* and cells\[2\] .* would both write run 'b2_adaptive_fix1_s0'"),
+    ], ids=["gradual-bits", "gradual-too-short", "exhaustive-adaptive", "gradual-name",
+            "fix-name"])
+    def test_bad_cells_rejected_at_load(self, cells, message):
+        with pytest.raises(ValueError, match=message):
+            mlp_config(cells=cells)
+
+    def test_repeated_seed_rejected_at_load(self):
+        with pytest.raises(ValueError, match="would both write run 'b2_direct_s1'"):
+            mlp_config(seeds=[0, 1, 1])
 
     def test_bad_cell_bits_rejected(self):
         with pytest.raises(ValueError):

@@ -37,65 +37,70 @@ def toy_float_ckpt(seed=0):
 
 # -- schedules ---------------------------------------------------------------
 
+def widths_and_updates(schedule, bits, max_epochs):
+    plan = qat.parse_schedule(schedule).plan(bits, max_epochs)
+    return [b for b, _ in plan], [u for _, u in plan]
+
+
 class TestSchedules:
     def test_parse_round_trip(self):
-        assert isinstance(qat.parse_schedule("direct"), qat.Direct)
-        assert isinstance(qat.parse_schedule("conventional"), qat.ConventionalFixed)
-        assert isinstance(qat.parse_schedule("adaptive"), qat.AdaptiveEveryEpoch)
-        s = qat.parse_schedule("adaptive_fix2")
-        assert isinstance(s, qat.AdaptiveFirstKThenFix) and s.k == 2
+        assert qat.parse_schedule("direct") == qat.Schedule("direct", 0)
+        assert qat.parse_schedule("conventional") == qat.Schedule("conventional", 0)
+        assert qat.parse_schedule("Adaptive ") == qat.Schedule("adaptive", None)
+        assert qat.parse_schedule("adaptive_fix2") == qat.Schedule("adaptive_fix2", 2)
+        assert qat.parse_schedule("adaptive_fix") == qat.Schedule("adaptive_fix1", 1)
         g = qat.parse_schedule("gradual:6-2:3:conventional")
-        assert (g.start_bits, g.end_bits, g.epochs_per_stage) == (6, 2, 3)
-        assert isinstance(g.inner, qat.ConventionalFixed)
-        with pytest.raises(ValueError):
-            qat.parse_schedule("bogus")
+        assert g == qat.Schedule("gradual6to2", 0, start_bits=6, end_bits=2,
+                                 epochs_per_stage=3)
+        assert qat.parse_schedule("gradual:6-2:3").adapt_epochs is None
+        assert qat.parse_schedule("gradual:5-3:1:adaptive_fix2").adapt_epochs == 2
+        for text in ("bogus", "gradual:6-2", "gradual:6-x:3", "gradual:6-2:3:conventional:x",
+                     "adaptive_fix0", "adaptive_fixA", "adaptive:2", ""):
+            with pytest.raises(ValueError, match=f"bad schedule '{text}'; accepted: direct"):
+                qat.parse_schedule(text)
 
     def test_adaptive_every_epoch_always_updates(self):
-        for e in range(10):
-            assert isinstance(qat.apply_schedule(qat.AdaptiveEveryEpoch(), e), qat.UpdateStep)
+        assert widths_and_updates("adaptive", 3, 10) == ([3] * 10, [True] * 10)
 
     def test_first_k_then_fix(self):
-        s = qat.AdaptiveFirstKThenFix(k=1)
-        decisions = [qat.apply_schedule(s, e) for e in (0, 1, 2)]
-        assert isinstance(decisions[0], qat.UpdateStep)
-        assert isinstance(decisions[1], qat.FreezeStep)
-        assert isinstance(decisions[2], qat.FreezeStep)
+        assert widths_and_updates("adaptive_fix1", 2, 3) == ([2] * 3, [True, False, False])
+        assert widths_and_updates("adaptive_fix2", 2, 3) == ([2] * 3, [True, True, False])
 
     def test_conventional_always_freezes(self):
-        for e in range(5):
-            assert isinstance(qat.apply_schedule(qat.ConventionalFixed(), e), qat.FreezeStep)
+        assert widths_and_updates("conventional", 2, 5) == ([2] * 5, [False] * 5)
+        assert widths_and_updates("direct", 2, 5) == ([], [])
 
     def test_gradual_bit_sequence(self):
-        s = qat.Gradual(start_bits=6, end_bits=2, epochs_per_stage=2)
-        bits = [s.bits_at(e) for e in range(10)]
-        assert bits == [6, 6, 5, 5, 4, 4, 3, 3, 2, 2]
-        drops = [
-            d.new_bits
-            for e in range(10)
-            if isinstance(d := qat.apply_schedule(s, e), qat.DropBit)
-        ]
-        assert drops == [5, 4, 3, 2]
+        assert widths_and_updates("gradual:6-2:2", 2, 10) == (
+            [6, 6, 5, 5, 4, 4, 3, 3, 2, 2], [True] * 10)
+        # adaptive_fixK counts from the start of each stage, the final one too
+        assert widths_and_updates("gradual:4-2:2:adaptive_fix1", 2, 8) == (
+            [4, 4, 3, 3, 2, 2, 2, 2], [True, False, True, False, True, False, False, False])
 
     @given(end=st.integers(2, 8), extra=st.integers(1, 6), eps=st.integers(1, 5),
-           inner=st.sampled_from([qat.Direct(), qat.ConventionalFixed(),
-                                  qat.AdaptiveEveryEpoch(), qat.AdaptiveFirstKThenFix(2)]))
+           inner=st.sampled_from(["conventional", "adaptive", "adaptive_fix2"]))
     def test_gradual_drops_match_bits_at(self, end, extra, eps, inner):
-        s = qat.Gradual(start_bits=end + extra, end_bits=end, epochs_per_stage=eps,
-                        inner=inner)
-        horizon = (s.num_stages + 2) * eps
-        drops = {e: d.new_bits for e in range(horizon)
-                 if isinstance(d := qat.apply_schedule(s, e), qat.DropBit)}
-        assert drops == {k * eps: s.start_bits - k for k in range(1, s.num_stages)}
-        bits = s.start_bits
-        for e in range(horizon):
-            bits = drops.get(e, bits)
-            assert bits == s.bits_at(e)
+        start = end + extra
+        horizon = (extra + 3) * eps
+        plan = qat.parse_schedule(f"gradual:{start}-{end}:{eps}:{inner}").plan(end, horizon)
+        assert len(plan) == horizon
+        drops = {e: plan[e][0] for e in range(1, horizon) if plan[e][0] != plan[e - 1][0]}
+        assert plan[0][0] == start
+        assert drops == {k * eps: start - k for k in range(1, extra + 1)}
+        k = {"conventional": 0, "adaptive": horizon, "adaptive_fix2": 2}[inner]
+        assert [u for _, u in plan] == [e - min(e // eps, extra) * eps < k
+                                        for e in range(horizon)]
 
     def test_gradual_validation(self):
-        with pytest.raises(ValueError):
-            qat.Gradual(start_bits=2, end_bits=2, epochs_per_stage=1)
-        with pytest.raises(ValueError):
-            qat.Gradual(start_bits=6, end_bits=1, epochs_per_stage=1)
+        for text in ("gradual:2-2:1", "gradual:6-1:1", "gradual:6-2:0",
+                     "gradual:6-2:3:direct", "gradual:6-2:3:gradual:4-2:1"):
+            with pytest.raises(ValueError, match="bad schedule"):
+                qat.parse_schedule(text)
+        with pytest.raises(ValueError, match="needs bits 2 and max_epochs >= 13"):
+            qat.RetrainConfig(schedule="gradual:6-2:3", bits=4, max_epochs=20)
+        with pytest.raises(ValueError, match="needs bits 2 and max_epochs >= 13"):
+            qat.RetrainConfig(schedule="gradual:6-2:3", bits=2, max_epochs=12)
+        assert qat.RetrainConfig(schedule="gradual:6-2:3", bits=2, max_epochs=13)
 
 
 # -- shadow params -----------------------------------------------------------
@@ -154,7 +159,7 @@ class TestRetrainEpoch:
         before_q = {k: v.copy() for k, v in shadow.quantized.items()}
         opt = make_optimizer(OptimizerConfig(kind="sgd_nesterov"))
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.0,
-                          task.loss, qat.FreezeStep())
+                          task.loss, False)
         for k in before_master:
             np.testing.assert_array_equal(shadow.master[k], before_master[k])
             np.testing.assert_array_equal(shadow.quantized[k], before_q[k])
@@ -164,14 +169,14 @@ class TestRetrainEpoch:
         before = dict(shadow.specs)
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, qat.FreezeStep())
+                          task.loss, False)
         assert shadow.specs == before
 
     def test_update_step_matches_independent_solver(self):
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, qat.UpdateStep())
+                          task.loss, True)
         for gid in shadow.groups:
             step, _ = optimize_step(
                 WeightGroup(shadow.group_vector(gid), gid), shadow.specs[gid].points
@@ -188,7 +193,7 @@ class TestRetrainEpoch:
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, qat.FreezeStep())
+                          task.loss, False)
         gid = next(iter(shadow.groups))
         k = shadow.groups[gid][0]
         mult = shadow.master[k] / shadow.specs[gid].step
