@@ -90,6 +90,20 @@ def split_indices(n: int, fractions=TEXT_FRACTIONS):
     return n_train, n_dev, n_test
 
 
+def _shuffled(rng: np.random.Generator, *arrays) -> tuple:
+    """`arrays`, each reordered by one permutation of their rows drawn from `rng`."""
+    order = rng.permutation(len(arrays[0]))
+    return tuple(a[order] for a in arrays)
+
+
+def _split(arrays: tuple, fractions, meta: dict | None = None) -> Splits:
+    """Cut each of `arrays` contiguously into train, dev and test, sized by
+    `split_indices` on their common length."""
+    n_train, n_dev, _ = split_indices(len(arrays[0]), fractions)
+    cuts = (slice(None, n_train), slice(n_train, n_train + n_dev), slice(n_train + n_dev, None))
+    return Splits(*(tuple(a[c] for a in arrays) for c in cuts), meta=meta or {})
+
+
 def synthetic_clusters(n_samples: int, classes: int, dim: int, seed: int,
                        spread: float = 1.0, fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Seeded Gaussian-cluster classification data, shuffled then split."""
@@ -97,15 +111,7 @@ def synthetic_clusters(n_samples: int, classes: int, dim: int, seed: int,
     centers = rng.normal(0.0, 1.0, size=(classes, dim))
     y = rng.integers(0, classes, size=n_samples)
     x = centers[y] + rng.normal(0.0, spread, size=(n_samples, dim))
-    order = rng.permutation(n_samples)
-    x, y = x[order], y[order]
-    n_train, n_dev, n_test = split_indices(n_samples, fractions)
-    return Splits(
-        train=(x[:n_train], y[:n_train]),
-        dev=(x[n_train : n_train + n_dev], y[n_train : n_train + n_dev]),
-        test=(x[n_train + n_dev :], y[n_train + n_dev :]),
-        meta={"dim": dim, "classes": classes},
-    )
+    return _split(_shuffled(rng, x, y), fractions)
 
 
 def synthetic_digit_images(n_samples: int, classes: int, seed: int,
@@ -118,15 +124,7 @@ def synthetic_digit_images(n_samples: int, classes: int, seed: int,
     y = rng.integers(0, classes, size=n_samples)
     x = templates[y] + rng.normal(0.0, noise, size=(n_samples, size, size))
     x = x[:, None, :, :]  # channel axis
-    order = rng.permutation(n_samples)
-    x, y = x[order], y[order]
-    n_train, n_dev, n_test = split_indices(n_samples, fractions)
-    return Splits(
-        train=(x[:n_train], y[:n_train]),
-        dev=(x[n_train : n_train + n_dev], y[n_train : n_train + n_dev]),
-        test=(x[n_train + n_dev :], y[n_train + n_dev :]),
-        meta={"size": size, "classes": classes},
-    )
+    return _split(_shuffled(rng, x, y), fractions)
 
 
 def load_idx_classification(images, labels, fractions=CLASSIFICATION_FRACTIONS,
@@ -140,17 +138,7 @@ def load_idx_classification(images, labels, fractions=CLASSIFICATION_FRACTIONS,
             f"{labels}: label count {y.shape} does not match images {x.shape[0]}"
         )
     x = x.astype(np.float64)[:, None, :, :] / 255.0
-    y = y.astype(np.int64)
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(x.shape[0])
-    x, y = x[order], y[order]
-    n_train, n_dev, n_test = split_indices(x.shape[0], fractions)
-    return Splits(
-        train=(x[:n_train], y[:n_train]),
-        dev=(x[n_train : n_train + n_dev], y[n_train : n_train + n_dev]),
-        test=(x[n_train + n_dev :], y[n_train + n_dev :]),
-        meta={"classes": int(y.max()) + 1},
-    )
+    return _split(_shuffled(np.random.default_rng(seed), x, y.astype(np.int64)), fractions)
 
 
 def encode_text(text: str):
@@ -164,13 +152,7 @@ def text_splits(text: str, fractions=TEXT_FRACTIONS) -> Splits:
     """Encode `text` and split it contiguously train/dev/test (floor rule,
     remainder to train)."""
     codes, vocab = encode_text(text)
-    n_train, n_dev, _ = split_indices(len(codes), fractions)
-    return Splits(
-        train=(codes[:n_train],),
-        dev=(codes[n_train : n_train + n_dev],),
-        test=(codes[n_train + n_dev :],),
-        meta={"vocab_size": len(vocab)},
-    )
+    return _split((codes,), fractions, {"vocab_size": len(vocab)})
 
 
 def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:

@@ -40,8 +40,8 @@ class ClassificationTask:
 
     metric_name = "error"
 
-    def __init__(self, splits: Splits, layer_cfgs: list[dict], batch_size: int = 32,
-                 seed: int = 0):
+    def __init__(self, splits: Splits, layer_cfgs: list[dict], seed: int = 0, *,
+                 batch_size: int = 32):
         self.splits = splits
         self.layer_cfgs = layer_cfgs
         self.batch_size = batch_size
@@ -78,8 +78,8 @@ class CharLMTask:
 
     metric_name = "bpc"
 
-    def __init__(self, splits: Splits, layer_cfgs: list[dict], unroll: int = 256,
-                 update_stride: int = 128, streams: int = 64, seed: int = 0):
+    def __init__(self, splits: Splits, layer_cfgs: list[dict], seed: int = 0, *,
+                 unroll: int = 256, update_stride: int = 128, streams: int = 64):
         self.splits = splits
         self.layer_cfgs = layer_cfgs
         self.vocab_size = splits.meta["vocab_size"]
@@ -132,6 +132,15 @@ class CharLMTask:
         return total_bits / max(total_chars, 1)
 
 
+# task name -> class; a task's batching keys are its constructor's
+# keyword-only parameters
+TASKS = {
+    "classification-vector": ClassificationTask,
+    "classification-image": ClassificationTask,
+    "char-language-model": CharLMTask,
+}
+
+
 # -- experiment configuration ------------------------------------------------
 
 # float_training keys that go to qat.RetrainConfig; the rest go to the task class
@@ -140,13 +149,13 @@ FIT_KEYS = ("max_epochs", "optimizer")
 # The keys each config section accepts; ExperimentConfig rejects any other.
 # Each key is a parameter of the constructor its section is passed to, and
 # that signature holds its default: retrain and cell keys go to
-# qat.RetrainConfig, dataset keys (besides `kind`) to DATASET_BUILDERS[kind].
+# qat.RetrainConfig, float_training keys other than FIT_KEYS to TASKS[task],
+# and dataset keys (besides `kind`) to DATASET_BUILDERS[kind].
 CONFIG_KEYS = {
     "float_training": {
-        "classification-vector": FIT_KEYS + ("batch_size",),
-        "classification-image": FIT_KEYS + ("batch_size",),
-        "char-language-model": FIT_KEYS + ("unroll", "update_stride", "streams"),
-    },
+        task: FIT_KEYS + tuple(p.name for p in inspect.signature(cls).parameters.values()
+                               if p.kind is p.KEYWORD_ONLY)
+        for task, cls in TASKS.items()},
     "retrain": ("max_epochs", "optimizer", "stop_at_lr_floor"),
     "cell": ("bits", "schedule", "exhaustive_init"),
     "dataset": {kind: ("kind", *inspect.signature(build).parameters)
@@ -156,7 +165,7 @@ CONFIG_KEYS = {
 
 @dataclass
 class ExperimentConfig:
-    task: str  # classification-vector | classification-image | char-language-model
+    task: str  # a key of TASKS
     dataset: dict
     network: list[dict]
     float_training: dict = field(default_factory=dict)
@@ -169,7 +178,7 @@ class ExperimentConfig:
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
         kind = self.dataset.get("kind")
-        reject_unknown("task", [self.task], CONFIG_KEYS["float_training"])
+        reject_unknown("task", [self.task], TASKS)
         reject_unknown("dataset kind", [kind], CONFIG_KEYS["dataset"])
         reject_unknown(f"{kind} dataset key", self.dataset, CONFIG_KEYS["dataset"][kind])
         reject_unknown(f"{self.task} float_training key", self.float_training,
@@ -198,9 +207,8 @@ class ExperimentConfig:
 
 
 def make_task(cfg: ExperimentConfig, seed: int):
-    task_cls = CharLMTask if cfg.task == "char-language-model" else ClassificationTask
     batching = {k: v for k, v in cfg.float_training.items() if k not in FIT_KEYS}
-    return task_cls(load_dataset(cfg.dataset), cfg.network, seed=seed, **batching)
+    return TASKS[cfg.task](load_dataset(cfg.dataset), cfg.network, seed=seed, **batching)
 
 
 def make_retrain_config(cfg: ExperimentConfig, cell: dict, seed: int) -> qat.RetrainConfig:
@@ -372,24 +380,17 @@ def report(results_dir, out_dir=None) -> dict:
         key = (r.cell_bits, r.schedule, r.metric_name)
         cells.setdefault(key, {})[r.seed] = r.final_test_metric
     all_seeds = sorted({s for v in cells.values() for s in v})
+    summary = {}
     with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["cell_bits", "schedule", "metric", "mean"]
                    + [f"seed_{s}" for s in all_seeds])
-        for key in sorted(cells):
-            by_seed = cells[key]
+        for key, by_seed in sorted(cells.items()):
             mean = sum(by_seed.values()) / len(by_seed)
-            row = [key[0], key[1], key[2], repr(mean)]
-            row += [repr(by_seed[s]) if s in by_seed else "" for s in all_seeds]
-            w.writerow(row)
-
-    summary = {
-        f"{k[0]}|{k[1]}|{k[2]}": {
-            "mean": sum(v.values()) / len(v),
-            "per_seed": {str(s): v[s] for s in sorted(v)},
-        }
-        for k, v in sorted(cells.items())
-    }
+            w.writerow([*key, repr(mean)]
+                       + [repr(by_seed[s]) if s in by_seed else "" for s in all_seeds])
+            summary["|".join(map(str, key))] = {
+                "mean": mean, "per_seed": {str(s): by_seed[s] for s in sorted(by_seed)}}
     with open(out_dir / "summary.json", "w", encoding="utf-8") as f:
         json.dump(summary, f, indent=2, sort_keys=True)
     return summary

@@ -22,6 +22,7 @@ from .quantizer import (
     WeightGroup,
     optimize_step,
     exhaustive_search_step,
+    points_for_bits,
     quantize,
 )
 from .records import RunRecord
@@ -135,32 +136,30 @@ class ShadowParams:
     def update_steps(self, record: RunRecord | None = None):
         """Recompute every group's step from the master weights (the adaptive
         scheme).  A degenerate all-zero group keeps its previous step."""
-        for gid in self.groups:
-            bits = self.specs[gid].bits
+        for gid, keys in self.groups.items():
             try:
-                step, _ = optimize_step(WeightGroup(self.group_vector(gid), gid),
-                                        self.specs[gid].points)
+                self.specs[gid] = _solve(self.master, keys, gid, self.specs[gid].bits)
             except DegenerateGroupError:
                 log.warning("group %s degenerate during adaptation; keeping step %g",
                             gid, self.specs[gid].step)
                 if record is not None:
                     record.events.append(f"degenerate-group:{gid}")
-                continue
-            self.specs[gid] = QuantizerSpec.from_bits(bits, step)
         self.requantize()
+
+
+def _solve(master: dict[str, np.ndarray], keys: list[str], gid: str,
+           bits: int) -> QuantizerSpec:
+    """The L2-optimal spec at `bits` for group `gid`, the weights `keys` of
+    `master`.  Raises DegenerateGroupError, naming the group, if all are zero."""
+    vec = np.concatenate([master[k].ravel() for k in keys])
+    step, _ = optimize_step(WeightGroup(vec, gid), points_for_bits(bits))
+    return QuantizerSpec.from_bits(bits, step)
 
 
 def init_quantization(master: dict[str, np.ndarray], groups: dict[str, list[str]],
                       bits: int) -> ShadowParams:
     """Determine each group's optimal step at `bits` and build the shadow pair."""
-    specs = {}
-    for gid, keys in groups.items():
-        vec = np.concatenate([master[k].ravel() for k in keys])
-        try:
-            step, _ = optimize_step(WeightGroup(vec, gid), 2 ** bits - 1)
-        except DegenerateGroupError as e:
-            raise DegenerateGroupError(f"group {gid!r}: {e}") from e
-        specs[gid] = QuantizerSpec.from_bits(bits, step)
+    specs = {gid: _solve(master, keys, gid, bits) for gid, keys in groups.items()}
     return ShadowParams(master, groups, specs)
 
 
@@ -184,6 +183,12 @@ class RetrainConfig:
     exhaustive_init: bool = False
 
     def __post_init__(self):
+        for name in ("stop_at_lr_floor", "exhaustive_init"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        if (isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, int)
+                or self.max_epochs < 0):
+            raise ValueError(f"max_epochs must be an integer >= 0, got {self.max_epochs!r}")
         self.schedule = sched = parse_schedule(self.schedule)
         if isinstance(self.optimizer, dict):
             self.optimizer = OptimizerConfig(**self.optimizer)

@@ -47,12 +47,6 @@ class RunRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        rec = cls(
-            run_id=d["run_id"], cell_bits=d["cell_bits"], schedule=d["schedule"],
-            seed=d["seed"], metric_name=d.get("metric_name", "error"),
-            final_test_metric=d.get("final_test_metric"),
-            events=list(d.get("events", [])),
-        )
-        rec.rows = [MetricRow(**r) for r in d.get("rows", [])]
-        rec.deltas = [DeltaRow(**r) for r in d.get("deltas", [])]
-        return rec
+        """The record `to_dict` wrote as `d`."""
+        return cls(**{**d, "rows": [MetricRow(**r) for r in d["rows"]],
+                      "deltas": [DeltaRow(**r) for r in d["deltas"]]})

@@ -329,7 +329,7 @@ class TestCli:
         res = runner.invoke(cli_main, ["train-float", "--config", str(p), "--seed", "0"])
         assert res.exit_code == 0, res.output
         assert "checkpoint:" in res.output
-        res = runner.invoke(cli_main, ["quantize", "--config", str(p), "--bits", "2"])
+        res = runner.invoke(cli_main, ["retrain", "--config", str(p), "--bits", "2", "--schedule", "direct"])
         assert res.exit_code == 0, res.output
         assert "direct 2-bit" in res.output
 

@@ -102,6 +102,14 @@ class TestSchedules:
             qat.RetrainConfig(schedule="gradual:6-2:3", bits=2, max_epochs=12)
         assert qat.RetrainConfig(schedule="gradual:6-2:3", bits=2, max_epochs=13)
 
+    @pytest.mark.parametrize("field, value", [
+        ("stop_at_lr_floor", "false"), ("exhaustive_init", "no"),
+        ("max_epochs", -3), ("max_epochs", True), ("max_epochs", 2.0),
+    ])
+    def test_value_types_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be .*, got {value!r}"):
+            qat.RetrainConfig(schedule="conventional", **{field: value})
+
 
 # -- shadow params -----------------------------------------------------------
 
@@ -127,8 +135,9 @@ class TestInitQuantization:
             assert shadow.specs[gid].step == pytest.approx(step, rel=1e-12)
 
     def test_degenerate_group_names_group(self):
-        with pytest.raises(DegenerateGroupError, match="dead"):
+        with pytest.raises(DegenerateGroupError, match="dead") as e:
             qat.init_quantization({"dead.W": np.zeros(4)}, {"dead": ["dead.W"]}, 2)
+        assert str(e.value).count("dead") == 1, str(e.value)
 
     def test_non_quantizable_shared_by_reference(self):
         master = {"a.W": np.array([1.0, -1.0]), "a.b": np.array([0.5])}
@@ -249,6 +258,23 @@ class TestRun:
         _, direct = qat.run(self.retrain_cfg("direct"), ckpt, task)
         _, zero = qat.run(self.retrain_cfg("adaptive", max_epochs=0), ckpt, task)
         assert zero.final_test_metric == pytest.approx(direct.final_test_metric)
+
+    def test_exhaustive_init_picks_a_candidate_step(self):
+        ckpt = _float_ckpt_for_toy()
+        task = toy_task()
+        net = task.build_network(np.random.default_rng(0))
+        net.set_params(ckpt.params)
+        init = qat.init_quantization(net.get_params(), net.quant_group_map(), 2)
+        cfg = self.retrain_cfg("conventional")
+        cfg.exhaustive_init = True
+        shadow, _ = qat.run(cfg, ckpt, task)
+        for gid, keys in shadow.groups.items():
+            d0 = init.specs[gid].step
+            candidates = np.geomspace(d0 / 2, 2 * d0, qat.EXHAUSTIVE_CANDIDATES)
+            assert shadow.specs[gid].step in candidates, gid
+            for k in keys:
+                assert_on_grid(shadow.quantized[k], shadow.specs[gid].step,
+                               shadow.specs[gid].points)
 
     def test_conventional_specs_constant(self):
         ckpt = _float_ckpt_for_toy()
