@@ -186,14 +186,13 @@ class RetrainConfig:
         for name in ("stop_at_lr_floor", "exhaustive_init"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
-        if (isinstance(self.max_epochs, bool) or not isinstance(self.max_epochs, int)
-                or self.max_epochs < 0):
-            raise ValueError(f"max_epochs must be an integer >= 0, got {self.max_epochs!r}")
+        for name, least in (("bits", 2), ("max_epochs", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         self.schedule = sched = parse_schedule(self.schedule)
         if isinstance(self.optimizer, dict):
             self.optimizer = OptimizerConfig(**self.optimizer)
-        if self.bits < 2:
-            raise ValueError(f"bits must be >= 2, got {self.bits}")
         if sched.start_bits is not None:
             need = (sched.start_bits - sched.end_bits) * sched.epochs_per_stage + 1
             if self.bits != sched.end_bits or self.max_epochs < need:

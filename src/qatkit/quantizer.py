@@ -3,7 +3,8 @@
 A weight group is quantized onto the grid {n * step : |n| <= (M-1)/2} where
 M = 2^bits - 1 levels are symmetric about zero.  The step size that minimizes
 the squared error between float and quantized weights is found exactly, by a
-sweep over the breakpoints where a weight changes level.
+sweep over the breakpoints where a weight changes level: O(N log N + N*K log K)
+time for N weights and K = (M-1)/2, with memory bounded by two N*K arrays.
 """
 
 from __future__ import annotations
@@ -109,6 +110,11 @@ def quant_mse(group: WeightGroup, spec: QuantizerSpec) -> float:
     return _half_squared_error(group.values, spec.step, spec.max_level)
 
 
+# Breakpoints swept per vectorized step of `optimize_step`; bounds the sweep's
+# temporaries to a few arrays of this length beside the two N*K arrays.
+SWEEP_CHUNK = 4096
+
+
 def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     """Find the step size minimizing quant_mse for a group with M levels.
 
@@ -118,8 +124,17 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     sum(n*|w|) and sum(n^2) visits every assignment region; within a region
     the quadratic's stationary point sum(n*|w|)/sum(n^2) is the exact
     least-squares step, so checking it (when interior) plus the region's
-    right endpoint yields the global minimum.  O(N*K log(N*K)) with
-    K = (M-1)/2, all in double precision.
+    right endpoint yields the global minimum.
+
+    With K = (M-1)/2, the N*K breakpoints are laid out as K ascending runs
+    (one per level, over the sorted magnitudes), merged by a stable argsort
+    and swept in chunks of SWEEP_CHUNK: O(N log N + N*K log K) time, with
+    memory bounded by the two N*K arrays (breakpoints and merge order), plus
+    a few arrays as long as the count of tied breakpoints, all in double
+    precision.  Equal breakpoints are visited in weight-index, then level
+    order, and the running sums are subtracted sequentially, so the result
+    is bit-identical to the one-breakpoint-at-a-time reference
+    (`tests/oracles.optimize_step_loop`).
 
     Raises DegenerateGroupError for an all-zero group.  The returned step is
     the smallest global minimizer, deterministically.
@@ -129,42 +144,75 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     max_level = (M - 1) // 2
     absw = np.abs(group.values)
     absw = absw[absw > 0.0]
-    if absw.size == 0:
+    n = absw.size
+    if n == 0:
         raise DegenerateGroupError(
             f"group {group.group_id!r} is all zeros; no positive step exists"
         )
     sum_w2 = float(np.dot(absw, absw))
-    ks = np.arange(1, max_level + 1, dtype=np.float64)
-    # breakpoint matrix: |w_i| / (k - 0.5); crossing it drops level k -> k-1
-    bp = (absw[:, None] / (ks - 0.5)[None, :]).ravel()
-    d_s1 = np.repeat(absw, max_level)
-    d_s2 = np.tile(2.0 * ks - 1.0, absw.size)
-    order = np.argsort(bp, kind="stable")
-    bp, d_s1, d_s2 = bp[order], d_s1[order], d_s2[order]
-
     s1 = max_level * float(absw.sum())
-    s2 = float(max_level) ** 2 * absw.size
+    s2 = float(max_level) ** 2 * n
+    rank = np.argsort(absw, kind="stable")
+    mag = absw[rank]
+    # level-major breakpoints: row k-1 holds mag / (k - 0.5), ascending, so
+    # the stable argsort only merges K runs; entry (k-1)*n + r is weight rank[r]
+    bp = (mag[None, :] / (np.arange(1, max_level + 1) - 0.5)[:, None]).ravel()
+    order = np.argsort(bp, kind="stable")
+    bp = bp[order]
+    _weight_then_level_ties(bp, order, rank)
+
     best_step, best_mse = None, math.inf
     prev_b = 0.0
-    for j in range(bp.size):
-        b = bp[j]
-        if s2 > 0.0:
-            stat = s1 / s2
-            if prev_b < stat <= b:
-                mse = 0.5 * (sum_w2 - s1 * stat)
-                if mse < best_mse:
-                    best_step, best_mse = stat, mse
-            mse_b = 0.5 * (sum_w2 - 2.0 * b * s1 + b * b * s2)
-            if mse_b < best_mse:
-                best_step, best_mse = b, mse_b
-        s1 -= d_s1[j]
-        s2 -= d_s2[j]
-        prev_b = b
+    for lo in range(0, bp.size, SWEEP_CHUNK):
+        b = bp[lo:lo + SWEEP_CHUNK]
+        level, r = np.divmod(order[lo:lo + SWEEP_CHUNK], n)
+        # running sums before each breakpoint, subtracted in sweep order;
+        # s2 counts integers, so it stays exact and positive
+        acc1 = np.subtract.accumulate(np.concatenate(([s1], mag[r])))
+        acc2 = np.subtract.accumulate(np.concatenate(([s2], 2.0 * level + 1.0)))
+        c1, c2 = acc1[:-1], acc2[:-1]
+        prev = np.concatenate(([prev_b], b[:-1]))
+        stat = c1 / c2
+        cand = np.empty(2 * b.size)
+        cand[0::2] = np.where((prev < stat) & (stat <= b),
+                              0.5 * (sum_w2 - c1 * stat), math.inf)
+        cand[1::2] = 0.5 * (sum_w2 - 2.0 * b * c1 + b * b * c2)
+        # keep the first strict improvement: the earliest minimum, if it is
+        # below the best so far (fmin skips NaN, which never improves)
+        low = np.fmin.reduce(cand)
+        if low < best_mse:
+            j = int(np.argmax(cand == low))
+            best_step, best_mse = float(stat[j // 2] if j % 2 == 0 else b[j // 2]), low
+        s1, s2, prev_b = acc1[-1], acc2[-1], b[-1]
     if best_step is None:
         raise DegenerateGroupError(f"group {group.group_id!r}: no positive step found")
     # re-evaluate through the forward rounding path so the reported mse is
     # bit-identical to quant_mse at the returned step
     return best_step, _half_squared_error(group.values, best_step, max_level)
+
+
+def _weight_then_level_ties(bp: np.ndarray, order: np.ndarray, rank: np.ndarray) -> None:
+    """Reorder `order` in place so that among equal sorted breakpoints `bp`
+    the weight index comes first and the level second.
+
+    The merge leaves equal breakpoints in level, then magnitude-rank order;
+    ties across levels (e.g. x/0.5 == fl(3x)/1.5) then differ from the
+    reference's order, and the running sums round differently.
+    """
+    n = rank.size
+    eq = np.concatenate(([False], bp[1:] == bp[:-1]))  # bp[p] == bp[p - 1]
+    tied = eq.copy()
+    tied[:-1] |= eq[1:]
+    if not tied.any():
+        return
+    sub = order[tied]
+    # key: tie run, then weight index.  One weight's breakpoints tie only
+    # when they underflow to 0 or overflow to inf; the merge has them in
+    # level order, which the stable sort keeps.
+    key = np.cumsum(~eq[tied])
+    key *= n
+    key += rank[sub % n]
+    order[tied] = sub[np.argsort(key, kind="stable")]
 
 
 def exhaustive_search_step(

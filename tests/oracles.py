@@ -2,13 +2,16 @@
 
 These deliberately avoid the library's vectorized code paths: the scalar
 quantizer is a straight-line transcription of the rounding formula, the grid
-searches evaluate the squared-error objective per candidate, and the gradient
-checker uses central finite differences.
+searches evaluate the squared-error objective per candidate, the step-solver
+reference walks the breakpoints one at a time, and the gradient checker uses
+central finite differences.
 """
 
 import math
 
 import numpy as np
+
+from qatkit.quantizer import DegenerateGroupError, WeightGroup, _half_squared_error
 
 
 def scalar_quantize(w, step, points):
@@ -71,6 +74,59 @@ def grid_search_mse(values, points, candidates):
     mse = 0.5 * (sum_w2 - 2.0 * candidates * sum_nw + candidates**2 * sum_n2)
     best = int(np.argmin(mse))
     return float(candidates[best]), float(mse[best])
+
+
+def optimize_step_loop(group: WeightGroup, M: int) -> tuple[float, float]:
+    """Reference exact step solver: one Python iteration per breakpoint.
+
+    The loop `quantizer.optimize_step` replaced.  It sorts all N*K
+    breakpoints |w|/(k-0.5) with a stable argsort (ties in weight-index, then
+    level order), then walks them in ascending order keeping sum(n*|w|) and
+    sum(n^2), checking each region's interior stationary point and its right
+    endpoint; the first strict minimum wins.  `optimize_step` must return
+    the same `(step, mse)` bit for bit.
+    """
+    if M < 3 or M % 2 == 0:
+        raise ValueError(f"M must be odd and >= 3, got {M}")
+    max_level = (M - 1) // 2
+    absw = np.abs(group.values)
+    absw = absw[absw > 0.0]
+    if absw.size == 0:
+        raise DegenerateGroupError(
+            f"group {group.group_id!r} is all zeros; no positive step exists"
+        )
+    sum_w2 = float(np.dot(absw, absw))
+    ks = np.arange(1, max_level + 1, dtype=np.float64)
+    # breakpoint matrix: |w_i| / (k - 0.5); crossing it drops level k -> k-1
+    bp = (absw[:, None] / (ks - 0.5)[None, :]).ravel()
+    d_s1 = np.repeat(absw, max_level)
+    d_s2 = np.tile(2.0 * ks - 1.0, absw.size)
+    order = np.argsort(bp, kind="stable")
+    bp, d_s1, d_s2 = bp[order], d_s1[order], d_s2[order]
+
+    s1 = max_level * float(absw.sum())
+    s2 = float(max_level) ** 2 * absw.size
+    best_step, best_mse = None, math.inf
+    prev_b = 0.0
+    for j in range(bp.size):
+        b = bp[j]
+        if s2 > 0.0:
+            stat = s1 / s2
+            if prev_b < stat <= b:
+                mse = 0.5 * (sum_w2 - s1 * stat)
+                if mse < best_mse:
+                    best_step, best_mse = stat, mse
+            mse_b = 0.5 * (sum_w2 - 2.0 * b * s1 + b * b * s2)
+            if mse_b < best_mse:
+                best_step, best_mse = b, mse_b
+        s1 -= d_s1[j]
+        s2 -= d_s2[j]
+        prev_b = b
+    if best_step is None:
+        raise DegenerateGroupError(f"group {group.group_id!r}: no positive step found")
+    # re-evaluate through the forward rounding path so the reported mse is
+    # bit-identical to quant_mse at the returned step
+    return best_step, _half_squared_error(group.values, best_step, max_level)
 
 
 def assert_on_grid(q, step, points):

@@ -105,6 +105,7 @@ class TestSchedules:
     @pytest.mark.parametrize("field, value", [
         ("stop_at_lr_floor", "false"), ("exhaustive_init", "no"),
         ("max_epochs", -3), ("max_epochs", True), ("max_epochs", 2.0),
+        ("bits", 3.0), ("bits", "3"), ("bits", True), ("bits", 1),
     ])
     def test_value_types_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be .*, got {value!r}"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qatkit.quantizer import (
+    SWEEP_CHUNK,
     DegenerateGroupError,
     QuantizerSpec,
     WeightGroup,
@@ -12,7 +13,13 @@ from qatkit.quantizer import (
     quantize,
 )
 
-from oracles import grid_search_mse, grid_search_mse_slow, quant_mse_direct, scalar_quantize
+from oracles import (
+    grid_search_mse,
+    grid_search_mse_slow,
+    optimize_step_loop,
+    quant_mse_direct,
+    scalar_quantize,
+)
 
 
 class TestPointsForBits:
@@ -150,6 +157,77 @@ class TestOptimizeStep:
         mses = [optimize_step(g, m)[1] for m in (3, 7, 15, 63)]
         for lo, hi in zip(mses[1:], mses[:-1]):
             assert lo <= hi * (1 + 1e-9)
+
+
+def assert_same_as_loop(w, bits):
+    g = WeightGroup(w, "g")
+    m = points_for_bits(bits)
+    step, mse = optimize_step(g, m)
+    ref_step, ref_mse = optimize_step_loop(g, m)
+    assert type(step) is float
+    assert step == ref_step and mse == ref_mse, (step, ref_step, mse, ref_mse)
+
+
+class TestOptimizeStepMatchesLoop:
+    """The vectorized sweep returns the reference loop's (step, mse) exactly."""
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 6])
+    def test_gaussian(self, bits):
+        rng = np.random.default_rng(100 + bits)
+        for n in (2, 37, 600):
+            assert_same_as_loop(rng.normal(0, 1, size=n), bits)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 6])
+    def test_heavy_same_value_ties(self, bits):
+        rng = np.random.default_rng(200 + bits)
+        assert_same_as_loop(rng.choice(rng.normal(0, 1, size=4), size=500), bits)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 5, 6])
+    def test_integer_valued(self, bits):
+        rng = np.random.default_rng(300 + bits)
+        assert_same_as_loop(rng.integers(-20, 21, size=500).astype(np.float64), bits)
+
+    # x/0.5 == fl(3x)/1.5 == fl(5x)/2.5 can hold without 3x and 5x being
+    # exact, so equal breakpoints come from different levels and weights.
+    # On these (seed, bits) the sweep's result depends on their order.
+    @pytest.mark.parametrize("seed,bits", [(1, 3), (13, 5), (51, 4), (54, 4)])
+    def test_inexact_cross_level_ties(self, seed, bits):
+        rng = np.random.default_rng(400 + seed)
+        x = np.abs(rng.normal(0, 1, size=300))
+        w = np.concatenate([rng.normal(0, 1, size=1500), x, 3 * x, 5 * x])
+        rng.shuffle(w)
+        assert_same_as_loop(w, bits)
+
+    @pytest.mark.parametrize("bits", [2, 4, 6])
+    def test_single_weight(self, bits):
+        assert_same_as_loop(np.array([-0.731]), bits)
+
+    @pytest.mark.parametrize("bits", [2, 4, 6])
+    def test_all_weights_tied(self, bits):
+        assert_same_as_loop(np.full(257, -1.3), bits)
+
+    @pytest.mark.parametrize("bits", [2, 4, 6])
+    def test_magnitude_range_over_1e12(self, bits):
+        rng = np.random.default_rng(500 + bits)
+        w = rng.normal(0, 1, size=400) * 10.0 ** rng.uniform(-6.5, 6.5, size=400)
+        assert np.abs(w).max() / np.abs(w).min() > 1e12
+        assert_same_as_loop(w, bits)
+
+    @pytest.mark.parametrize("bits", [2, 4, 6])
+    def test_zeros_mixed_in(self, bits):
+        rng = np.random.default_rng(600 + bits)
+        w = rng.normal(0, 1, size=500)
+        w[rng.random(500) < 0.4] = 0.0
+        assert_same_as_loop(w, bits)
+
+    @pytest.mark.parametrize("breakpoints", [SWEEP_CHUNK - 1, SWEEP_CHUNK, SWEEP_CHUNK + 1,
+                                             3 * SWEEP_CHUNK + 7])
+    def test_breakpoint_count_at_chunk_edges(self, breakpoints):
+        # 2 bits: one breakpoint per weight; 3 bits: three
+        rng = np.random.default_rng(breakpoints)
+        assert_same_as_loop(rng.normal(0, 1, size=breakpoints), 2)
+        if breakpoints % 3 == 0:
+            assert_same_as_loop(rng.normal(0, 1, size=breakpoints // 3), 3)
 
 
 class TestGridOracleSelfCheck:
