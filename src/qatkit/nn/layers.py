@@ -2,7 +2,9 @@
 
 Every layer caches what its backward pass needs during forward.  Parameter
 gradients accumulate into `grads` keyed like `params`.  Weight matrices are
-marked quantizable; biases and batch-norm gain/shift are not.
+marked quantizable; biases and batch-norm gain/shift are not.  `backward`
+returns the input gradient; with `need_dx=False` a layer with weights may skip
+computing it and return None (the first layer of a network has no use for it).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class Layer:
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, dy: np.ndarray) -> np.ndarray:
+    def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         raise NotImplementedError
 
     def quant_groups(self) -> list[list[str]]:
@@ -71,13 +73,13 @@ class FullyConnected(Layer):
         self._cache = x
         return x @ self.params["W"] + self.params["b"]
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         x = self._take_cache()
         x2 = x.reshape(-1, self.fan_in)
         dy2 = dy.reshape(-1, self.fan_out)
         self.grads["W"] += x2.T @ dy2
         self.grads["b"] += dy2.sum(axis=0)
-        return dy @ self.params["W"].T
+        return dy @ self.params["W"].T if need_dx else None
 
 
 _ACTS = {
@@ -104,7 +106,7 @@ class Activation(Layer):
         self._cache = (x, y)
         return y
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         x, y = self._take_cache()
         _, df = _ACTS[self.fn]
         return dy * df(x, y)
@@ -120,7 +122,7 @@ class Softmax(Layer):
         self._cache = p
         return p
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         p = self._take_cache()
         inner = (dy * p).sum(axis=-1, keepdims=True)
         return p * (dy - inner)
@@ -131,32 +133,37 @@ class Flatten(Layer):
         self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         return dy.reshape(self._take_cache())
 
 
-def _im2col(x, kh, kw, stride, pad):
-    b, c, h, w = x.shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(b, c * kh * kw, oh * ow), oh, ow
+def _windows(x, size, stride):
+    """The size*size strided views x[:, :, i::stride, j::stride] of a 4-d
+    array, each cropped to the output grid, in window order (i, then j)."""
+    oh = (x.shape[2] - size) // stride + 1
+    ow = (x.shape[3] - size) // stride + 1
+    return [x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+            for i in range(size) for j in range(size)]
 
 
-def _col2im(cols, x_shape, kh, kw, stride, pad):
+def _im2col(x, size, stride, pad):
+    if pad:  # not np.pad: its per-call overhead outweighs this copy at small sizes
+        b, c, h, w = x.shape
+        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        x = xp
+    cols = np.stack(_windows(x, size, stride), axis=2)  # (b, c, size*size, oh, ow)
+    b, c, _, oh, ow = cols.shape
+    return cols.reshape(b, c * size * size, oh * ow), oh, ow
+
+
+def _col2im(cols, x_shape, size, stride, pad):
     b, c, h, w = x_shape
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    cols = cols.reshape(b, c, kh, kw, oh, ow)
     xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
+    wins = _windows(xp, size, stride)
+    cols = cols.reshape(b, c, size * size, *wins[0].shape[2:])
+    for k, win in enumerate(wins):
+        win += cols[:, :, k]
     if pad:
         return xp[:, :, pad : pad + h, pad : pad + w]
     return xp
@@ -179,27 +186,32 @@ class Conv2D(Layer):
             raise ShapeError(
                 f"{self.name}: expected input (batch, {self.in_ch}, h, w), got {x.shape}"
             )
-        cols, oh, ow = _im2col(x, self.kernel, self.kernel, self.stride, self.padding)
+        cols, oh, ow = _im2col(x, self.kernel, self.stride, self.padding)
         wmat = self.params["W"].reshape(self.out_ch, -1)
         out = np.einsum("ok,bkp->bop", wmat, cols, optimize=True)
         out += self.params["b"][None, :, None]
         self._cache = (x.shape, cols)
         return out.reshape(x.shape[0], self.out_ch, oh, ow)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         x_shape, cols = self._take_cache()
-        b = dy.shape[0]
-        dym = dy.reshape(b, self.out_ch, -1)
-        wmat = self.params["W"].reshape(self.out_ch, -1)
+        dym = dy.reshape(dy.shape[0], self.out_ch, -1)
         self.grads["W"] += np.einsum("bop,bkp->ok", dym, cols, optimize=True).reshape(
             self.params["W"].shape
         )
         self.grads["b"] += dym.sum(axis=(0, 2))
+        if not need_dx:
+            return None
+        wmat = self.params["W"].reshape(self.out_ch, -1)
         dcols = np.einsum("ok,bop->bkp", wmat, dym, optimize=True)
-        return _col2im(dcols, x_shape, self.kernel, self.kernel, self.stride, self.padding)
+        return _col2im(dcols, x_shape, self.kernel, self.stride, self.padding)
 
 
 class MaxPool2D(Layer):
+    """Max over size*size windows, taken over the strided window views.  The
+    first maximum in window order wins, as with argmax (a NaN counts as the
+    maximum), and backward sends each output gradient to that window alone."""
+
     def __init__(self, name, size, stride=None):
         super().__init__(name)
         self.size = size
@@ -208,26 +220,32 @@ class MaxPool2D(Layer):
     def forward(self, x, train=True):
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected 4-d input, got {x.shape}")
-        cols, oh, ow = _im2col(
-            x.reshape(x.shape[0] * x.shape[1], 1, x.shape[2], x.shape[3]),
-            self.size, self.size, self.stride, 0,
-        )
-        # cols: (b*c, size*size, oh*ow)
-        idx = cols.argmax(axis=1)
-        out = np.take_along_axis(cols, idx[:, None, :], axis=1)[:, 0, :]
-        self._cache = (x.shape, cols.shape, idx, oh, ow)
-        return out.reshape(x.shape[0], x.shape[1], oh, ow)
+        wins = _windows(x, self.size, self.stride)
+        out, hits = wins[0], []
+        for win in wins[1:]:
+            # a later window takes over only where it is larger or the first NaN
+            hit = ~(win <= out) & (out == out)
+            out = np.where(hit, win, out)
+            hits.append(hit)
+        self._cache = (x, hits)
+        return out
 
-    def backward(self, dy):
-        x_shape, cols_shape, idx, oh, ow = self._take_cache()
-        dcols = np.zeros(cols_shape, dtype=dy.dtype)
-        flat = dy.reshape(x_shape[0] * x_shape[1], 1, -1)
-        np.put_along_axis(dcols, idx[:, None, :], flat, axis=1)
-        dx = _col2im(
-            dcols, (x_shape[0] * x_shape[1], 1, x_shape[2], x_shape[3]),
-            self.size, self.size, self.stride, 0,
-        )
-        return dx.reshape(x_shape)
+    def backward(self, dy, need_dx=True):
+        x, hits = self._take_cache()
+        # window k won where it took over and no later window did; window 0
+        # where none did
+        won, taken = [], np.zeros(dy.shape, dtype=bool)
+        for hit in reversed(hits):
+            won.append(hit & ~taken)
+            taken |= hit
+        won.append(~taken)
+        dx = np.zeros_like(x)
+        bits = dy.view(np.int64)
+        for mask, win in zip(reversed(won), _windows(dx, self.size, self.stride)):
+            # dy where the window won, +0.0 elsewhere: np.where(mask, dy, 0.0)
+            # bit for bit, without its branch on every entry
+            win += (bits * mask).view(np.float64)
+        return dx
 
 
 class BatchNorm(Layer):
@@ -262,18 +280,21 @@ class BatchNorm(Layer):
             )
         if train:
             mu = x2.mean(axis=0)
-            var = x2.var(axis=0)
+            xhat = x2 - mu
+            var = (xhat * xhat).sum(axis=0) / x2.shape[0]  # the steps of x2.var(axis=0)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mu, var = self.running_mean, self.running_var
+            xhat = x2 - mu
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (x2 - mu) * inv_std
-        y2 = self.params["gamma"] * xhat + self.params["beta"]
+        xhat *= inv_std
+        y2 = self.params["gamma"] * xhat
+        y2 += self.params["beta"]
         self._cache = (xhat, inv_std, orig, train)
         return y2 if orig is None else y2.reshape(orig[0], orig[2], orig[3], orig[1]).transpose(0, 3, 1, 2)
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         xhat, inv_std, orig, train = self._take_cache()
         dy2 = dy if orig is None else dy.transpose(0, 2, 3, 1).reshape(-1, orig[1])
         self.grads["gamma"] += (dy2 * xhat).sum(axis=0)
@@ -346,10 +367,10 @@ class LSTM(Layer):
         self._cache = steps
         return hs
 
-    def backward(self, dy):
+    def backward(self, dy, need_dx=True):
         steps = self._take_cache()
         hsz = self.hidden_size
-        dx = np.empty((len(steps), dy.shape[1], self.input_size))
+        dx = np.empty((len(steps), dy.shape[1], self.input_size)) if need_dx else None
         dh_next = np.zeros((dy.shape[1], hsz))
         dc_next = np.zeros_like(dh_next)
         for t in reversed(range(len(steps))):
@@ -374,5 +395,6 @@ class LSTM(Layer):
             self.grads["Wh"] += h_prev.T @ dz
             self.grads["b"] += dz.sum(axis=0)
             dh_next = dz @ self.params["Wh"].T
-            dx[t] = dz @ self.params["Wx"].T
+            if need_dx:
+                dx[t] = dz @ self.params["Wx"].T
         return dx

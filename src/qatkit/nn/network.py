@@ -24,9 +24,10 @@ class Network:
         return x
 
     def backward(self, dy):
-        for ly in reversed(self.layers):
-            dy = ly.backward(dy)
-        return dy
+        """Accumulate every layer's parameter gradients; returns None, since
+        the first layer computes no input gradient."""
+        for i in reversed(range(len(self.layers))):
+            dy = self.layers[i].backward(dy, need_dx=i > 0)
 
     def zero_grads(self):
         for ly in self.layers:
@@ -127,6 +128,11 @@ LAYER_TYPES = {
 # constructor parameter -> config key, where the key cannot be a parameter name
 CONFIG_KEY_NAMES = {"fan_in": "in", "fan_out": "out", "input_size": "in",
                     "hidden_size": "hidden"}
+# kind -> the constructor parameters of its input and output width (the last
+# axis).  WIDTH_KEEPING kinds pass the width they receive on; any other kind
+# (flatten, conv2d, maxpool2d) ends the chain.
+WIDTH_PARAMS = {"fc": ("fan_in", "fan_out"), "lstm": ("input_size", "hidden_size")}
+WIDTH_KEEPING = ("activation", "batchnorm", "softmax")
 
 
 def reject_unknown(what: str, given, accepted):
@@ -143,10 +149,12 @@ def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
     seed gives identical parameters.
 
     Raises ValueError, naming the layer index, kind and key, for an unknown
-    kind, an unknown key or a missing required key; a layer constructor
-    raises for a bad value.
+    kind, an unknown key or a missing required key, and, naming both layers,
+    for an `in` that differs from the last width declared before it (see
+    WIDTH_PARAMS); a layer constructor raises for a bad value.
     """
     layers = []
+    width = None  # (layer name, width) the next layer receives, if declared
     for i, cfg in enumerate(layer_cfgs):
         kind = cfg.get("kind")
         reject_unknown(f"network[{i}] layer kind", [kind], LAYER_TYPES)
@@ -162,4 +170,12 @@ def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
         if "rng" in params:
             kwargs["rng"] = rng
         layers.append(LAYER_TYPES[kind](**kwargs))
+        if kind in WIDTH_PARAMS:
+            p_in, p_out = WIDTH_PARAMS[kind]
+            if width is not None and kwargs[p_in] != width[1]:
+                raise ValueError(f"network[{i}] {kind} {kwargs['name']!r}: in {kwargs[p_in]} "
+                                 f"does not match width {width[1]} of {width[0]!r}")
+            width = (kwargs["name"], kwargs[p_out])
+        elif kind not in WIDTH_KEEPING:
+            width = None
     return Network(layers)

@@ -150,9 +150,16 @@ class ShadowParams:
 def _solve(master: dict[str, np.ndarray], keys: list[str], gid: str,
            bits: int) -> QuantizerSpec:
     """The L2-optimal spec at `bits` for group `gid`, the weights `keys` of
-    `master`.  Raises DegenerateGroupError, naming the group, if all are zero."""
+    `master`.  Raises DegenerateGroupError, naming the group, if all are zero
+    or the solver finds no positive finite step (squares that underflow)."""
     vec = np.concatenate([master[k].ravel() for k in keys])
-    step, _ = optimize_step(WeightGroup(vec, gid), points_for_bits(bits))
+    with np.errstate(divide="ignore", invalid="ignore"):  # a step of 0 is reported below
+        step, _ = optimize_step(WeightGroup(vec, gid), points_for_bits(bits))
+    if not (step > 0.0 and math.isfinite(step)):
+        raise DegenerateGroupError(
+            f"group {gid!r}: the solver returned step {step!r}; no positive finite step "
+            "exists (are the weights so small that their squares underflow?)"
+        )
     return QuantizerSpec.from_bits(bits, step)
 
 

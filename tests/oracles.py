@@ -4,7 +4,10 @@ These deliberately avoid the library's vectorized code paths: the scalar
 quantizer is a straight-line transcription of the rounding formula, the grid
 searches evaluate the squared-error objective per candidate, the step-solver
 reference walks the breakpoints one at a time, and the gradient checker uses
-central finite differences.
+central finite differences.  The layer references are the first versions of
+the convolution (im2col and col2im loops around einsum), the max pool (im2col,
+argmax and col2im) and the batch-norm training forward pass (`np.var`); the
+layers must match them bit for bit.
 """
 
 import math
@@ -160,3 +163,100 @@ def relative_error(a, b, floor=1e-8):
     num = np.abs(a - b)
     den = np.maximum(np.abs(a) + np.abs(b), floor)
     return float((num / den).max())
+
+
+# -- layer references --------------------------------------------------------
+
+def im2col_loop(x, kh, kw, stride, pad):
+    """(b, c, h, w) -> (b, c*kh*kw, oh*ow) patches, one window offset per pass."""
+    b, c, h, w = x.shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((b, c, kh, kw, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(b, c * kh * kw, oh * ow), oh, ow
+
+
+def col2im_loop(cols, x_shape, kh, kw, stride, pad):
+    """Sum patch gradients back onto the (b, c, h, w) input, offset by offset."""
+    b, c, h, w = x_shape
+    oh = (h + 2 * pad - kh) // stride + 1
+    ow = (w + 2 * pad - kw) // stride + 1
+    cols = cols.reshape(b, c, kh, kw, oh, ow)
+    xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols[:, :, i, j]
+    if pad:
+        return xp[:, :, pad : pad + h, pad : pad + w]
+    return xp
+
+
+def conv2d_reference(x, W, bias, dy, stride, pad):
+    """Forward output, input gradient, dW and db of a convolution."""
+    out_ch, _, k, _ = W.shape
+    cols, oh, ow = im2col_loop(x, k, k, stride, pad)
+    wmat = W.reshape(out_ch, -1)
+    out = np.einsum("ok,bkp->bop", wmat, cols, optimize=True)
+    out += bias[None, :, None]
+    out = out.reshape(x.shape[0], out_ch, oh, ow)
+    dym = dy.reshape(dy.shape[0], out_ch, -1)
+    dW = np.einsum("bop,bkp->ok", dym, cols, optimize=True).reshape(W.shape)
+    db = dym.sum(axis=(0, 2))
+    dcols = np.einsum("ok,bop->bkp", wmat, dym, optimize=True)
+    return out, col2im_loop(dcols, x.shape, k, k, stride, pad), dW, db
+
+
+def maxpool2d_reference(x, dy, size, stride):
+    """Forward output and input gradient of a max pool: argmax over each
+    window's im2col column, gradient put back at the argmax."""
+    b, c, h, w = x.shape
+    cols, oh, ow = im2col_loop(x.reshape(b * c, 1, h, w), size, size, stride, 0)
+    idx = cols.argmax(axis=1)
+    out = np.take_along_axis(cols, idx[:, None, :], axis=1)[:, 0, :]
+    dcols = np.zeros(cols.shape, dtype=dy.dtype)
+    np.put_along_axis(dcols, idx[:, None, :], dy.reshape(b * c, 1, -1), axis=1)
+    dx = col2im_loop(dcols, (b * c, 1, h, w), size, size, stride, 0)
+    return out.reshape(b, c, oh, ow), dx.reshape(x.shape)
+
+
+def batchnorm_reference(x2, gamma, beta, running_mean, running_var, momentum, eps, train):
+    """Batch norm on (n, features): output, normalized input, 1/std and the
+    running mean and variance after the call; training uses the batch's
+    `np.var`, evaluation the running statistics."""
+    if train:
+        mu = x2.mean(axis=0)
+        var = x2.var(axis=0)
+        running_mean = momentum * running_mean + (1 - momentum) * mu
+        running_var = momentum * running_var + (1 - momentum) * var
+    else:
+        mu, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x2 - mu) * inv_std
+    return gamma * xhat + beta, xhat, inv_std, running_mean, running_var
+
+
+def batchnorm_backward_reference(dy2, xhat, inv_std, gamma, train):
+    """Input gradient, dgamma and dbeta of batch norm on (n, features)."""
+    dgamma = (dy2 * xhat).sum(axis=0)
+    dbeta = dy2.sum(axis=0)
+    g = dy2 * gamma
+    if train:
+        n = dy2.shape[0]
+        return inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).sum(axis=0) / n), dgamma, dbeta
+    return g * inv_std, dgamma, dbeta
+
+
+def assert_bits_equal(got, want):
+    """Same shape and the same float64 bit pattern in every entry, so -0.0
+    differs from 0.0 and NaN payloads count."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    g = np.ascontiguousarray(got).view(np.int64)
+    w = np.ascontiguousarray(want).view(np.int64)
+    bad = np.flatnonzero(g != w)
+    assert bad.size == 0, f"{bad.size} entries differ, first at {bad[:5]}: {got.ravel()[bad[:5]]} vs {want.ravel()[bad[:5]]}"

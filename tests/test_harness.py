@@ -248,6 +248,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             mlp_config(network=[layer, *network[1:]])
 
+    def test_unchained_widths_rejected_at_load(self):
+        network = mlp_config().network
+        with pytest.raises(ValueError, match=r"network\[2\] fc 'fc2': in 5 does not match "
+                                             r"width 8 of 'fc0'"):
+            mlp_config(network=[*network[:2], {"kind": "fc", "in": 5, "out": 2},
+                                *network[3:]])
+
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
         blocks = re.findall(r"```yaml\n(.*?)```", readme, re.S)

@@ -1,0 +1,208 @@
+"""Conv2D, MaxPool2D and BatchNorm against their first versions in
+`oracles.py`, bit for bit: outputs, input gradients, parameter gradients and
+running statistics.  Bit patterns are compared, so -0.0 differs from 0.0 and
+NaN payloads count."""
+
+import numpy as np
+import pytest
+
+from qatkit.nn import BatchNorm, Conv2D, MaxPool2D, build_network, cross_entropy
+
+from oracles import (
+    assert_bits_equal,
+    batchnorm_backward_reference,
+    batchnorm_reference,
+    conv2d_reference,
+    maxpool2d_reference,
+)
+
+
+def nhwc(a):
+    """The same values laid out channels-last in memory, as a convolution's
+    einsum output and the layers after it are."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def from_bits(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+# -- max pool ----------------------------------------------------------------
+
+def check_maxpool(x, size, stride=None, dy=None, seed=0):
+    layer = MaxPool2D("pool", size, stride)
+    out = layer.forward(x)
+    if dy is None:
+        dy = np.random.default_rng(seed).normal(size=out.shape)
+    dx = layer.backward(dy.copy())
+    want_out, want_dx = maxpool2d_reference(x, dy, size, stride or size)
+    assert_bits_equal(out, want_out)
+    assert_bits_equal(dx, want_dx)
+
+
+@pytest.mark.parametrize("size, stride, hw", [
+    (2, None, (8, 8)),
+    (3, None, (9, 6)),
+    (2, None, (7, 9)),  # not divisible: the last row and column are dropped
+    (3, None, (8, 10)),
+    (2, 1, (6, 7)),  # overlapping windows
+    (3, 1, (5, 5)),
+    (3, 2, (9, 8)),
+    (1, None, (3, 4)),
+])
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, nhwc])
+def test_maxpool_random(size, stride, hw, layout):
+    x = np.random.default_rng(1).normal(size=(3, 4, *hw))
+    check_maxpool(layout(x), size, stride)
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+def test_maxpool_ties(stride):
+    # few distinct values: most windows hold several equal maxima
+    x = np.random.default_rng(2).integers(-1, 2, size=(4, 3, 8, 8)).astype(np.float64)
+    check_maxpool(x, 2, stride)
+    check_maxpool(nhwc(x), 3, stride)
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+def test_maxpool_mixed_signed_zeros(stride):
+    rng = np.random.default_rng(3)
+    x = rng.choice(np.array([-0.0, 0.0, -1.0]), size=(4, 3, 6, 6))
+    dy_shape = MaxPool2D("p", 2, stride).forward(x).shape
+    dy = rng.normal(size=dy_shape)
+    dy[rng.random(dy_shape) < 0.3] = -0.0
+    check_maxpool(x, 2, stride, dy=dy)
+    check_maxpool(nhwc(x), 2, stride, dy=dy)
+
+
+def test_maxpool_first_zero_wins():
+    x = np.array([[[[-0.0, 0.0], [-1.0, 0.0]]], [[[0.0, -0.0], [-0.0, -2.0]]]])
+    out = MaxPool2D("p", 2).forward(x)
+    assert np.signbit(out[0, 0, 0, 0]) and not np.signbit(out[1, 0, 0, 0])
+    check_maxpool(x, 2)
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+def test_maxpool_nan_propagates_first_nan(stride):
+    rng = np.random.default_rng(4)
+    x = rng.normal(size=(3, 2, 6, 6))
+    # quiet NaNs with distinct payloads, one of them negative
+    nans = from_bits(0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000003)
+    x.reshape(-1)[rng.choice(x.size, 12, replace=False)] = np.resize(nans, 12)
+    x[0, 0, 0, :2] = nans[:2]  # two NaNs in one window
+    x[0, 1, 0, 1] = nans[2]  # a NaN after a number
+    check_maxpool(x, 2, stride)
+    check_maxpool(nhwc(x), 3, stride)
+    out = MaxPool2D("p", 2).forward(x)
+    assert out[0, 0, 0, 0].view(np.uint64) == nans[0].view(np.uint64)
+
+
+# -- convolution -------------------------------------------------------------
+
+@pytest.mark.parametrize("batch, in_ch, out_ch, kernel, stride, pad, hw", [
+    (32, 1, 12, 3, 1, 1, (8, 8)),  # the cnn-digits layer
+    (7, 3, 5, 3, 2, 1, (9, 9)),
+    (5, 4, 8, 2, 1, 0, (6, 7)),
+    (3, 2, 3, 5, 2, 2, (11, 10)),
+    (4, 3, 4, 1, 1, 0, (5, 5)),
+    (2, 1, 1, 1, 3, 1, (7, 4)),
+])
+def test_conv2d_matches_reference(batch, in_ch, out_ch, kernel, stride, pad, hw):
+    rng = np.random.default_rng(5)
+    layer = Conv2D("conv", in_ch, out_ch, kernel, rng, stride=stride, padding=pad)
+    layer.params["b"] = rng.normal(size=out_ch)
+    x = rng.normal(size=(batch, in_ch, *hw))
+    out = layer.forward(x)
+    dy = rng.normal(size=out.shape)
+    dx = layer.backward(dy.copy())
+    want_out, want_dx, dW, db = conv2d_reference(x, layer.params["W"], layer.params["b"],
+                                                 dy, stride, pad)
+    assert_bits_equal(out, want_out)
+    assert_bits_equal(dx, want_dx)
+    assert_bits_equal(layer.grads["W"], np.zeros_like(dW) + dW)
+    assert_bits_equal(layer.grads["b"], np.zeros_like(db) + db)
+
+    # without the input gradient: nothing returned, the same parameter gradients
+    grads = {k: g.copy() for k, g in layer.grads.items()}
+    layer.zero_grads()
+    layer.forward(x)
+    assert layer.backward(dy.copy(), need_dx=False) is None
+    for k, g in grads.items():
+        assert_bits_equal(layer.grads[k], g)
+
+
+# -- batch norm --------------------------------------------------------------
+
+@pytest.mark.parametrize("shape, layout", [
+    ((16, 5), None),
+    ((4, 3, 5, 6), np.ascontiguousarray),
+    ((4, 3, 5, 6), nhwc),
+])
+@pytest.mark.parametrize("train", [True, False])
+def test_batchnorm_matches_reference(shape, layout, train):
+    rng = np.random.default_rng(6)
+    features = shape[1]
+    layer = BatchNorm("bn", features, momentum=0.8)
+    layer.params["gamma"] = rng.normal(size=features)
+    layer.params["beta"] = rng.normal(size=features)
+    layer.running_mean = rng.normal(size=features)
+    layer.running_var = rng.uniform(0.5, 2.0, size=features)
+    x = 3.0 + rng.normal(size=shape)
+    if layout is not None:
+        x = layout(x)
+    rm, rv = layer.running_mean.copy(), layer.running_var.copy()
+    out = layer.forward(x, train=train)
+    dy = rng.normal(size=out.shape)
+    dx = layer.backward(dy.copy())
+
+    def to2d(a):
+        return a if a.ndim == 2 else a.transpose(0, 2, 3, 1).reshape(-1, features)
+
+    want_y, xhat, inv_std, want_rm, want_rv = batchnorm_reference(
+        to2d(x), layer.params["gamma"], layer.params["beta"], rm, rv, 0.8, layer.eps, train)
+    want_dx, dgamma, dbeta = batchnorm_backward_reference(
+        to2d(dy), xhat, inv_std, layer.params["gamma"], train)
+    assert_bits_equal(to2d(out), want_y)
+    assert_bits_equal(to2d(dx), want_dx)
+    assert_bits_equal(layer.grads["gamma"], np.zeros(features) + dgamma)
+    assert_bits_equal(layer.grads["beta"], np.zeros(features) + dbeta)
+    assert_bits_equal(layer.running_mean, want_rm)
+    assert_bits_equal(layer.running_var, want_rv)
+
+
+# -- the network skips the first layer's input gradient ------------------------
+
+NETWORKS = {
+    "cnn": ([{"kind": "conv2d", "in_ch": 1, "out_ch": 4, "kernel": 3, "padding": 1},
+             {"kind": "batchnorm", "features": 4}, {"kind": "activation", "fn": "relu"},
+             {"kind": "maxpool2d", "size": 2}, {"kind": "flatten"},
+             {"kind": "fc", "in": 36, "out": 3}, {"kind": "softmax"}], (8, 1, 6, 6), (8,)),
+    "mlp": ([{"kind": "fc", "in": 5, "out": 4}, {"kind": "activation", "fn": "tanh"},
+             {"kind": "fc", "in": 4, "out": 3}, {"kind": "softmax"}], (8, 5), (8,)),
+    "lstm": ([{"kind": "lstm", "in": 3, "hidden": 4}, {"kind": "fc", "in": 4, "out": 3},
+              {"kind": "softmax"}], (5, 2, 3), (5, 2)),
+    "batchnorm first": ([{"kind": "batchnorm", "features": 5}, {"kind": "fc", "in": 5, "out": 3},
+                         {"kind": "softmax"}], (8, 5), (8,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_first_layer_skip_keeps_every_gradient(name):
+    cfgs, x_shape, label_shape = NETWORKS[name]
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=x_shape)
+    labels = rng.integers(0, 3, size=label_shape)
+    nets = [build_network(cfgs, np.random.default_rng(8)) for _ in range(2)]
+    grads = []
+    for skip, net in zip((True, False), nets):
+        _, dout = cross_entropy(net.forward(x), labels)
+        if skip:
+            assert net.backward(dout) is None
+        else:  # every layer, the first included, computes its input gradient
+            for ly in reversed(net.layers):
+                dout = ly.backward(dout)
+            assert dout.shape == x.shape
+        grads.append(net.get_grads())
+    assert grads[0].keys() == grads[1].keys()
+    for k in grads[0]:
+        assert_bits_equal(grads[0][k], grads[1][k])

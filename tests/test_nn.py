@@ -78,6 +78,29 @@ class TestForward:
         with pytest.raises(ShapeError, match="first"):
             net.forward(np.zeros((1, 4)))
 
+    @pytest.mark.parametrize("cfgs, message", [
+        ([{"kind": "fc", "in": 4, "out": 3}, {"kind": "activation", "fn": "relu"},
+          {"kind": "fc", "in": 5, "out": 2}],
+         r"network\[2\] fc 'fc2': in 5 does not match width 3 of 'fc0'"),
+        ([{"kind": "fc", "in": 4, "out": 3}, {"kind": "batchnorm", "features": 3},
+          {"kind": "softmax"}, {"kind": "fc", "in": 4, "out": 2, "name": "head"}],
+         r"network\[3\] fc 'head': in 4 does not match width 3 of 'fc0'"),
+        ([{"kind": "lstm", "in": 3, "hidden": 6}, {"kind": "fc", "in": 3, "out": 2}],
+         r"network\[1\] fc 'fc1': in 3 does not match width 6 of 'lstm0'"),
+        ([{"kind": "fc", "in": 3, "out": 4}, {"kind": "lstm", "in": 3, "hidden": 2}],
+         r"network\[1\] lstm 'lstm1': in 3 does not match width 4 of 'fc0'"),
+    ], ids=["fc-relu-fc", "through-batchnorm-softmax", "lstm-fc", "fc-lstm"])
+    def test_unchained_widths_rejected_at_build(self, cfgs, message):
+        with pytest.raises(ValueError, match=message):
+            build_network(cfgs, rng())
+
+    def test_flatten_and_conv_end_the_width_chain(self):
+        build_network([{"kind": "fc", "in": 4, "out": 3}, {"kind": "flatten"},
+                       {"kind": "fc", "in": 7, "out": 2}], rng())
+        build_network([{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 3},
+                       {"kind": "maxpool2d", "size": 2}, {"kind": "flatten"},
+                       {"kind": "fc", "in": 8, "out": 2}], rng())
+
     def test_backward_without_forward(self):
         net = build_network([{"kind": "fc", "in": 2, "out": 2}], rng())
         with pytest.raises(InvalidStateError):

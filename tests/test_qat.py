@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -139,6 +141,16 @@ class TestInitQuantization:
         with pytest.raises(DegenerateGroupError, match="dead") as e:
             qat.init_quantization({"dead.W": np.zeros(4)}, {"dead": ["dead.W"]}, 2)
         assert str(e.value).count("dead") == 1, str(e.value)
+
+    @pytest.mark.parametrize("values, bits", [
+        ([5e-324, 1e-323, 1.5e-323, 5e-324, -1e-323], 4),
+        ([1e-300, 5e-324, -1e-310], 3),
+    ], ids=["subnormal", "underflowing-squares"])
+    def test_underflowing_group_names_group(self, values, bits):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateGroupError, match="'tiny'.*step 0.0"):
+                qat.init_quantization({"tiny.W": np.array(values)}, {"tiny": ["tiny.W"]}, bits)
 
     def test_non_quantizable_shared_by_reference(self):
         master = {"a.W": np.array([1.0, -1.0]), "a.b": np.array([0.5])}
