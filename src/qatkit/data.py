@@ -3,6 +3,7 @@ and seeded synthetic classification data at desk scale."""
 
 from __future__ import annotations
 
+import bisect
 import struct
 from dataclasses import dataclass, field
 
@@ -164,6 +165,9 @@ def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
     return text_splits(text, fractions)
 
 
+_TEXT_DRAW_CHUNK = 1024  # uniforms drawn per rng.random call in synthetic_text
+
+
 def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2) -> str:
     """Seeded Markov-chain text with nontrivial but learnable structure.
 
@@ -182,11 +186,18 @@ def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2
     for c in out:
         state = state * v + int(c)
     state %= n_states
-    for _ in range(n_chars - order):
-        j = rng.choice(k, p=weights[state])
-        c = int(succ[state, j])
-        out.append(c)
-        state = (state * v + c) % n_states
+    # rng.choice(k, p=weights[state]) per character, without its per-call
+    # overhead: choice draws one rng.random() and returns
+    # searchsorted(cdf, u, 'right') with cdf = p.cumsum() / its last entry
+    cdf = weights.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    cdf, succ = cdf.tolist(), succ.tolist()
+    n_draws = max(n_chars - order, 0)
+    for start in range(0, n_draws, _TEXT_DRAW_CHUNK):
+        for u in rng.random(min(_TEXT_DRAW_CHUNK, n_draws - start)).tolist():
+            c = succ[state][bisect.bisect_right(cdf[state], u)]
+            out.append(c)
+            state = (state * v + c) % n_states
     return "".join(chars[c] for c in out)
 
 

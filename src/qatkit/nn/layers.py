@@ -5,6 +5,7 @@ gradients accumulate into `grads` keyed like `params`.  Weight matrices are
 marked quantizable; biases and batch-norm gain/shift are not.  `backward`
 returns the input gradient; with `need_dx=False` a layer with weights may skip
 computing it and return None (the first layer of a network has no use for it).
+Image activations are channels-first: (batch, channels, h, w).
 """
 
 from __future__ import annotations
@@ -188,22 +189,22 @@ class Conv2D(Layer):
             )
         cols, oh, ow = _im2col(x, self.kernel, self.stride, self.padding)
         wmat = self.params["W"].reshape(self.out_ch, -1)
-        out = np.einsum("ok,bkp->bop", wmat, cols, optimize=True)
-        out += self.params["b"][None, :, None]
+        out = wmat @ cols  # (b, out_ch, oh*ow): channels-first and contiguous
+        out += self.params["b"][:, None]
         self._cache = (x.shape, cols)
         return out.reshape(x.shape[0], self.out_ch, oh, ow)
 
     def backward(self, dy, need_dx=True):
         x_shape, cols = self._take_cache()
         dym = dy.reshape(dy.shape[0], self.out_ch, -1)
-        self.grads["W"] += np.einsum("bop,bkp->ok", dym, cols, optimize=True).reshape(
-            self.params["W"].shape
-        )
+        # one GEMM over batch x positions: (out_ch, b*P) @ (b*P, in_ch*k*k)
+        dym_t = dym.transpose(1, 0, 2).reshape(self.out_ch, -1)
+        cols_t = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
+        self.grads["W"] += (dym_t @ cols_t.T).reshape(self.params["W"].shape)
         self.grads["b"] += dym.sum(axis=(0, 2))
         if not need_dx:
             return None
-        wmat = self.params["W"].reshape(self.out_ch, -1)
-        dcols = np.einsum("ok,bop->bkp", wmat, dym, optimize=True)
+        dcols = self.params["W"].reshape(self.out_ch, -1).T @ dym
         return _col2im(dcols, x_shape, self.kernel, self.stride, self.padding)
 
 
@@ -251,8 +252,9 @@ class MaxPool2D(Layer):
 class BatchNorm(Layer):
     """Batch normalization over features; gain/shift stay floating point.
 
-    Accepts (batch, features) or (batch, channels, h, w); running averages
-    with the configured momentum are used at inference.
+    Accepts (batch, features) or (batch, channels, h, w), with statistics per
+    feature or channel over every other axis; running averages with the
+    configured momentum are used at inference.
     """
 
     def __init__(self, name, features, momentum=0.9, eps=1e-5):
@@ -264,48 +266,49 @@ class BatchNorm(Layer):
         self.running_var = np.ones(features)
         self.zero_grads()
 
-    def _to2d(self, x):
-        if x.ndim == 2:
-            return x, None
-        if x.ndim == 4:
-            b, c, h, w = x.shape
-            return x.transpose(0, 2, 3, 1).reshape(-1, c), (b, c, h, w)
-        raise ShapeError(f"{self.name}: expected 2-d or 4-d input, got {x.shape}")
-
     def forward(self, x, train=True):
-        x2, orig = self._to2d(x)
-        if x2.shape[1] != self.features:
+        if x.ndim not in (2, 4):
+            raise ShapeError(f"{self.name}: expected 2-d or 4-d input, got {x.shape}")
+        if x.shape[1] != self.features:
             raise ShapeError(
-                f"{self.name}: expected {self.features} features, got {x2.shape[1]}"
+                f"{self.name}: expected {self.features} features, got {x.shape[1]}"
             )
+        # statistics over every axis but the channel axis 1; per-channel
+        # vectors reshaped to `col` broadcast along it
+        axes = (0,) if x.ndim == 2 else (0, 2, 3)
+        col = (-1,) + (1,) * (x.ndim - 2)
         if train:
-            mu = x2.mean(axis=0)
-            xhat = x2 - mu
-            var = (xhat * xhat).sum(axis=0) / x2.shape[0]  # the steps of x2.var(axis=0)
+            mu = x.mean(axis=axes)
+            xhat = x - mu.reshape(col)
+            var = (xhat * xhat).sum(axis=axes) / (x.size // self.features)
             self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mu
             self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
         else:
             mu, var = self.running_mean, self.running_var
-            xhat = x2 - mu
+            xhat = x - mu.reshape(col)
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat *= inv_std
-        y2 = self.params["gamma"] * xhat
-        y2 += self.params["beta"]
-        self._cache = (xhat, inv_std, orig, train)
-        return y2 if orig is None else y2.reshape(orig[0], orig[2], orig[3], orig[1]).transpose(0, 3, 1, 2)
+        xhat *= inv_std.reshape(col)
+        y = self.params["gamma"].reshape(col) * xhat
+        y += self.params["beta"].reshape(col)
+        self._cache = (xhat, inv_std, axes, col, train)
+        return y
 
     def backward(self, dy, need_dx=True):
-        xhat, inv_std, orig, train = self._take_cache()
-        dy2 = dy if orig is None else dy.transpose(0, 2, 3, 1).reshape(-1, orig[1])
-        self.grads["gamma"] += (dy2 * xhat).sum(axis=0)
-        self.grads["beta"] += dy2.sum(axis=0)
-        g = dy2 * self.params["gamma"]
+        xhat, inv_std, axes, col, train = self._take_cache()
+        sum_dy = dy.sum(axis=axes)
+        sum_dy_xhat = (dy * xhat).sum(axis=axes)
+        self.grads["gamma"] += sum_dy_xhat
+        self.grads["beta"] += sum_dy
+        gamma = self.params["gamma"]
         if train:
-            n = dy2.shape[0]
-            dx2 = inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).sum(axis=0) / n)
+            n = dy.size // self.features
+            dx = dy - (sum_dy / n).reshape(col)
+            dx -= xhat * (sum_dy_xhat / n).reshape(col)
+            dx *= (gamma * inv_std).reshape(col)
         else:
-            dx2 = g * inv_std
-        return dx2 if orig is None else dx2.reshape(orig[0], orig[2], orig[3], orig[1]).transpose(0, 3, 1, 2)
+            dx = dy * gamma.reshape(col)
+            dx *= inv_std.reshape(col)
+        return dx
 
 
 class LSTM(Layer):

@@ -109,12 +109,15 @@ class AdaDelta:
     def update(self, params: dict, grads: dict, lr: float):
         for k, w in params.items():
             g = grads[k]
-            eg = self.eg.get(k, np.zeros_like(g))
-            ex = self.ex.get(k, np.zeros_like(g))
-            eg = self.rho * eg + (1 - self.rho) * g * g
+            if k not in self.eg:
+                self.eg[k], self.ex[k] = np.zeros_like(g), np.zeros_like(g)
+            eg, ex = self.eg[k], self.ex[k]
+            # eg <- rho*eg + (1-rho)*g*g and ex likewise, in place
+            eg *= self.rho
+            eg += (1 - self.rho) * g * g
             dx = -np.sqrt(ex + self.eps) / np.sqrt(eg + self.eps) * g
-            ex = self.rho * ex + (1 - self.rho) * dx * dx
-            self.eg[k], self.ex[k] = eg, ex
+            ex *= self.rho
+            ex += (1 - self.rho) * dx * dx
             w += lr * dx
 
 

@@ -136,7 +136,8 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     is bit-identical to the one-breakpoint-at-a-time reference
     (`tests/oracles.optimize_step_loop`).
 
-    Raises DegenerateGroupError for an all-zero group.  The returned step is
+    Raises DegenerateGroupError for an all-zero group, and ValueError naming
+    the group when the sum of its squared weights overflows.  The returned step is
     the smallest global minimizer, deterministically.
     """
     if M < 3 or M % 2 == 0:
@@ -149,7 +150,13 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
         raise DegenerateGroupError(
             f"group {group.group_id!r} is all zeros; no positive step exists"
         )
-    sum_w2 = float(np.dot(absw, absw))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sum_w2 = float(np.dot(absw, absw))
+    if not math.isfinite(sum_w2):
+        raise ValueError(
+            f"group {group.group_id!r}: the sum of squared weights overflows (largest "
+            f"magnitude {absw.max():.6g}); no step can be solved in double precision"
+        )
     s1 = max_level * float(absw.sum())
     s2 = float(max_level) ** 2 * n
     rank = np.argsort(absw, kind="stable")

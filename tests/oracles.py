@@ -6,8 +6,12 @@ searches evaluate the squared-error objective per candidate, the step-solver
 reference walks the breakpoints one at a time, and the gradient checker uses
 central finite differences.  The layer references are the first versions of
 the convolution (im2col and col2im loops around einsum), the max pool (im2col,
-argmax and col2im) and the batch-norm training forward pass (`np.var`); the
-layers must match them bit for bit.
+argmax and col2im) and batch norm on a channels-last (n, features) view
+(`np.var`).  The max pool and batch norm in evaluation must match them bit for
+bit; the convolution and the batch-norm sums over the batch, which now run
+channels-first, within `assert_close_to_reference`.  The first synthetic-text
+generator (one `rng.choice` per character) and the first AdaDelta update
+(new state arrays on every call) must be matched exactly.
 """
 
 import math
@@ -165,6 +169,42 @@ def relative_error(a, b, floor=1e-8):
     return float((num / den).max())
 
 
+def synthetic_text_loop(n_chars, seed, vocab_size=26, order=2):
+    """The first `data.synthetic_text`: one rng.choice(k, p=...) per character."""
+    rng = np.random.default_rng(seed)
+    chars = [chr(ord("a") + i) for i in range(min(vocab_size, 26))]
+    v = len(chars)
+    n_states = v ** order
+    k = min(4, v)
+    succ = rng.integers(0, v, size=(n_states, k))
+    weights = rng.dirichlet(np.ones(k) * 0.5, size=n_states)
+    out = list(rng.integers(0, v, size=order))
+    state = 0
+    for c in out:
+        state = state * v + int(c)
+    state %= n_states
+    for _ in range(n_chars - order):
+        j = rng.choice(k, p=weights[state])
+        c = int(succ[state, j])
+        out.append(c)
+        state = (state * v + c) % n_states
+    return "".join(chars[c] for c in out)
+
+
+def adadelta_update_loop(params, grads, eg, ex, lr, rho, eps):
+    """The first AdaDelta update: fresh zero state for a new key, and new
+    state arrays on every call.  Mutates params; eg and ex map key -> array."""
+    for k, w in params.items():
+        g = grads[k]
+        e_g = eg.get(k, np.zeros_like(g))
+        e_x = ex.get(k, np.zeros_like(g))
+        e_g = rho * e_g + (1 - rho) * g * g
+        dx = -np.sqrt(e_x + eps) / np.sqrt(e_g + eps) * g
+        e_x = rho * e_x + (1 - rho) * dx * dx
+        eg[k], ex[k] = e_g, e_x
+        w += lr * dx
+
+
 # -- layer references --------------------------------------------------------
 
 def im2col_loop(x, kh, kw, stride, pad):
@@ -260,3 +300,19 @@ def assert_bits_equal(got, want):
     w = np.ascontiguousarray(want).view(np.int64)
     bad = np.flatnonzero(g != w)
     assert bad.size == 0, f"{bad.size} entries differ, first at {bad[:5]}: {got.ravel()[bad[:5]]} vs {want.ravel()[bad[:5]]}"
+
+
+def assert_close_to_reference(got, want, rtol=1e-12):
+    """Same shape, and every entry within rtol of the reference entry plus an
+    absolute term of rtol times the reference's largest magnitude, so entries
+    near zero from cancelling sums are held to the array's scale.  For results
+    whose arithmetic runs in another order than the reference's."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    assert got.shape == want.shape, (got.shape, want.shape)
+    scale = np.abs(want).max(initial=0.0)
+    err = np.abs(got - want)
+    bad = np.flatnonzero(~(err <= rtol * (np.abs(want) + scale)))
+    assert bad.size == 0, (
+        f"{bad.size} entries off by more than rtol {rtol}, first at {bad[:5]}: "
+        f"{got.ravel()[bad[:5]]} vs {want.ravel()[bad[:5]]}"
+    )

@@ -1,7 +1,10 @@
 """Conv2D, MaxPool2D and BatchNorm against their first versions in
-`oracles.py`, bit for bit: outputs, input gradients, parameter gradients and
-running statistics.  Bit patterns are compared, so -0.0 differs from 0.0 and
-NaN payloads count."""
+`oracles.py`: outputs, input gradients, parameter gradients and running
+statistics.  Max pool, batch norm in evaluation and the first-layer skip are
+compared bit for bit (bit patterns, so -0.0 differs from 0.0 and NaN payloads
+count).  The convolution's GEMMs and batch norm's sums over (batch, h, w) run
+channels-first, in another order than the channels-last references, and are
+compared within `assert_close_to_reference`'s rtol of 1e-12."""
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from qatkit.nn import BatchNorm, Conv2D, MaxPool2D, build_network, cross_entropy
 
 from oracles import (
     assert_bits_equal,
+    assert_close_to_reference,
     batchnorm_backward_reference,
     batchnorm_reference,
     conv2d_reference,
@@ -18,8 +22,8 @@ from oracles import (
 
 
 def nhwc(a):
-    """The same values laid out channels-last in memory, as a convolution's
-    einsum output and the layers after it are."""
+    """The same values laid out channels-last in memory.  The layers take
+    either layout; their 4-d outputs are channels-first."""
     return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
 
 
@@ -117,10 +121,10 @@ def test_conv2d_matches_reference(batch, in_ch, out_ch, kernel, stride, pad, hw)
     dx = layer.backward(dy.copy())
     want_out, want_dx, dW, db = conv2d_reference(x, layer.params["W"], layer.params["b"],
                                                  dy, stride, pad)
-    assert_bits_equal(out, want_out)
-    assert_bits_equal(dx, want_dx)
-    assert_bits_equal(layer.grads["W"], np.zeros_like(dW) + dW)
-    assert_bits_equal(layer.grads["b"], np.zeros_like(db) + db)
+    assert_close_to_reference(out, want_out)
+    assert_close_to_reference(dx, want_dx)
+    assert_close_to_reference(layer.grads["W"], dW)
+    assert_close_to_reference(layer.grads["b"], db)
 
     # without the input gradient: nothing returned, the same parameter gradients
     grads = {k: g.copy() for k, g in layer.grads.items()}
@@ -162,12 +166,30 @@ def test_batchnorm_matches_reference(shape, layout, train):
         to2d(x), layer.params["gamma"], layer.params["beta"], rm, rv, 0.8, layer.eps, train)
     want_dx, dgamma, dbeta = batchnorm_backward_reference(
         to2d(dy), xhat, inv_std, layer.params["gamma"], train)
-    assert_bits_equal(to2d(out), want_y)
-    assert_bits_equal(to2d(dx), want_dx)
-    assert_bits_equal(layer.grads["gamma"], np.zeros(features) + dgamma)
-    assert_bits_equal(layer.grads["beta"], np.zeros(features) + dbeta)
-    assert_bits_equal(layer.running_mean, want_rm)
-    assert_bits_equal(layer.running_var, want_rv)
+    # evaluation is elementwise and keeps the reference's operation order;
+    # training normalizes with sums over the batch
+    check = assert_close_to_reference if train else assert_bits_equal
+    check(to2d(out), want_y)
+    check(to2d(dx), want_dx)
+    check(layer.running_mean, want_rm)
+    check(layer.running_var, want_rv)
+    # the parameter gradients are sums over the batch in both modes
+    assert_close_to_reference(layer.grads["gamma"], dgamma)
+    assert_close_to_reference(layer.grads["beta"], dbeta)
+
+
+@pytest.mark.parametrize("layout", [np.ascontiguousarray, nhwc])
+def test_conv_and_batchnorm_outputs_are_channels_first_contiguous(layout):
+    rng = np.random.default_rng(9)
+    conv = Conv2D("conv", 2, 3, 3, rng, padding=1)
+    bn = BatchNorm("bn", 3)
+    y = conv.forward(layout(rng.normal(size=(4, 2, 6, 5))))
+    assert y.shape == (4, 3, 6, 5) and y.flags.c_contiguous
+    for train in (True, False):
+        z = bn.forward(y, train=train)
+        assert z.flags.c_contiguous
+        assert bn.backward(np.ones_like(z)).flags.c_contiguous
+    assert conv.backward(np.ones_like(y)).shape == (4, 2, 6, 5)
 
 
 # -- the network skips the first layer's input gradient ------------------------

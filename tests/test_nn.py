@@ -17,7 +17,12 @@ from qatkit.nn import (
 )
 from qatkit.nn.layers import InvalidStateError
 
-from oracles import finite_difference_grads, relative_error
+from oracles import (
+    adadelta_update_loop,
+    assert_bits_equal,
+    finite_difference_grads,
+    relative_error,
+)
 
 
 def rng():
@@ -122,24 +127,25 @@ class TestForward:
 
 def check_gradients(layer_cfgs, x, target_shape=None, labels=None, tol=1e-4, seed=0):
     """Analytic vs central-difference gradients through a squared-error or
-    cross-entropy head."""
+    cross-entropy head.  The input keeps its memory layout (copies are
+    order K)."""
     r = np.random.default_rng(seed)
     net = build_network(layer_cfgs, r)
 
     if labels is not None:
         def scalar_loss():
             net.reset_state()
-            return cross_entropy(net.forward(x.copy(), train=True), labels)[0]
+            return cross_entropy(net.forward(x.copy(order="K"), train=True), labels)[0]
     else:
         target = np.random.default_rng(seed + 1).normal(size=target_shape)
 
         def scalar_loss():
             net.reset_state()
-            return squared_error(net.forward(x.copy(), train=True), target)[0]
+            return squared_error(net.forward(x.copy(order="K"), train=True), target)[0]
 
     net.reset_state()
     net.zero_grads()
-    out = net.forward(x.copy(), train=True)
+    out = net.forward(x.copy(order="K"), train=True)
     if labels is not None:
         _, dout = cross_entropy(out, labels)
     else:
@@ -181,6 +187,25 @@ class TestGradients:
             np.random.default_rng(4).normal(size=(2, 1, 6, 6)),
             target_shape=(2, 2, 3, 3),
         )
+
+    def test_conv2d_stride_several_channels(self):
+        check_gradients(
+            [{"kind": "conv2d", "in_ch": 3, "out_ch": 4, "kernel": 3, "stride": 2,
+              "padding": 1}],
+            np.random.default_rng(11).normal(size=(2, 3, 7, 7)),
+            target_shape=(2, 4, 4, 4), tol=1e-7,
+        )
+
+    @pytest.mark.parametrize("layout", ["nchw", "nhwc"])
+    @pytest.mark.parametrize("conv", [True, False], ids=["conv2d-first", "batchnorm-first"])
+    def test_batchnorm_4d_training_mode(self, conv, layout):
+        x = np.random.default_rng(12).normal(size=(3, 2, 5, 5))
+        if layout == "nhwc":  # the same values, channels-last in memory
+            x = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        cfgs = [{"kind": "batchnorm", "features": 3 if conv else 2}]
+        if conv:
+            cfgs.insert(0, {"kind": "conv2d", "in_ch": 2, "out_ch": 3, "kernel": 3, "padding": 1})
+        check_gradients(cfgs, x, target_shape=(3, 3 if conv else 2, 5, 5), tol=1e-5)
 
     def test_maxpool(self):
         check_gradients(
@@ -327,6 +352,26 @@ class TestOptimizers:
         eg = (1 - rho) * g * g
         dx = -np.sqrt(eps) / np.sqrt(eg + eps) * g
         np.testing.assert_allclose(w["w"], 2.0 + lr * dx, rtol=1e-12)
+
+    def test_adadelta_matches_first_update_bit_for_bit(self):
+        r = np.random.default_rng(13)
+        shapes = {"W": (6, 5), "b": (5,)}
+        params = {k: r.normal(size=s) for k, s in shapes.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        want_eg, want_ex = {}, {}
+        opt = AdaDelta(rho=0.95, eps=1e-6)
+        for step in range(200):
+            # gradients from 1e-8 to 1e3, both signs, some exactly zero
+            grads = {k: r.normal(size=s) * 10.0 ** r.uniform(-8, 3, size=s)
+                     for k, s in shapes.items()}
+            grads["b"][r.random(5) < 0.2] = 0.0
+            lr = r.choice([1.0, 0.5, 1e-3])
+            opt.update(params, grads, lr)
+            adadelta_update_loop(want, grads, want_eg, want_ex, lr, 0.95, 1e-6)
+        for k in shapes:
+            assert_bits_equal(params[k], want[k])
+            assert_bits_equal(opt.eg[k], want_eg[k])
+            assert_bits_equal(opt.ex[k], want_ex[k])
 
     def test_make_optimizer_dispatch(self):
         assert isinstance(make_optimizer(OptimizerConfig(kind="adadelta")), AdaDelta)

@@ -152,6 +152,18 @@ class TestInitQuantization:
             with pytest.raises(DegenerateGroupError, match="'tiny'.*step 0.0"):
                 qat.init_quantization({"tiny.W": np.array(values)}, {"tiny": ["tiny.W"]}, bits)
 
+    def test_overflowing_group_names_group_and_magnitude(self):
+        master = {"big.W": np.array([3e160, -1e160, 2e159])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="'big'.*overflows.*3e\\+160"):
+                qat.init_quantization(master, {"big": ["big.W"]}, 3)
+            shadow = qat.init_quantization({"big.W": np.array([1.0, -0.5, 0.2])}, {"big": ["big.W"]}, 3)
+            shadow.master["big.W"][:] = master["big.W"]
+            # not swallowed as a degenerate group by the adaptive re-solve
+            with pytest.raises(ValueError, match="'big'.*overflows"):
+                shadow.update_steps()
+
     def test_non_quantizable_shared_by_reference(self):
         master = {"a.W": np.array([1.0, -1.0]), "a.b": np.array([0.5])}
         shadow = qat.init_quantization(master, {"a": ["a.W"]}, 2)
