@@ -165,9 +165,6 @@ def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
     return text_splits(text, fractions)
 
 
-_TEXT_DRAW_CHUNK = 1024  # uniforms drawn per rng.random call in synthetic_text
-
-
 def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2) -> str:
     """Seeded Markov-chain text with nontrivial but learnable structure.
 
@@ -192,12 +189,10 @@ def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2
     cdf = weights.cumsum(axis=1)
     cdf /= cdf[:, -1:]
     cdf, succ = cdf.tolist(), succ.tolist()
-    n_draws = max(n_chars - order, 0)
-    for start in range(0, n_draws, _TEXT_DRAW_CHUNK):
-        for u in rng.random(min(_TEXT_DRAW_CHUNK, n_draws - start)).tolist():
-            c = succ[state][bisect.bisect_right(cdf[state], u)]
-            out.append(c)
-            state = (state * v + c) % n_states
+    for u in rng.random(max(n_chars - order, 0)).tolist():
+        c = succ[state][bisect.bisect_right(cdf[state], u)]
+        out.append(c)
+        state = (state * v + c) % n_states
     return "".join(chars[c] for c in out)
 
 

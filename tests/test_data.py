@@ -3,7 +3,6 @@ import struct
 import numpy as np
 import pytest
 
-from qatkit import data
 from qatkit.data import (
     IdxParseError,
     encode_text,
@@ -129,10 +128,8 @@ class TestText:
 
     @pytest.mark.parametrize("vocab_size, order", [(26, 2), (16, 2), (5, 3), (3, 1), (1, 2)])
     def test_synthetic_text_matches_choice_loop(self, vocab_size, order):
-        chunk = data._TEXT_DRAW_CHUNK
-        # n_chars <= order draws nothing; the rest end on either side of a chunk edge
-        lengths = [0, 1, order, order + 1, 50, order + chunk - 1, order + chunk,
-                   order + chunk + 1, order + 2 * chunk, 3000]
+        # n_chars <= order draws nothing
+        lengths = [0, 1, order, order + 1, 50, 1000, 3000]
         for seed, n_chars in enumerate(lengths):
             want = synthetic_text_loop(n_chars, seed, vocab_size, order)
             assert synthetic_text(n_chars, seed, vocab_size, order) == want
