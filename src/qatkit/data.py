@@ -97,10 +97,14 @@ def _shuffled(rng: np.random.Generator, *arrays) -> tuple:
     return tuple(a[order] for a in arrays)
 
 
-def _split(arrays: tuple, fractions, meta: dict | None = None) -> Splits:
+def _split(arrays: tuple, fractions, meta: dict | None = None, least: int = 1) -> Splits:
     """Cut each of `arrays` contiguously into train, dev and test, sized by
-    `split_indices` on their common length."""
-    n_train, n_dev, _ = split_indices(len(arrays[0]), fractions)
+    `split_indices` on their common length.  Raises ValueError, naming the
+    sizes, if a split would hold fewer than `least` entries."""
+    n_train, n_dev, n_test = split_indices(len(arrays[0]), fractions)
+    if min(n_train, n_dev, n_test) < least:
+        raise ValueError(f"train, dev and test sizes {n_train}, {n_dev} and {n_test}: "
+                         f"each split needs at least {least}")
     cuts = (slice(None, n_train), slice(n_train, n_train + n_dev), slice(n_train + n_dev, None))
     return Splits(*(tuple(a[c] for a in arrays) for c in cuts), meta=meta or {})
 
@@ -151,9 +155,9 @@ def encode_text(text: str):
 
 def text_splits(text: str, fractions=TEXT_FRACTIONS) -> Splits:
     """Encode `text` and split it contiguously train/dev/test (floor rule,
-    remainder to train)."""
+    remainder to train); each split needs 2 codes, an input and its target."""
     codes, vocab = encode_text(text)
-    return _split((codes,), fractions, {"vocab_size": len(vocab)})
+    return _split((codes,), fractions, {"vocab_size": len(vocab)}, least=2)
 
 
 def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
@@ -166,7 +170,8 @@ def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
 
 
 def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2) -> str:
-    """Seeded Markov-chain text with nontrivial but learnable structure.
+    """`n_chars` characters of seeded Markov-chain text with nontrivial but
+    learnable structure.
 
     Each state maps to a sparse next-character distribution, so a small model
     can beat the unigram entropy but not reach zero.
@@ -193,7 +198,7 @@ def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2
         c = succ[state][bisect.bisect_right(cdf[state], u)]
         out.append(c)
         state = (state * v + c) % n_states
-    return "".join(chars[c] for c in out)
+    return "".join(chars[c] for c in out[:n_chars])
 
 
 def synthetic_text_corpus(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2,

@@ -4,7 +4,6 @@ sweeps over (bits, schedule, seed) cells, and CSV/JSON reporting."""
 from __future__ import annotations
 
 import csv
-import inspect
 import json
 import logging
 from dataclasses import dataclass, field
@@ -19,11 +18,10 @@ from .nn import (
     bits_per_char,
     build_network,
     classification_error,
-    cross_entropy,
     load_checkpoint,
     save_checkpoint,
 )
-from .nn.network import reject_unknown
+from .nn.network import check_args, reject_unknown
 from .records import RunRecord
 
 log = logging.getLogger(__name__)
@@ -40,15 +38,10 @@ class ClassificationTask:
 
     metric_name = "error"
 
-    def __init__(self, splits: Splits, layer_cfgs: list[dict], seed: int = 0, *,
-                 batch_size: int = 32):
+    def __init__(self, splits: Splits, seed: int = 0, *, batch_size: int = 32):
         self.splits = splits
-        self.layer_cfgs = layer_cfgs
         self.batch_size = batch_size
         self.seed = seed
-
-    def build_network(self, rng):
-        return build_network(self.layer_cfgs, rng)
 
     def batches(self, split: str, epoch: int):
         x, y = self.splits.get(split)
@@ -56,9 +49,6 @@ class ClassificationTask:
         for start in range(0, x.shape[0], self.batch_size):
             idx = order[start : start + self.batch_size]
             yield x[idx], y[idx]
-
-    def loss(self, outputs, targets):
-        return cross_entropy(outputs, targets)
 
     def evaluate(self, net, split: str) -> float:
         x, y = self.splits.get(split)
@@ -78,18 +68,14 @@ class CharLMTask:
 
     metric_name = "bpc"
 
-    def __init__(self, splits: Splits, layer_cfgs: list[dict], seed: int = 0, *,
+    def __init__(self, splits: Splits, seed: int = 0, *,
                  unroll: int = 256, update_stride: int = 128, streams: int = 64):
         self.splits = splits
-        self.layer_cfgs = layer_cfgs
         self.vocab_size = splits.meta["vocab_size"]
         self.unroll = unroll
         self.update_stride = update_stride
         self.streams = streams
         self.seed = seed
-
-    def build_network(self, rng):
-        return build_network(self.layer_cfgs, rng)
 
     def _stream_matrix(self, split: str):
         (codes,) = self.splits.get(split)
@@ -115,9 +101,6 @@ class CharLMTask:
         if t_end - self.update_stride < last:  # tail shorter than one stride
             yield self._window(mat, max(0, last - self.unroll), last)
 
-    def loss(self, outputs, targets):
-        return cross_entropy(outputs, targets)
-
     def evaluate(self, net, split: str) -> float:
         mat = self._stream_matrix(split)
         last = mat.shape[1] - 1
@@ -133,7 +116,7 @@ class CharLMTask:
 
 
 # task name -> class; a task's batching keys are its constructor's
-# keyword-only parameters
+# keyword-only parameters, each a count >= 1
 TASKS = {
     "classification-vector": ClassificationTask,
     "classification-image": ClassificationTask,
@@ -143,24 +126,12 @@ TASKS = {
 
 # -- experiment configuration ------------------------------------------------
 
+# ExperimentConfig checks each section with `check_args` against the signature
+# of the constructor it is passed to, which also holds the defaults.
 # float_training keys that go to qat.RetrainConfig; the rest go to the task class
 FIT_KEYS = ("max_epochs", "optimizer")
-
-# The keys each config section accepts; ExperimentConfig rejects any other.
-# Each key is a parameter of the constructor its section is passed to, and
-# that signature holds its default: retrain and cell keys go to
-# qat.RetrainConfig, float_training keys other than FIT_KEYS to TASKS[task],
-# and dataset keys (besides `kind`) to DATASET_BUILDERS[kind].
-CONFIG_KEYS = {
-    "float_training": {
-        task: FIT_KEYS + tuple(p.name for p in inspect.signature(cls).parameters.values()
-                               if p.kind is p.KEYWORD_ONLY)
-        for task, cls in TASKS.items()},
-    "retrain": ("max_epochs", "optimizer", "stop_at_lr_floor"),
-    "cell": ("bits", "schedule", "exhaustive_init"),
-    "dataset": {kind: ("kind", *inspect.signature(build).parameters)
-                for kind, build in DATASET_BUILDERS.items()},
-}
+# the qat.RetrainConfig parameters a cell sets; retrain sets the others but seed
+CELL_KEYS = ("bits", "schedule", "exhaustive_init")
 
 
 @dataclass
@@ -179,16 +150,22 @@ class ExperimentConfig:
             raise ValueError("seeds must be nonempty")
         kind = self.dataset.get("kind")
         reject_unknown("task", [self.task], TASKS)
-        reject_unknown("dataset kind", [kind], CONFIG_KEYS["dataset"])
-        reject_unknown(f"{kind} dataset key", self.dataset, CONFIG_KEYS["dataset"][kind])
-        reject_unknown(f"{self.task} float_training key", self.float_training,
-                       CONFIG_KEYS["float_training"][self.task])
-        reject_unknown("retrain key", self.retrain, CONFIG_KEYS["retrain"])
-        build_network(self.network, np.random.default_rng(0))  # checks keys and values
+        reject_unknown("dataset kind", [kind], DATASET_BUILDERS)
+        check_args(f"{kind} dataset", {k: v for k, v in self.dataset.items() if k != "kind"},
+                   DATASET_BUILDERS[kind])
+        batching = check_args(f"{self.task} float_training", _batching_keys(self),
+                              TASKS[self.task], lambda p: p.kind is p.KEYWORD_ONLY)
+        for key, value in batching.items():
+            if value < 1:
+                raise ValueError(f"{self.task} float_training: {key} must be >= 1, "
+                                 f"got {value}")
+        check_args("retrain", self.retrain, qat.RetrainConfig,
+                   lambda p: p.name not in (*CELL_KEYS, "seed"))
+        build_network(self.network, np.random.default_rng(0))
         _float_retrain_config(self, self.seeds[0])
         writers = {}  # run id -> (cell index, seed) writing it
         for i, cell in enumerate(self.cells):
-            reject_unknown(f"cells[{i}] key", cell, CONFIG_KEYS["cell"])
+            check_args(f"cells[{i}]", cell, qat.RetrainConfig, lambda p: p.name in CELL_KEYS)
             for seed in self.seeds:
                 rid = run_id(make_retrain_config(self, cell, seed))
                 if rid in writers:
@@ -206,9 +183,12 @@ class ExperimentConfig:
         return cls(**raw)
 
 
+def _batching_keys(cfg: ExperimentConfig) -> dict:
+    return {k: v for k, v in cfg.float_training.items() if k not in FIT_KEYS}
+
+
 def make_task(cfg: ExperimentConfig, seed: int):
-    batching = {k: v for k, v in cfg.float_training.items() if k not in FIT_KEYS}
-    return TASKS[cfg.task](load_dataset(cfg.dataset), cfg.network, seed=seed, **batching)
+    return TASKS[cfg.task](load_dataset(cfg.dataset), seed=seed, **_batching_keys(cfg))
 
 
 def make_retrain_config(cfg: ExperimentConfig, cell: dict, seed: int) -> qat.RetrainConfig:
@@ -239,7 +219,7 @@ def train_float(cfg: ExperimentConfig, seed: int):
     """
     task = make_task(cfg, seed)
     fcfg = _float_retrain_config(cfg, seed)
-    net = task.build_network(np.random.default_rng(seed))
+    net = build_network(cfg.network, np.random.default_rng(seed))
     record = RunRecord(run_id=f"float_s{seed}", cell_bits=0, schedule="float",
                        seed=seed, metric_name=task.metric_name)
     shadow = qat.ShadowParams(net.get_params(), {}, {})

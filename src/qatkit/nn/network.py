@@ -133,6 +133,7 @@ CONFIG_KEY_NAMES = {"fan_in": "in", "fan_out": "out", "input_size": "in",
 # (flatten, conv2d, maxpool2d) ends the chain.
 WIDTH_PARAMS = {"fc": ("fan_in", "fan_out"), "lstm": ("input_size", "hidden_size")}
 WIDTH_KEEPING = ("activation", "batchnorm", "softmax")
+VALUE_TYPES = {bool: "a bool", int: "an int", float: "a float", str: "a str"}
 
 
 def reject_unknown(what: str, given, accepted):
@@ -143,33 +144,49 @@ def reject_unknown(what: str, given, accepted):
                          f"accepted: {', '.join(accepted)}")
 
 
+def check_args(what: str, given: dict, fn, is_key=None, key_names=None) -> dict:
+    """Config section `given` as keyword arguments of `fn`.  Its keys are the
+    parameters of `fn` that `is_key` accepts (default all), renamed by
+    `key_names`.  Raises ValueError, naming `what` and the key, for an unknown
+    or missing required key, or a value that does not fit a bool, int, float
+    or str annotation: a bool is not an int, and an int is a float."""
+    params = {(key_names or {}).get(name, name): p
+              for name, p in inspect.signature(fn, eval_str=True).parameters.items()
+              if is_key is None or is_key(p)}
+    reject_unknown(f"{what} key", given, params)
+    missing = [k for k, p in params.items() if k not in given and p.default is p.empty]
+    if missing:
+        raise ValueError(f"{what}: missing required key {', '.join(map(repr, missing))}")
+    for key, value in given.items():
+        want = params[key].annotation
+        if want in VALUE_TYPES and not (isinstance(value, bool) == (want is bool) and
+                                        isinstance(value, (int, float) if want is float else want)):
+            raise ValueError(f"{what}: {key} must be {VALUE_TYPES[want]}, got {value!r}")
+    return {params[key].name: value for key, value in given.items()}
+
+
 def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
     """Build a Network from a list of layer description dicts (see
     LAYER_TYPES).  Initialization draws from `rng` in layer order, so a fixed
     seed gives identical parameters.
 
-    Raises ValueError, naming the layer index, kind and key, for an unknown
-    kind, an unknown key or a missing required key, and, naming both layers,
-    for an `in` that differs from the last width declared before it (see
-    WIDTH_PARAMS); a layer constructor raises for a bad value.
+    Raises ValueError, naming the layer index and kind, for an unknown kind,
+    a key or value `check_args` rejects, and, naming both layers, for an `in`
+    that differs from the last width declared before it (see WIDTH_PARAMS); a
+    layer constructor raises for a bad value.
     """
     layers = []
     width = None  # (layer name, width) the next layer receives, if declared
     for i, cfg in enumerate(layer_cfgs):
         kind = cfg.get("kind")
         reject_unknown(f"network[{i}] layer kind", [kind], LAYER_TYPES)
-        params = inspect.signature(LAYER_TYPES[kind]).parameters
-        keys = {CONFIG_KEY_NAMES.get(p, p): p for p in params if p != "rng"}
-        reject_unknown(f"network[{i}] {kind} key", cfg, ("kind", *keys))
-        kwargs = {"name": f"{kind}{i}", **{keys[k]: v for k, v in cfg.items() if k != "kind"}}
-        missing = [k for k, p in keys.items()
-                   if p not in kwargs and params[p].default is params[p].empty]
-        if missing:
-            raise ValueError(f"network[{i}] {kind}: missing required key "
-                             f"{', '.join(map(repr, missing))}")
-        if "rng" in params:
+        cls = LAYER_TYPES[kind]
+        given = {"name": f"{kind}{i}", **{k: v for k, v in cfg.items() if k != "kind"}}
+        kwargs = check_args(f"network[{i}] {kind}", given, cls,
+                            lambda p: p.name != "rng", CONFIG_KEY_NAMES)
+        if "rng" in inspect.signature(cls).parameters:
             kwargs["rng"] = rng
-        layers.append(LAYER_TYPES[kind](**kwargs))
+        layers.append(cls(**kwargs))
         if kind in WIDTH_PARAMS:
             p_in, p_out = WIDTH_PARAMS[kind]
             if width is not None and kwargs[p_in] != width[1]:

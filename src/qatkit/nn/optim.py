@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .network import check_args, reject_unknown
+
 
 @dataclass
 class LrScheduleConfig:
@@ -15,6 +17,7 @@ class LrScheduleConfig:
     patience_evals: int = 4
 
     def __post_init__(self):
+        check_args(type(self).__name__, vars(self), type(self))
         if not (self.initial_lr >= self.final_lr > 0):
             raise ValueError("need initial_lr >= final_lr > 0")
         if self.decay_factor <= 1:
@@ -52,7 +55,7 @@ class LrSchedule:
 
 @dataclass
 class OptimizerConfig:
-    kind: str = "sgd_nesterov"  # or "adadelta"
+    kind: str = "sgd_nesterov"  # a key of OPTIMIZERS
     learning_rate: float = 2e-3
     momentum: float = 0.9
     rho: float = 0.95  # AdaDelta decay
@@ -60,12 +63,15 @@ class OptimizerConfig:
     lr_schedule: LrScheduleConfig = field(default_factory=LrScheduleConfig)
 
     def __post_init__(self):
+        check_args(type(self).__name__, vars(self), type(self))
+        reject_unknown("optimizer kind", [self.kind], OPTIMIZERS)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
         if isinstance(self.lr_schedule, dict):
-            self.lr_schedule = LrScheduleConfig(**self.lr_schedule)
+            self.lr_schedule = LrScheduleConfig(**check_args("lr_schedule", self.lr_schedule,
+                                                             LrScheduleConfig))
         # training starts at lr_schedule.initial_lr; learning_rate must agree
         if self.learning_rate != self.lr_schedule.initial_lr:
             raise ValueError(
@@ -121,9 +127,12 @@ class AdaDelta:
             w += lr * dx
 
 
+# optimizer kind -> its constructor, given the OptimizerConfig
+OPTIMIZERS = {
+    "sgd_nesterov": lambda cfg: SGDNesterov(momentum=cfg.momentum),
+    "adadelta": lambda cfg: AdaDelta(rho=cfg.rho, eps=cfg.eps),
+}
+
+
 def make_optimizer(cfg: OptimizerConfig):
-    if cfg.kind == "sgd_nesterov":
-        return SGDNesterov(momentum=cfg.momentum)
-    if cfg.kind == "adadelta":
-        return AdaDelta(rho=cfg.rho, eps=cfg.eps)
-    raise ValueError(f"unknown optimizer kind {cfg.kind!r}")
+    return OPTIMIZERS[cfg.kind](cfg)

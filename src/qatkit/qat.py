@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .nn.network import build_network, check_args, cross_entropy
 from .nn.optim import LrSchedule, OptimizerConfig, make_optimizer
 from .quantizer import (
     DegenerateGroupError,
@@ -190,16 +191,15 @@ class RetrainConfig:
     exhaustive_init: bool = False
 
     def __post_init__(self):
-        for name in ("stop_at_lr_floor", "exhaustive_init"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        check_args(type(self).__name__, vars(self), type(self))
         for name, least in (("bits", 2), ("max_epochs", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            if value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         self.schedule = sched = parse_schedule(self.schedule)
         if isinstance(self.optimizer, dict):
-            self.optimizer = OptimizerConfig(**self.optimizer)
+            self.optimizer = OptimizerConfig(**check_args("optimizer", self.optimizer,
+                                                          OptimizerConfig))
         if sched.start_bits is not None:
             need = (sched.start_bits - sched.end_bits) * sched.epochs_per_stage + 1
             if self.bits != sched.end_bits or self.max_epochs < need:
@@ -284,7 +284,7 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         try:
             mean_loss = retrain_epoch(
                 shadow, net, task.batches("train", epoch), optimizer,
-                lr_sched.lr, task.loss, update_steps, record=record,
+                lr_sched.lr, cross_entropy, update_steps, record=record,
             )
         except DivergenceError as e:
             raise DivergenceError(f"{record.run_id}: epoch {epoch}: {e}") from e
@@ -313,14 +313,14 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
 def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     """Full retraining of one (bits, schedule) cell from a float checkpoint.
 
-    `task` supplies the problem: build_network(rng), batches(split, epoch),
-    evaluate(net, split) -> metric (lower is better), loss(outputs, targets)
-    -> (loss, grad), and metric_name.  Returns (final ShadowParams, RunRecord).
+    The network is built from `float_ckpt.layer_cfgs`; `task` supplies the
+    data: batches(split, epoch), evaluate(net, split) -> metric (lower is
+    better), and metric_name.  Returns (final ShadowParams, RunRecord).
     """
     plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
     record = RunRecord(run_id=run_id, cell_bits=cfg.bits, schedule=cfg.schedule.name,
                        seed=cfg.seed, metric_name=task.metric_name)
-    net = task.build_network(np.random.default_rng(cfg.seed))
+    net = build_network(float_ckpt.layer_cfgs, np.random.default_rng(cfg.seed))
     net.set_params(float_ckpt.params)
     shadow = init_quantization(net.get_params(), net.quant_group_map(),
                                plan[0][0] if plan else cfg.bits)

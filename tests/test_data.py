@@ -13,6 +13,7 @@ from qatkit.data import (
     synthetic_clusters,
     synthetic_digit_images,
     synthetic_text,
+    synthetic_text_corpus,
     write_idx,
 )
 
@@ -118,6 +119,18 @@ class TestText:
         with pytest.raises(ValueError, match="empty"):
             load_text_corpus(p)
 
+    @pytest.mark.parametrize("build, sizes", [
+        (lambda: synthetic_text_corpus(30, 1, vocab_size=4), "28, 1 and 1"),
+        (lambda: synthetic_text_corpus(0, 1), "0, 0 and 0"),
+        (lambda: synthetic_clusters(6, 2, 3, seed=0), "6, 0 and 0"),
+    ], ids=["text-1-code", "text-empty", "clusters-empty"])
+    def test_too_short_split_rejected(self, build, sizes):
+        with pytest.raises(ValueError, match=f"train, dev and test sizes {sizes}"):
+            build()
+
+    def test_synthetic_text_has_exactly_n_chars(self):
+        assert [len(synthetic_text(n, 1, order=3)) for n in range(5)] == [0, 1, 2, 3, 4]
+
     def test_encode_round_trip(self):
         codes, vocab = encode_text("hello")
         assert "".join(vocab[c] for c in codes) == "hello"
@@ -131,7 +144,7 @@ class TestText:
         # n_chars <= order draws nothing
         lengths = [0, 1, order, order + 1, 50, 1000, 3000]
         for seed, n_chars in enumerate(lengths):
-            want = synthetic_text_loop(n_chars, seed, vocab_size, order)
+            want = synthetic_text_loop(n_chars, seed, vocab_size, order)[:n_chars]
             assert synthetic_text(n_chars, seed, vocab_size, order) == want
 
     def test_synthetic_text_learnable_structure(self):

@@ -1,4 +1,6 @@
+import copy
 import csv
+import inspect
 import json
 import re
 from pathlib import Path
@@ -8,10 +10,18 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from qatkit import harness
+from qatkit import harness, qat
 from qatkit.cli import main as cli_main
+from qatkit.data import DATASET_BUILDERS
 from qatkit.harness import EmptyInputError, ExperimentConfig
-from qatkit.nn import build_network, load_checkpoint
+from qatkit.nn import (
+    Checkpoint,
+    LrScheduleConfig,
+    OptimizerConfig,
+    build_network,
+    load_checkpoint,
+)
+from qatkit.nn.network import LAYER_TYPES
 
 
 def mlp_config(**overrides):
@@ -47,7 +57,7 @@ class TestTrainFloat:
         cfg = mlp_config()
         ckpt, record = harness.train_float(cfg, seed=0)
         task = harness.make_task(cfg, seed=0)
-        net = task.build_network(np.random.default_rng(0))
+        net = build_network(cfg.network, np.random.default_rng(0))
         net.set_params(ckpt.params)
         assert task.evaluate(net, "train") == 0.0
 
@@ -62,7 +72,7 @@ class TestTrainFloat:
         cfg = mlp_config(float_training={"max_epochs": 0})
         ckpt, record = harness.train_float(cfg, seed=0)
         task = harness.make_task(cfg, seed=0)
-        net = task.build_network(np.random.default_rng(0))
+        net = build_network(cfg.network, np.random.default_rng(0))
         for k, v in net.get_params().items():
             np.testing.assert_array_equal(ckpt.params[k], v)
         assert record.final_test_metric == task.evaluate(net, "test")
@@ -178,6 +188,25 @@ class TestSweepAndReport:
         with pytest.raises(EmptyInputError):
             harness.report(tmp_path)
 
+    def test_retraining_builds_the_checkpoint_network(self):
+        # the task comes from a relu config, the checkpoint holds a tanh network
+        def network(fn):
+            return [{"kind": "lstm", "in": 4, "hidden": 8}, {"kind": "activation", "fn": fn},
+                    {"kind": "fc", "in": 8, "out": 4}, {"kind": "softmax"}]
+
+        task = harness.make_task(char_lm_config(network=network("relu")), 0)
+        params = build_network(network("tanh"), np.random.default_rng(5)).get_params()
+        _, record = qat.run(qat.RetrainConfig(schedule="direct", bits=8),
+                            Checkpoint(layer_cfgs=network("tanh"), params=params), task)
+        scores = {}
+        for fn in ("tanh", "relu"):
+            net = build_network(network(fn), np.random.default_rng(0))
+            net.set_params(params)
+            net.set_params(qat.init_quantization(net.get_params(), net.quant_group_map(),
+                                                 8).quantized)
+            scores[fn] = task.evaluate(net, "test")
+        assert record.final_test_metric == scores["tanh"] != scores["relu"]
+
     def test_direct_cell_matches_independent_quantized_eval(self, tmp_path):
         cfg = mlp_config(cells=[{"bits": 3, "schedule": "direct"}], seeds=[0])
         records = harness.sweep(cfg, tmp_path)
@@ -185,7 +214,7 @@ class TestSweepAndReport:
         task = harness.make_task(cfg, 0)
         from qatkit import qat
 
-        net = task.build_network(np.random.default_rng(0))
+        net = build_network(cfg.network, np.random.default_rng(0))
         net.set_params(ckpt.params)
         shadow = qat.init_quantization(net.get_params(), net.quant_group_map(), 3)
         net.set_params(shadow.quantized)
@@ -237,6 +266,65 @@ class TestConfigValidation:
             bad = {**getattr(good, section), key: 2}
         with pytest.raises(ValueError, match=f"unknown .*{section}.* key '{key}'"):
             make(**{section: bad})
+
+    @pytest.mark.parametrize("make, path, value, message", [
+        (mlp_config, ("dataset", "n_samples"), None,
+         "clusters dataset: missing required key 'n_samples'"),
+        (mlp_config, ("dataset", "seed"), 1.5, "clusters dataset: seed must be an int, got 1.5"),
+        (mlp_config, ("float_training", "batch_size"), "32",
+         "classification-vector float_training: batch_size must be an int, got '32'"),
+        (mlp_config, ("float_training", "batch_size"), 0,
+         "classification-vector float_training: batch_size must be >= 1, got 0"),
+        (char_lm_config, ("float_training", "update_stride"), 0,
+         "char-language-model float_training: update_stride must be >= 1, got 0"),
+        (mlp_config, ("float_training", "optimizer", "momentum"), "0.9",
+         "momentum must be a float, got '0.9'"),
+        (mlp_config, ("retrain", "optimizer", "kind"), "adam",
+         "unknown optimizer kind 'adam'; accepted: sgd_nesterov, adadelta"),
+        (mlp_config, ("retrain", "optimizer", "momentun"), 0.9,
+         "unknown optimizer key 'momentun'"),
+        (mlp_config, ("cells", 0, "schedule"), None, r"cells\[0\]: missing required key 'schedule'"),
+    ], ids=["dataset-missing-key", "dataset-float-seed", "str-batch-size", "zero-batch-size",
+            "zero-update-stride", "str-momentum", "optimizer-kind", "optimizer-key",
+            "cell-missing-key"])
+    def test_bad_value_rejected_at_load(self, make, path, value, message):
+        *outer, key = path
+        bad = copy.deepcopy(getattr(make(), outer[0]))
+        inner = bad
+        for k in outer[1:]:
+            inner = inner[k]
+        if value is None:
+            del inner[key]
+        else:
+            inner[key] = value
+        with pytest.raises(ValueError, match=message):
+            make(**{outer[0]: bad})
+
+    def test_yaml_exponent_needs_a_dot(self, tmp_path):
+        # YAML 1.1, which PyYAML reads, takes 1e-5 for a string and 1.0e-5 for a float
+        cfg = mlp_config()
+        p = tmp_path / "exp.yaml"
+        for final_lr, error in (("1e-5", "final_lr must be a float, got '1e-5'"), ("1.0e-5", None)):
+            text = yaml.safe_dump({
+                "task": cfg.task, "dataset": cfg.dataset, "network": cfg.network,
+                "retrain": {"optimizer": {"learning_rate": 0.05, "lr_schedule": {
+                    "initial_lr": 0.05, "final_lr": "FINAL_LR"}}},
+                "cells": cfg.cells})
+            p.write_text(text.replace("FINAL_LR", final_lr), encoding="utf-8")
+            if error is None:
+                loaded = ExperimentConfig.from_file(p)
+                assert loaded.retrain["optimizer"]["lr_schedule"]["final_lr"] == 1e-5
+            else:
+                with pytest.raises(ValueError, match=error):
+                    ExperimentConfig.from_file(p)
+
+    def test_every_checked_signature_resolves(self):
+        # check_args reads signatures with eval_str=True, which evaluates each
+        # annotation on the running Python
+        for fn in [*LAYER_TYPES.values(), *DATASET_BUILDERS.values(), *harness.TASKS.values(),
+                   qat.RetrainConfig, OptimizerConfig, LrScheduleConfig]:
+            params = inspect.signature(fn, eval_str=True).parameters.values()
+            assert not [p.name for p in params if isinstance(p.annotation, str)], fn
 
     @pytest.mark.parametrize("layer, message", [
         ({"kind": "dense", "in": 4, "out": 8}, r"unknown network\[0\] layer kind 'dense'"),

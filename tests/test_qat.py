@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qatkit import qat
 from qatkit.data import synthetic_clusters
 from qatkit.harness import ClassificationTask, train_float, ExperimentConfig
-from qatkit.nn import Checkpoint, OptimizerConfig, build_network, make_optimizer
+from qatkit.nn import Checkpoint, OptimizerConfig, build_network, cross_entropy, make_optimizer
 from qatkit.quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
@@ -29,7 +29,7 @@ MLP = [
 
 def toy_task(seed=0):
     splits = synthetic_clusters(n_samples=300, classes=3, dim=6, seed=5, spread=0.6)
-    return ClassificationTask(splits, MLP, batch_size=32, seed=seed)
+    return ClassificationTask(splits, batch_size=32, seed=seed)
 
 
 def toy_float_ckpt(seed=0):
@@ -182,7 +182,7 @@ class TestInitQuantization:
 class TestRetrainEpoch:
     def _setup(self, seed=0):
         task = toy_task(seed)
-        net = task.build_network(np.random.default_rng(seed))
+        net = build_network(MLP, np.random.default_rng(seed))
         master = net.get_params()
         shadow = qat.init_quantization(master, net.quant_group_map(), 2)
         return task, net, shadow
@@ -193,7 +193,7 @@ class TestRetrainEpoch:
         before_q = {k: v.copy() for k, v in shadow.quantized.items()}
         opt = make_optimizer(OptimizerConfig(kind="sgd_nesterov"))
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.0,
-                          task.loss, False)
+                          cross_entropy, False)
         for k in before_master:
             np.testing.assert_array_equal(shadow.master[k], before_master[k])
             np.testing.assert_array_equal(shadow.quantized[k], before_q[k])
@@ -203,14 +203,14 @@ class TestRetrainEpoch:
         before = dict(shadow.specs)
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, False)
+                          cross_entropy, False)
         assert shadow.specs == before
 
     def test_update_step_matches_independent_solver(self):
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, True)
+                          cross_entropy, True)
         for gid in shadow.groups:
             step, _ = optimize_step(
                 WeightGroup(shadow.group_vector(gid), gid), shadow.specs[gid].points
@@ -227,7 +227,7 @@ class TestRetrainEpoch:
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
         qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          task.loss, False)
+                          cross_entropy, False)
         gid = next(iter(shadow.groups))
         k = shadow.groups[gid][0]
         mult = shadow.master[k] / shadow.specs[gid].step
@@ -270,7 +270,7 @@ class TestRun:
         assert all(r.split != "train" for r in record.rows)
         assert record.final_test_metric is not None
         # direct metric equals evaluating the quantized checkpoint independently
-        net = task.build_network(np.random.default_rng(0))
+        net = build_network(MLP, np.random.default_rng(0))
         net.set_params(ckpt.params)
         master = net.get_params()
         indep = qat.init_quantization(master, net.quant_group_map(), 2)
@@ -287,7 +287,7 @@ class TestRun:
     def test_exhaustive_init_picks_a_candidate_step(self):
         ckpt = _float_ckpt_for_toy()
         task = toy_task()
-        net = task.build_network(np.random.default_rng(0))
+        net = build_network(MLP, np.random.default_rng(0))
         net.set_params(ckpt.params)
         init = qat.init_quantization(net.get_params(), net.quant_group_map(), 2)
         cfg = self.retrain_cfg("conventional")
