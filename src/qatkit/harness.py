@@ -146,8 +146,9 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds must be nonempty")
+        if not self.seeds or not all(isinstance(s, int) and not isinstance(s, bool)
+                                     for s in self.seeds):
+            raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}")
         kind = self.dataset.get("kind")
         reject_unknown("task", [self.task], TASKS)
         reject_unknown("dataset kind", [kind], DATASET_BUILDERS)
@@ -162,12 +163,14 @@ class ExperimentConfig:
         check_args("retrain", self.retrain, qat.RetrainConfig,
                    lambda p: p.name not in (*CELL_KEYS, "seed"))
         build_network(self.network, np.random.default_rng(0))
-        _float_retrain_config(self, self.seeds[0])
+        _named("float_training", _float_retrain_config, self, self.seeds[0])
         writers = {}  # run id -> (cell index, seed) writing it
         for i, cell in enumerate(self.cells):
             check_args(f"cells[{i}]", cell, qat.RetrainConfig, lambda p: p.name in CELL_KEYS)
+            rcfg = _named(f"retrain with cells[{i}]", make_retrain_config, self, cell,
+                          self.seeds[0])
             for seed in self.seeds:
-                rid = run_id(make_retrain_config(self, cell, seed))
+                rid = run_id(rcfg.bits, rcfg.schedule.name, seed)
                 if rid in writers:
                     j, other = writers[rid]
                     raise ValueError(f"cells[{j}] {self.cells[j]} seed {other} and cells[{i}] "
@@ -183,6 +186,14 @@ class ExperimentConfig:
         return cls(**raw)
 
 
+def _named(section: str, build, *args):
+    """`build(*args)`, with a ValueError it raises prefixed by `section`."""
+    try:
+        return build(*args)
+    except ValueError as e:
+        raise ValueError(f"{section}: {e}") from e
+
+
 def _batching_keys(cfg: ExperimentConfig) -> dict:
     return {k: v for k, v in cfg.float_training.items() if k not in FIT_KEYS}
 
@@ -195,9 +206,10 @@ def make_retrain_config(cfg: ExperimentConfig, cell: dict, seed: int) -> qat.Ret
     return qat.RetrainConfig(**cfg.retrain, **cell, seed=seed)
 
 
-def run_id(rcfg: qat.RetrainConfig) -> str:
-    """The name of a cell's run directory and record."""
-    return f"b{rcfg.bits}_{rcfg.schedule.name}_s{rcfg.seed}"
+def run_id(bits: int, schedule: str, seed: int) -> str:
+    """The name of a cell's run directory and record; `schedule` is the
+    parsed schedule's name."""
+    return f"b{bits}_{schedule}_s{seed}"
 
 
 def _float_retrain_config(cfg: ExperimentConfig, seed: int) -> qat.RetrainConfig:
@@ -223,8 +235,8 @@ def train_float(cfg: ExperimentConfig, seed: int):
     record = RunRecord(run_id=f"float_s{seed}", cell_bits=0, schedule="float",
                        seed=seed, metric_name=task.metric_name)
     shadow = qat.ShadowParams(net.get_params(), {}, {})
-    _, params = qat.fit(fcfg, net, shadow, task, record)
-    ckpt = Checkpoint(layer_cfgs=cfg.network, params=params,
+    _, best = qat.fit(fcfg, net, shadow, task, record)
+    ckpt = Checkpoint(layer_cfgs=cfg.network, params=best.master,
                       config_echo=_float_config_echo(cfg, seed))
     return ckpt, record
 
@@ -277,7 +289,7 @@ def run_cell(cfg: ExperimentConfig, cell: dict, seed: int, out_dir) -> RunRecord
     rcfg = make_retrain_config(cfg, cell, seed)
     ckpt = ensure_float_checkpoint(cfg, seed, out_dir)
     task = make_task(cfg, seed)
-    _, record = qat.run(rcfg, ckpt, task, run_id=run_id(rcfg))
+    _, record = qat.run(rcfg, ckpt, task, run_id=run_id(rcfg.bits, rcfg.schedule.name, seed))
     _write_record(Path(out_dir) / "runs" / record.run_id, record)
     return record
 

@@ -1,10 +1,11 @@
 """Layers with explicit forward/backward passes on numpy arrays.
 
 Every layer caches what its backward pass needs during forward.  Parameter
-gradients accumulate into `grads` keyed like `params`.  Weight matrices are
-marked quantizable; biases and batch-norm gain/shift are not.  `backward`
-returns the input gradient; with `need_dx=False` a layer with weights may skip
-computing it and return None (the first layer of a network has no use for it).
+gradients accumulate into `grads` keyed like `params`.  `quant_groups` lists
+the weight matrices, grouped by shared quantization step; biases and
+batch-norm gain/shift are in no group.  `backward` returns the input
+gradient; with `need_dx=False` a layer with weights may skip computing it and
+return None (the first layer of a network has no use for it).
 Image activations are channels-first: (batch, channels, h, w).
 """
 
@@ -27,13 +28,14 @@ def uniform_fan_init(rng: np.random.Generator, shape, fan_in, fan_out):
 
 
 class Layer:
-    """Base class; subclasses fill params/grads/quantizable."""
+    """Base class; subclasses fill params/grads/quant_groups."""
 
     def __init__(self, name: str):
         self.name = name
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        self.quantizable: frozenset = frozenset()
+        # parameter names grouped by shared quantization step
+        self.quant_groups: list[list[str]] = []
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -41,10 +43,6 @@ class Layer:
 
     def backward(self, dy: np.ndarray, need_dx: bool = True) -> np.ndarray | None:
         raise NotImplementedError
-
-    def quant_groups(self) -> list[list[str]]:
-        """Parameter names grouped by shared quantization step."""
-        return [[p] for p in sorted(self.quantizable)]
 
     def _take_cache(self):
         if self._cache is None:
@@ -63,7 +61,7 @@ class FullyConnected(Layer):
         self.fan_in, self.fan_out = fan_in, fan_out
         self.params["W"] = uniform_fan_init(rng, (fan_in, fan_out), fan_in, fan_out)
         self.params["b"] = np.zeros(fan_out)
-        self.quantizable = frozenset({"W"})
+        self.quant_groups = [["W"]]
         self.zero_grads()
 
     def forward(self, x, train=True):
@@ -179,7 +177,7 @@ class Conv2D(Layer):
         fan_out = out_ch * kernel * kernel
         self.params["W"] = uniform_fan_init(rng, (out_ch, in_ch, kernel, kernel), fan_in, fan_out)
         self.params["b"] = np.zeros(out_ch)
-        self.quantizable = frozenset({"W"})
+        self.quant_groups = [["W"]]
         self.zero_grads()
 
     def forward(self, x, train=True):
@@ -336,12 +334,9 @@ class LSTM(Layer):
         b = np.zeros(4 * h)
         b[h : 2 * h] = 1.0  # forget-gate bias
         self.params["b"] = b
-        self.quantizable = frozenset({"Wx", "Wh"})
+        self.quant_groups = [["Wx", "Wh"]]
         self._state = None
         self.zero_grads()
-
-    def quant_groups(self):
-        return [["Wx", "Wh"]]
 
     def reset_state(self):
         self._state = None

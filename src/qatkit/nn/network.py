@@ -66,9 +66,8 @@ class Network:
         """group_id -> list of parameter keys quantized with one shared step."""
         out: dict[str, list[str]] = {}
         for ly in self.layers:
-            groups = ly.quant_groups()
-            for i, names in enumerate(groups):
-                gid = ly.name if len(groups) == 1 else f"{ly.name}.{i}"
+            for i, names in enumerate(ly.quant_groups):
+                gid = ly.name if len(ly.quant_groups) == 1 else f"{ly.name}.{i}"
                 out[gid] = [f"{ly.name}.{n}" for n in names]
         return out
 

@@ -118,14 +118,8 @@ class ShadowParams:
         self.master = master
         self.groups = groups
         self.specs = specs
-        grouped = {k for keys in groups.values() for k in keys}
-        self.quantized = {
-            k: (v if k not in grouped else v.copy()) for k, v in master.items()
-        }
+        self.quantized = dict(master)  # requantize replaces every grouped entry
         self.requantize()
-
-    def group_vector(self, gid: str) -> np.ndarray:
-        return np.concatenate([self.master[k].ravel() for k in self.groups[gid]])
 
     def requantize(self, gids=None):
         """Rebuild the quantized view from the master with current steps."""
@@ -262,7 +256,8 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     fresh optimizer and lr schedule.  Keeps the final stage's best-on-dev
     quantized state, stops at the lr-schedule floor (not under gradual),
     then evaluates that state on test.  A float network is one whose shadow
-    has no groups.  Returns (final ShadowParams, best-on-dev parameters).
+    has no groups.  Returns (final ShadowParams, best-on-dev ShadowParams);
+    the best is the final one when no epoch ran.
     """
     plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
     if not plan:
@@ -271,15 +266,14 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     stop_at_floor = (cfg.stop_at_lr_floor and cfg.schedule.start_bits is None
                      and lr_cfg.initial_lr > lr_cfg.final_lr)
     optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-    best_dev, best_master, best_params = math.inf, None, None
+    best_dev, best = math.inf, shadow
     epoch = 0
     for epoch, (bits, update_steps) in enumerate(plan):
         if epoch and bits != plan[epoch - 1][0]:
-            source = best_master if best_master is not None else shadow.master
-            shadow = init_quantization(source, shadow.groups, bits)
+            shadow = init_quantization(best.master, shadow.groups, bits)
             record.events.append(f"drop-bit:{epoch}:{bits}")
             optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-            best_dev, best_master, best_params = math.inf, None, None
+            best_dev, best = math.inf, shadow
         net.reset_state()
         try:
             mean_loss = retrain_epoch(
@@ -295,19 +289,17 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         record.log_metric(epoch, "dev", task.metric_name, dev)
         if dev < best_dev:
             best_dev = dev
-            best_master = {k: v.copy() for k, v in shadow.master.items()}
-            best_params = {k: v.copy() for k, v in shadow.quantized.items()}
+            best = ShadowParams({k: v.copy() for k, v in shadow.master.items()},
+                                shadow.groups, dict(shadow.specs))
         lr_sched.step(dev)
         if stop_at_floor and lr_sched.at_floor:
             break
 
-    if best_params is None:
-        best_params = shadow.quantized
     net.reset_state()
-    net.set_params(best_params)
+    net.set_params(best.quantized)
     record.final_test_metric = task.evaluate(net, "test")
     record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
-    return shadow, best_params
+    return shadow, best
 
 
 def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
@@ -317,13 +309,12 @@ def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     data: batches(split, epoch), evaluate(net, split) -> metric (lower is
     better), and metric_name.  Returns (final ShadowParams, RunRecord).
     """
-    plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
     record = RunRecord(run_id=run_id, cell_bits=cfg.bits, schedule=cfg.schedule.name,
                        seed=cfg.seed, metric_name=task.metric_name)
     net = build_network(float_ckpt.layer_cfgs, np.random.default_rng(cfg.seed))
     net.set_params(float_ckpt.params)
     shadow = init_quantization(net.get_params(), net.quant_group_map(),
-                               plan[0][0] if plan else cfg.bits)
+                               cfg.schedule.start_bits or cfg.bits)
     if cfg.exhaustive_init:
         _exhaustive_init(shadow, net, task)
     shadow, _ = fit(cfg, net, shadow, task, record)

@@ -38,24 +38,24 @@ def points_for_bits(bits: int) -> int:
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Bit width, level count M and step size for one weight group."""
+    """Bit width and step size for one weight group."""
 
     bits: int
-    points: int
     step: float
 
     def __post_init__(self):
-        expected = points_for_bits(self.bits)
-        if self.points != expected:
-            raise ValueError(
-                f"points must be 2^bits - 1 = {expected}, got {self.points}"
-            )
+        points_for_bits(self.bits)
         if not (math.isfinite(self.step) and self.step > 0):
             raise ValueError(f"step must be positive and finite, got {self.step}")
 
     @classmethod
     def from_bits(cls, bits: int, step: float) -> "QuantizerSpec":
-        return cls(bits=bits, points=points_for_bits(bits), step=float(step))
+        return cls(bits=bits, step=float(step))
+
+    @property
+    def points(self) -> int:
+        """The level count M = 2^bits - 1."""
+        return points_for_bits(self.bits)
 
     @property
     def max_level(self) -> int:

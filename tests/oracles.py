@@ -136,6 +136,11 @@ def optimize_step_loop(group: WeightGroup, M: int) -> tuple[float, float]:
     return best_step, _half_squared_error(group.values, best_step, max_level)
 
 
+def group_vector(shadow, gid):
+    """The master weights of group `gid` of a ShadowParams, flattened in key order."""
+    return np.concatenate([shadow.master[k].ravel() for k in shadow.groups[gid]])
+
+
 def assert_on_grid(q, step, points):
     """Every entry of q equals n*step for an integer n with |n| <= (M-1)/2."""
     n = np.rint(np.asarray(q) / step)

@@ -18,7 +18,8 @@ from qatkit.harness import ExperimentConfig
 from qatkit.nn import build_network, cross_entropy, squared_error
 from qatkit.quantizer import QuantizerSpec, WeightGroup, optimize_step, quantize
 
-from oracles import finite_difference_grads, grid_search_mse, relative_error, scalar_quantize
+from oracles import (finite_difference_grads, grid_search_mse, group_vector, relative_error,
+                     scalar_quantize)
 
 
 def _verdict(num, title, ok, detail):
@@ -279,7 +280,7 @@ def test_04_adaptive_loop_fidelity():
     for gid, keys in shadow.groups.items():
         spec = shadow.specs[gid]
         # the stored step must be reproducible from the saved master weights
-        step, _ = optimize_step(WeightGroup(shadow.group_vector(gid), gid), spec.points)
+        step, _ = optimize_step(WeightGroup(group_vector(shadow, gid), gid), spec.points)
         worst_rel = max(worst_rel, abs(step - spec.step) / spec.step)
         for k in keys:
             q = shadow.quantized[k]

@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
+import pytest
 
 from qatkit.nn import Checkpoint, build_network, load_checkpoint, save_checkpoint
-from qatkit.quantizer import QuantizerSpec
 
 
 def test_round_trip(tmp_path):
@@ -13,7 +14,6 @@ def test_round_trip(tmp_path):
     ckpt = Checkpoint(
         layer_cfgs=cfgs,
         params=net.get_params(),
-        specs={"fc0": QuantizerSpec.from_bits(2, 0.25)},
         config_echo={"task": "test"},
     )
     path = tmp_path / "ck.npz"
@@ -23,7 +23,6 @@ def test_round_trip(tmp_path):
     for k in ckpt.params:
         np.testing.assert_array_equal(back.params[k], ckpt.params[k])
         assert back.params[k].dtype == ckpt.params[k].dtype
-    assert back.specs["fc0"] == ckpt.specs["fc0"]
     assert back.config_echo == {"task": "test"}
 
 
@@ -52,7 +51,6 @@ def test_loads_file_with_optimizer_and_rng_state(tmp_path):
     assert back.layer_cfgs == cfgs
     for k in params:
         np.testing.assert_array_equal(back.params[k], params[k])
-    assert back.specs["fc0"] == QuantizerSpec.from_bits(2, 0.25)
     assert back.config_echo == {"task": "test"}
 
 
@@ -67,3 +65,31 @@ def test_network_rebuild_from_checkpoint(tmp_path):
     net2 = build_network(back.layer_cfgs, np.random.default_rng(99))
     net2.set_params(back.params)
     np.testing.assert_array_equal(net2.forward(x), want)
+
+
+def test_npz_without_meta_rejected_naming_path(tmp_path):
+    path = tmp_path / "foreign.npz"
+    np.savez(path, w=np.ones(3))
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a checkpoint: "
+                                         "it has no __meta__ array"):
+        load_checkpoint(path)
+
+
+def test_non_archive_rejected_naming_path(tmp_path):
+    path = tmp_path / "notes.npz"
+    path.write_text("not an archive", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))} is not a checkpoint archive"):
+        load_checkpoint(path)
+
+
+def test_param_name_without_array_rejected_naming_path(tmp_path):
+    cfgs = [{"kind": "fc", "in": 3, "out": 2}, {"kind": "softmax"}]
+    params = build_network(cfgs, np.random.default_rng(0)).get_params()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, Checkpoint(layer_cfgs=cfgs, params=params))
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "param/fc0.b"}
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: no array for parameter "
+                                         "'fc0.b'"):
+        load_checkpoint(path)

@@ -284,9 +284,17 @@ class TestConfigValidation:
         (mlp_config, ("retrain", "optimizer", "momentun"), 0.9,
          "unknown optimizer key 'momentun'"),
         (mlp_config, ("cells", 0, "schedule"), None, r"cells\[0\]: missing required key 'schedule'"),
+        (mlp_config, ("float_training", "max_epochs"), "3",
+         "^float_training: RetrainConfig: max_epochs must be an int, got '3'"),
+        (mlp_config, ("float_training", "optimizer", "learning_rate"), 0.2,
+         "^float_training: learning_rate 0.2 differs from lr_schedule.initial_lr 0.1"),
+        (mlp_config, ("retrain", "optimizer", "learning_rate"), 0.07,
+         r"^retrain with cells\[0\]: learning_rate 0.07 differs from lr_schedule.initial_lr 0.05"),
+        (mlp_config, ("seeds", 0), "0", r"seeds must be a nonempty list of ints, got \['0'\]"),
     ], ids=["dataset-missing-key", "dataset-float-seed", "str-batch-size", "zero-batch-size",
             "zero-update-stride", "str-momentum", "optimizer-kind", "optimizer-key",
-            "cell-missing-key"])
+            "cell-missing-key", "float-str-max-epochs", "float-lr-mismatch",
+            "retrain-lr-mismatch", "str-seed"])
     def test_bad_value_rejected_at_load(self, make, path, value, message):
         *outer, key = path
         bad = copy.deepcopy(getattr(make(), outer[0]))

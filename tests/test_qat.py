@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qatkit import qat
+from qatkit import harness, qat
 from qatkit.data import synthetic_clusters
 from qatkit.harness import ClassificationTask, train_float, ExperimentConfig
 from qatkit.nn import Checkpoint, OptimizerConfig, build_network, cross_entropy, make_optimizer
@@ -16,7 +16,7 @@ from qatkit.quantizer import (
     quantize,
 )
 
-from oracles import assert_on_grid
+from oracles import assert_on_grid, group_vector
 
 
 MLP = [
@@ -213,7 +213,7 @@ class TestRetrainEpoch:
                           cross_entropy, True)
         for gid in shadow.groups:
             step, _ = optimize_step(
-                WeightGroup(shadow.group_vector(gid), gid), shadow.specs[gid].points
+                WeightGroup(group_vector(shadow, gid), gid), shadow.specs[gid].points
             )
             assert shadow.specs[gid].step == pytest.approx(step, rel=1e-8)
             for k in shadow.groups[gid]:
@@ -328,7 +328,7 @@ class TestRun:
         last_epoch = max(d.epoch for d in record.deltas)
         for gid in shadow.groups:
             step, _ = optimize_step(
-                WeightGroup(shadow.group_vector(gid), gid), shadow.specs[gid].points
+                WeightGroup(group_vector(shadow, gid), gid), shadow.specs[gid].points
             )
             stored = next(d.delta for d in record.deltas
                           if d.epoch == last_epoch and d.group_id == gid)
@@ -368,3 +368,82 @@ class TestRun:
         epochs = sorted({d.epoch for d in record.deltas})
         assert epochs == list(range(len(epochs)))
         assert all(d.delta > 0 for d in record.deltas)
+
+
+class ScriptedDevTask:
+    """`toy_task`'s batches, with the dev metric of the e-th dev evaluation
+    taken from `dev_script`; remembers the parameters each evaluation saw."""
+
+    metric_name = "error"
+
+    def __init__(self, dev_script):
+        self.inner = toy_task()
+        self.dev_script = dev_script
+        self.seen = {"dev": [], "test": []}
+
+    def batches(self, split, epoch):
+        return self.inner.batches(split, epoch)
+
+    def evaluate(self, net, split):
+        self.seen[split].append(net.get_params())
+        return self.dev_script[len(self.seen["dev"]) - 1] if split == "dev" else 0.0
+
+
+def assert_same_params(got, want):
+    assert got.keys() == want.keys()
+    for k in want:
+        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
+
+
+def params_differ(a, b):
+    return any(not np.array_equal(a[k], b[k]) for k in a)
+
+
+class TestBestOnDev:
+    """Dev metrics [5, 1, 3, 4]: epoch 1 is best, and later epochs move the weights."""
+
+    def test_final_test_eval_sees_best_epoch_quantized_weights(self):
+        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
+        cfg = TestRun().retrain_cfg("adaptive", max_epochs=4)
+        qat.run(cfg, _float_ckpt_for_toy(), task)
+        assert len(task.seen["dev"]) == 4 and len(task.seen["test"]) == 1
+        assert_same_params(task.seen["test"][0], task.seen["dev"][1])
+        assert params_differ(task.seen["test"][0], task.seen["dev"][3])
+
+    def test_float_checkpoint_holds_best_epoch_master(self, monkeypatch):
+        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
+        monkeypatch.setattr(harness, "make_task", lambda cfg, seed: task)
+        cfg = ExperimentConfig(
+            task="classification-vector",
+            dataset={"kind": "clusters", "n_samples": 300, "classes": 3, "dim": 6,
+                     "seed": 5, "spread": 0.6},
+            network=MLP,
+            float_training={"max_epochs": 4, "optimizer": {
+                "learning_rate": 0.05, "lr_schedule": {"initial_lr": 0.05}}},
+        )
+        ckpt, _ = train_float(cfg, 0)
+        # a float network has no quantized view: dev evaluates the master
+        assert_same_params(ckpt.params, task.seen["dev"][1])
+        assert_same_params(task.seen["test"][0], task.seen["dev"][1])
+        assert params_differ(ckpt.params, task.seen["dev"][3])
+
+    def test_next_gradual_stage_starts_from_stage_best_master(self, monkeypatch):
+        task, ckpt = ScriptedDevTask([5.0, 1.0, 3.0, 4.0, 2.0]), _float_ckpt_for_toy()
+        masters = []  # (master before, master after) each epoch's training
+        retrain_epoch = qat.retrain_epoch
+
+        def recording(shadow, *args, **kwargs):
+            before = {k: v.copy() for k, v in shadow.master.items()}
+            loss = retrain_epoch(shadow, *args, **kwargs)
+            masters.append((before, {k: v.copy() for k, v in shadow.master.items()}))
+            return loss
+
+        monkeypatch.setattr(qat, "retrain_epoch", recording)
+        cfg = TestRun().retrain_cfg("gradual:3-2:4", max_epochs=5)
+        _, record = qat.run(cfg, ckpt, task)
+        assert [e for e in record.events if e.startswith("drop-bit")] == ["drop-bit:4:2"]
+        assert len(masters) == 5
+        assert_same_params(masters[4][0], masters[1][1])
+        assert params_differ(masters[4][0], masters[3][1])
+        # the 2-bit stage has one epoch, so it is that stage's best
+        assert_same_params(task.seen["test"][0], task.seen["dev"][4])

@@ -70,14 +70,19 @@ class TestQuantize:
 
 
 class TestQuantizerSpec:
-    def test_points_must_match_bits(self):
-        with pytest.raises(ValueError):
-            QuantizerSpec(bits=2, points=4, step=1.0)
-
     @pytest.mark.parametrize("step", [0.0, -1.0, float("inf"), float("nan")])
     def test_step_positive_finite(self, step):
         with pytest.raises(ValueError):
-            QuantizerSpec(bits=2, points=3, step=step)
+            QuantizerSpec(bits=2, step=step)
+
+    @pytest.mark.parametrize("bits", [1, 2.5, True])
+    def test_bad_bits_rejected(self, bits):
+        with pytest.raises(ValueError):
+            QuantizerSpec(bits=bits, step=1.0)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 6])
+    def test_points_follow_bits(self, bits):
+        assert QuantizerSpec(bits=bits, step=1.0).points == 2**bits - 1
 
 
 class TestQuantMse:
