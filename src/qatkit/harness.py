@@ -131,7 +131,7 @@ TASKS = {
 # float_training keys that go to qat.RetrainConfig; the rest go to the task class
 FIT_KEYS = ("max_epochs", "optimizer")
 # the qat.RetrainConfig parameters a cell sets; retrain sets the others but seed
-CELL_KEYS = ("bits", "schedule", "exhaustive_init")
+CELL_KEYS = ("bits", "schedule")
 
 
 @dataclass

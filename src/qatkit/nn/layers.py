@@ -1,9 +1,9 @@
 """Layers with explicit forward/backward passes on numpy arrays.
 
 Every layer caches what its backward pass needs during forward.  Parameter
-gradients accumulate into `grads` keyed like `params`.  `quant_groups` lists
-the weight matrices, grouped by shared quantization step; biases and
-batch-norm gain/shift are in no group.  `backward` returns the input
+gradients accumulate into `grads` keyed like `params`.  `quant_keys` lists
+the weight matrices, which share one quantization step; biases and
+batch-norm gain/shift are not quantized.  `backward` returns the input
 gradient; with `need_dx=False` a layer with weights may skip computing it and
 return None (the first layer of a network has no use for it).
 Image activations are channels-first: (batch, channels, h, w).
@@ -28,14 +28,14 @@ def uniform_fan_init(rng: np.random.Generator, shape, fan_in, fan_out):
 
 
 class Layer:
-    """Base class; subclasses fill params/grads/quant_groups."""
+    """Base class; subclasses fill params/grads/quant_keys."""
 
     def __init__(self, name: str):
         self.name = name
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
-        # parameter names grouped by shared quantization step
-        self.quant_groups: list[list[str]] = []
+        # names of the parameters quantized with one shared step
+        self.quant_keys: list[str] = []
         self._cache = None
 
     def forward(self, x: np.ndarray, train: bool = True) -> np.ndarray:
@@ -61,7 +61,7 @@ class FullyConnected(Layer):
         self.fan_in, self.fan_out = fan_in, fan_out
         self.params["W"] = uniform_fan_init(rng, (fan_in, fan_out), fan_in, fan_out)
         self.params["b"] = np.zeros(fan_out)
-        self.quant_groups = [["W"]]
+        self.quant_keys = ["W"]
         self.zero_grads()
 
     def forward(self, x, train=True):
@@ -177,7 +177,7 @@ class Conv2D(Layer):
         fan_out = out_ch * kernel * kernel
         self.params["W"] = uniform_fan_init(rng, (out_ch, in_ch, kernel, kernel), fan_in, fan_out)
         self.params["b"] = np.zeros(out_ch)
-        self.quant_groups = [["W"]]
+        self.quant_keys = ["W"]
         self.zero_grads()
 
     def forward(self, x, train=True):
@@ -334,7 +334,7 @@ class LSTM(Layer):
         b = np.zeros(4 * h)
         b[h : 2 * h] = 1.0  # forget-gate bias
         self.params["b"] = b
-        self.quant_groups = [["Wx", "Wh"]]
+        self.quant_keys = ["Wx", "Wh"]
         self._state = None
         self.zero_grads()
 

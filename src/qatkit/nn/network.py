@@ -63,13 +63,10 @@ class Network:
         return {key: ly.grads[p] for key, ly, p in self.param_items()}
 
     def quant_group_map(self) -> dict[str, list[str]]:
-        """group_id -> list of parameter keys quantized with one shared step."""
-        out: dict[str, list[str]] = {}
-        for ly in self.layers:
-            for i, names in enumerate(ly.quant_groups):
-                gid = ly.name if len(ly.quant_groups) == 1 else f"{ly.name}.{i}"
-                out[gid] = [f"{ly.name}.{n}" for n in names]
-        return out
+        """layer name -> the parameter keys of that layer quantized with one
+        shared step, for each layer that has any."""
+        return {ly.name: [f"{ly.name}.{n}" for n in ly.quant_keys]
+                for ly in self.layers if ly.quant_keys}
 
 
 # -- losses -----------------------------------------------------------------

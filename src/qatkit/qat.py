@@ -37,7 +37,8 @@ class DivergenceError(RuntimeError):
 
 # -- schedules ---------------------------------------------------------------
 
-SCHEDULE_FORMS = ("direct | conventional | adaptive | adaptive_fixK (K >= 1, default 1) | "
+SCHEDULE_FORMS = ("direct | conventional | exhaustive | adaptive | "
+                  "adaptive_fixK (K >= 1, default 1) | "
                   "gradual:START-END:EPOCHS_PER_STAGE[:conventional|adaptive|adaptive_fixK] "
                   "(START > END >= 2, EPOCHS_PER_STAGE >= 1, inner form adaptive by default)")
 
@@ -76,7 +77,9 @@ class Schedule:
 
 def _step_rule(text: str):
     """(name, adapt_epochs) of a schedule without stages, or None."""
-    if text in ("direct", "conventional"):
+    # exhaustive freezes the step, as conventional does, at the one `run`'s
+    # dev search picks
+    if text in ("direct", "conventional", "exhaustive"):
         return text, 0
     if text == "adaptive":
         return text, None
@@ -98,7 +101,8 @@ def parse_schedule(text: str) -> Schedule:
     if m:
         start, end, eps = (int(g) for g in m.group(1, 2, 3))
         inner = _step_rule(m.group(4) or "adaptive")
-        if start > end >= 2 and eps >= 1 and inner is not None and inner[0] != "direct":
+        if (start > end >= 2 and eps >= 1 and inner is not None
+                and inner[0] not in ("direct", "exhaustive")):
             return Schedule(f"gradual{start}to{end}", inner[1], start, end, eps)
     raise ValueError(f"bad schedule {text!r}; accepted: {SCHEDULE_FORMS}")
 
@@ -182,7 +186,6 @@ class RetrainConfig:
     max_epochs: int = 20
     stop_at_lr_floor: bool = True
     seed: int = 0
-    exhaustive_init: bool = False
 
     def __post_init__(self):
         check_args(type(self).__name__, vars(self), type(self))
@@ -200,21 +203,19 @@ class RetrainConfig:
                 raise ValueError(f"schedule {sched.name} needs bits {sched.end_bits} and "
                                  f"max_epochs >= {need}, got bits {self.bits} and "
                                  f"max_epochs {self.max_epochs}")
-        if self.exhaustive_init and sched.name != "conventional":
-            raise ValueError("exhaustive_init applies only to the conventional "
-                             f"schedule, not {sched.name}")
 
 
 def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
-                  loss_fn, update_steps: bool, record: RunRecord | None = None) -> float:
-    """One pass over `batches` (iterable of (x, y)) with the Fig.-style loop,
-    then a re-solve of every group's step if `update_steps`; the mean loss."""
+                  update_steps: bool, record: RunRecord | None = None) -> float:
+    """One pass over `batches` (iterable of (x, y)) with the Fig.-style loop
+    under cross-entropy, then a re-solve of every group's step if
+    `update_steps`; the mean loss."""
     total, count = 0.0, 0
     for x, y in batches:
         net.set_params(shadow.quantized)
         net.zero_grads()
         out = net.forward(x, train=True)
-        loss, dout = loss_fn(out, y)
+        loss, dout = cross_entropy(out, y)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss} at batch {count}")
         net.backward(dout)
@@ -233,8 +234,8 @@ def _evaluate_quantized(net, shadow, task, split):
 
 
 def _exhaustive_init(shadow, net, task):
-    """Opt-in baseline initialization: per group, geometric search around the
-    L2-optimal step scoring the quantized network on the dev split."""
+    """The exhaustive schedule's initial steps: per group, geometric search
+    around the L2-optimal step scoring the quantized network on the dev split."""
     for gid in sorted(shadow.groups):
         spec = shadow.specs[gid]
 
@@ -278,7 +279,7 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         try:
             mean_loss = retrain_epoch(
                 shadow, net, task.batches("train", epoch), optimizer,
-                lr_sched.lr, cross_entropy, update_steps, record=record,
+                lr_sched.lr, update_steps, record=record,
             )
         except DivergenceError as e:
             raise DivergenceError(f"{record.run_id}: epoch {epoch}: {e}") from e
@@ -315,7 +316,7 @@ def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     net.set_params(float_ckpt.params)
     shadow = init_quantization(net.get_params(), net.quant_group_map(),
                                cfg.schedule.start_bits or cfg.bits)
-    if cfg.exhaustive_init:
+    if cfg.schedule.name == "exhaustive":
         _exhaustive_init(shadow, net, task)
     shadow, _ = fit(cfg, net, shadow, task, record)
     return shadow, record

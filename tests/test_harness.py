@@ -207,6 +207,15 @@ class TestSweepAndReport:
             scores[fn] = task.evaluate(net, "test")
         assert record.final_test_metric == scores["tanh"] != scores["relu"]
 
+    def test_conventional_and_exhaustive_cells_at_one_width(self, tmp_path):
+        cfg = mlp_config(cells=[{"bits": 2, "schedule": "conventional"},
+                                {"bits": 2, "schedule": "exhaustive"}])
+        records = harness.sweep(cfg, tmp_path)
+        assert [(r.run_id, r.schedule) for r in records] == [
+            ("b2_conventional_s0", "conventional"), ("b2_exhaustive_s0", "exhaustive")]
+        assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+            "b2_conventional_s0", "b2_exhaustive_s0"]
+
     def test_direct_cell_matches_independent_quantized_eval(self, tmp_path):
         cfg = mlp_config(cells=[{"bits": 3, "schedule": "direct"}], seeds=[0])
         records = harness.sweep(cfg, tmp_path)
@@ -378,7 +387,7 @@ class TestConfigValidation:
         ([{"bits": 2, "schedule": "gradual:4-2:2"}],
          "gradual4to2 needs bits 2 and max_epochs >= 5, got bits 2 and max_epochs 3"),
         ([{"bits": 2, "schedule": "adaptive", "exhaustive_init": True}],
-         "exhaustive_init applies only to the conventional schedule, not adaptive"),
+         r"unknown cells\[0\] key 'exhaustive_init'; accepted: schedule, bits"),
         ([{"bits": 2, "schedule": "gradual:4-2:1"},
           {"bits": 2, "schedule": "gradual:4-2:1:conventional"}],
          r"cells\[0\] .* seed 0 and cells\[1\] .*conventional.* seed 0 "

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from qatkit import harness, qat
 from qatkit.data import synthetic_clusters
 from qatkit.harness import ClassificationTask, train_float, ExperimentConfig
-from qatkit.nn import Checkpoint, OptimizerConfig, build_network, cross_entropy, make_optimizer
+from qatkit.nn import Checkpoint, OptimizerConfig, build_network, make_optimizer
 from qatkit.quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
@@ -48,6 +48,7 @@ class TestSchedules:
     def test_parse_round_trip(self):
         assert qat.parse_schedule("direct") == qat.Schedule("direct", 0)
         assert qat.parse_schedule("conventional") == qat.Schedule("conventional", 0)
+        assert qat.parse_schedule("exhaustive") == qat.Schedule("exhaustive", 0)
         assert qat.parse_schedule("Adaptive ") == qat.Schedule("adaptive", None)
         assert qat.parse_schedule("adaptive_fix2") == qat.Schedule("adaptive_fix2", 2)
         assert qat.parse_schedule("adaptive_fix") == qat.Schedule("adaptive_fix1", 1)
@@ -57,7 +58,8 @@ class TestSchedules:
         assert qat.parse_schedule("gradual:6-2:3").adapt_epochs is None
         assert qat.parse_schedule("gradual:5-3:1:adaptive_fix2").adapt_epochs == 2
         for text in ("bogus", "gradual:6-2", "gradual:6-x:3", "gradual:6-2:3:conventional:x",
-                     "adaptive_fix0", "adaptive_fixA", "adaptive:2", ""):
+                     "adaptive_fix0", "adaptive_fixA", "adaptive:2", "",
+                     "gradual:6-2:3:exhaustive"):
             with pytest.raises(ValueError, match=f"bad schedule '{text}'; accepted: direct"):
                 qat.parse_schedule(text)
 
@@ -105,7 +107,7 @@ class TestSchedules:
         assert qat.RetrainConfig(schedule="gradual:6-2:3", bits=2, max_epochs=13)
 
     @pytest.mark.parametrize("field, value", [
-        ("stop_at_lr_floor", "false"), ("exhaustive_init", "no"),
+        ("stop_at_lr_floor", "false"),
         ("max_epochs", -3), ("max_epochs", True), ("max_epochs", 2.0),
         ("bits", 3.0), ("bits", "3"), ("bits", True), ("bits", 1),
     ])
@@ -192,8 +194,7 @@ class TestRetrainEpoch:
         before_master = {k: v.copy() for k, v in shadow.master.items()}
         before_q = {k: v.copy() for k, v in shadow.quantized.items()}
         opt = make_optimizer(OptimizerConfig(kind="sgd_nesterov"))
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.0,
-                          cross_entropy, False)
+        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.0, False)
         for k in before_master:
             np.testing.assert_array_equal(shadow.master[k], before_master[k])
             np.testing.assert_array_equal(shadow.quantized[k], before_q[k])
@@ -202,15 +203,13 @@ class TestRetrainEpoch:
         task, net, shadow = self._setup()
         before = dict(shadow.specs)
         opt = make_optimizer(OptimizerConfig())
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          cross_entropy, False)
+        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01, False)
         assert shadow.specs == before
 
     def test_update_step_matches_independent_solver(self):
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          cross_entropy, True)
+        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01, True)
         for gid in shadow.groups:
             step, _ = optimize_step(
                 WeightGroup(group_vector(shadow, gid), gid), shadow.specs[gid].points
@@ -226,8 +225,7 @@ class TestRetrainEpoch:
         # master receives float updates; quantized is always derived
         task, net, shadow = self._setup()
         opt = make_optimizer(OptimizerConfig())
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01,
-                          cross_entropy, False)
+        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01, False)
         gid = next(iter(shadow.groups))
         k = shadow.groups[gid][0]
         mult = shadow.master[k] / shadow.specs[gid].step
@@ -290,9 +288,7 @@ class TestRun:
         net = build_network(MLP, np.random.default_rng(0))
         net.set_params(ckpt.params)
         init = qat.init_quantization(net.get_params(), net.quant_group_map(), 2)
-        cfg = self.retrain_cfg("conventional")
-        cfg.exhaustive_init = True
-        shadow, _ = qat.run(cfg, ckpt, task)
+        shadow, _ = qat.run(self.retrain_cfg("exhaustive"), ckpt, task)
         for gid, keys in shadow.groups.items():
             d0 = init.specs[gid].step
             candidates = np.geomspace(d0 / 2, 2 * d0, qat.EXHAUSTIVE_CANDIDATES)
