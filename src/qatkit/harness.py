@@ -176,6 +176,11 @@ class ExperimentConfig:
                     raise ValueError(f"cells[{j}] {self.cells[j]} seed {other} and cells[{i}] "
                                      f"{cell} seed {seed} would both write run {rid!r}")
                 writers[rid] = (i, seed)
+        # the retrain section alone, for a run whose cell comes later
+        # (`qatkit retrain --config`); a bad value is caught above if cells
+        # are given, under the cell's name
+        _named("retrain", make_retrain_config, self, {"schedule": "conventional"},
+               self.seeds[0])
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -253,6 +253,11 @@ def bn_mlp_config(**overrides):
     return mlp_config(**{"network": network, **overrides})
 
 
+def no_cells_config(**overrides):
+    """mlp_config with no cells, as `qatkit retrain --config` may load."""
+    return mlp_config(**{"cells": [], **overrides})
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("make, section, key", [
         (mlp_config, "dataset", "sprad"),
@@ -299,11 +304,13 @@ class TestConfigValidation:
          "^float_training: learning_rate 0.2 differs from lr_schedule.initial_lr 0.1"),
         (mlp_config, ("retrain", "optimizer", "learning_rate"), 0.07,
          r"^retrain with cells\[0\]: learning_rate 0.07 differs from lr_schedule.initial_lr 0.05"),
+        (no_cells_config, ("retrain", "optimizer", "learning_rate"), 0.07,
+         "^retrain: learning_rate 0.07 differs from lr_schedule.initial_lr 0.05"),
         (mlp_config, ("seeds", 0), "0", r"seeds must be a nonempty list of ints, got \['0'\]"),
     ], ids=["dataset-missing-key", "dataset-float-seed", "str-batch-size", "zero-batch-size",
             "zero-update-stride", "str-momentum", "optimizer-kind", "optimizer-key",
             "cell-missing-key", "float-str-max-epochs", "float-lr-mismatch",
-            "retrain-lr-mismatch", "str-seed"])
+            "retrain-lr-mismatch", "no-cells-retrain-lr-mismatch", "str-seed"])
     def test_bad_value_rejected_at_load(self, make, path, value, message):
         *outer, key = path
         bad = copy.deepcopy(getattr(make(), outer[0]))
