@@ -232,7 +232,8 @@ def train_float(cfg: ExperimentConfig, seed: int):
     """Train the floating-point baseline; returns (Checkpoint, RunRecord).
 
     Runs the retraining loop on a network with nothing quantized: keeps the
-    best-on-dev parameters and stops at the lr-schedule floor or max_epochs.
+    best-on-dev parameters and buffers and stops at the lr-schedule floor or
+    max_epochs.
     """
     task = make_task(cfg, seed)
     fcfg = _float_retrain_config(cfg, seed)
@@ -241,8 +242,9 @@ def train_float(cfg: ExperimentConfig, seed: int):
                        seed=seed, metric_name=task.metric_name)
     shadow = qat.ShadowParams(net.get_params(), {}, {})
     _, best = qat.fit(fcfg, net, shadow, task, record)
+    # fit leaves the network with the best-on-dev buffers
     ckpt = Checkpoint(layer_cfgs=cfg.network, params=best.master,
-                      config_echo=_float_config_echo(cfg, seed))
+                      config_echo=_float_config_echo(cfg, seed), buffers=net.get_buffers())
     return ckpt, record
 
 

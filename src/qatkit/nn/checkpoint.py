@@ -1,6 +1,8 @@
 """Self-describing model checkpoint container (.npz + embedded JSON meta).
 
-Holds the config echo, layer specs and named parameter tensors.  Each array
+Holds the config echo, layer specs, and named parameter and buffer tensors
+(buffers: what evaluation reads and no optimizer trains, e.g. batch-norm
+running statistics; a file without them loads with none).  Each array
 keeps its own dtype in the .npz.  Older files may also carry optimizer and
 RNG state (`opt_state`/`rng_state` meta keys and `opt/*` arrays), a
 `param_dtypes` meta key and per-group quantizer `specs`; loading ignores them.
@@ -20,15 +22,16 @@ class Checkpoint:
     layer_cfgs: list[dict]
     params: dict[str, np.ndarray]
     config_echo: dict = field(default_factory=dict)
+    buffers: dict[str, np.ndarray] = field(default_factory=dict)
 
 
 def save_checkpoint(path, ckpt: Checkpoint):
-    arrays = {}
-    for name, arr in ckpt.params.items():
-        arrays[f"param/{name}"] = arr
+    arrays = {f"param/{name}": arr for name, arr in ckpt.params.items()}
+    arrays.update({f"buffer/{name}": arr for name, arr in ckpt.buffers.items()})
     meta = {
         "layer_cfgs": ckpt.layer_cfgs,
         "param_names": sorted(ckpt.params),
+        "buffer_names": sorted(ckpt.buffers),
         "config_echo": ckpt.config_echo,
     }
     arrays["__meta__"] = np.frombuffer(
@@ -48,11 +51,14 @@ def load_checkpoint(path) -> Checkpoint:
     if "__meta__" not in arrays:
         raise ValueError(f"{path} is not a checkpoint: it has no __meta__ array")
     meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
-    missing = [n for n in meta["param_names"] if f"param/{n}" not in arrays]
-    if missing:
-        raise ValueError(f"{path}: no array for parameter {', '.join(map(repr, missing))}")
+    names = {"param": meta["param_names"], "buffer": meta.get("buffer_names", [])}
+    for kind, what in (("param", "parameter"), ("buffer", "buffer")):
+        missing = [n for n in names[kind] if f"{kind}/{n}" not in arrays]
+        if missing:
+            raise ValueError(f"{path}: no array for {what} {', '.join(map(repr, missing))}")
     return Checkpoint(
         layer_cfgs=meta["layer_cfgs"],
-        params={name: arrays[f"param/{name}"] for name in meta["param_names"]},
+        params={name: arrays[f"param/{name}"] for name in names["param"]},
         config_echo=meta["config_echo"],
+        buffers={name: arrays[f"buffer/{name}"] for name in names["buffer"]},
     )

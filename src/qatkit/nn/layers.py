@@ -3,9 +3,10 @@
 Every layer caches what its backward pass needs during forward.  Parameter
 gradients accumulate into `grads` keyed like `params`.  `quant_keys` lists
 the weight matrices, which share one quantization step; biases and
-batch-norm gain/shift are not quantized.  `backward` returns the input
-gradient; with `need_dx=False` a layer with weights may skip computing it and
-return None (the first layer of a network has no use for it).
+batch-norm gain/shift are not quantized.  `buffers` names the array
+attributes that evaluation reads and no optimizer trains.  `backward` returns
+the input gradient; with `need_dx=False` a layer with weights may skip
+computing it and return None (the first layer of a network has no use for it).
 Image activations are channels-first: (batch, channels, h, w).
 """
 
@@ -29,6 +30,8 @@ def uniform_fan_init(rng: np.random.Generator, shape, fan_in, fan_out):
 
 class Layer:
     """Base class; subclasses fill params/grads/quant_keys."""
+
+    buffers: tuple[str, ...] = ()
 
     def __init__(self, name: str):
         self.name = name
@@ -255,6 +258,8 @@ class BatchNorm(Layer):
     feature or channel over every other axis; running averages with the
     configured momentum are used at inference.
     """
+
+    buffers = ("running_mean", "running_var")
 
     def __init__(self, name, features, momentum=0.9, eps=1e-5):
         super().__init__(name)

@@ -52,12 +52,25 @@ class Network:
     def set_params(self, values: dict[str, np.ndarray]):
         """Copy in a value for every parameter; a missing or extra key raises."""
         items = list(self.param_items())
-        keys = {key for key, _, _ in items}
-        if values.keys() != keys:
-            raise ValueError(f"set_params: missing keys {sorted(keys - values.keys())}, "
-                             f"extra keys {sorted(values.keys() - keys)}")
+        _check_keys("set_params", values, items)
         for key, ly, p in items:
             ly.params[p] = values[key].copy()
+
+    def buffer_items(self):
+        """Yield (key, layer, attribute) for every buffer, in layer order."""
+        for ly in self.layers:
+            for name in ly.buffers:
+                yield f"{ly.name}.{name}", ly, name
+
+    def get_buffers(self) -> dict[str, np.ndarray]:
+        return {key: getattr(ly, a).copy() for key, ly, a in self.buffer_items()}
+
+    def set_buffers(self, values: dict[str, np.ndarray]):
+        """Copy in a value for every buffer; a missing or extra key raises."""
+        items = list(self.buffer_items())
+        _check_keys("set_buffers", values, items)
+        for key, ly, a in items:
+            setattr(ly, a, values[key].copy())
 
     def get_grads(self) -> dict[str, np.ndarray]:
         return {key: ly.grads[p] for key, ly, p in self.param_items()}
@@ -67,6 +80,13 @@ class Network:
         shared step, for each layer that has any."""
         return {ly.name: [f"{ly.name}.{n}" for n in ly.quant_keys]
                 for ly in self.layers if ly.quant_keys}
+
+
+def _check_keys(what: str, values: dict, items: list):
+    keys = {key for key, _, _ in items}
+    if values.keys() != keys:
+        raise ValueError(f"{what}: missing keys {sorted(keys - values.keys())}, "
+                         f"extra keys {sorted(values.keys() - keys)}")
 
 
 # -- losses -----------------------------------------------------------------

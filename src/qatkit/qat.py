@@ -253,12 +253,13 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     """The epoch loop shared by float training and retraining.
 
     Walks the schedule's plan.  A change of width starts a stage: the shadow
-    is quantized afresh from the stage before's best-on-dev master, with a
-    fresh optimizer and lr schedule.  Keeps the final stage's best-on-dev
-    quantized state, stops at the lr-schedule floor (not under gradual),
-    then evaluates that state on test.  A float network is one whose shadow
-    has no groups.  Returns (final ShadowParams, best-on-dev ShadowParams);
-    the best is the final one when no epoch ran.
+    is quantized afresh from the stage before's best-on-dev master, and the
+    network gets that epoch's buffers, with a fresh optimizer and lr
+    schedule.  Keeps the final stage's best-on-dev quantized state and
+    buffers, stops at the lr-schedule floor (not under gradual), then
+    evaluates that state on test; the network keeps those buffers.  A float
+    network is one whose shadow has no groups.  Returns (final ShadowParams,
+    best-on-dev ShadowParams); the best is the final one when no epoch ran.
     """
     plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
     if not plan:
@@ -267,11 +268,12 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     stop_at_floor = (cfg.stop_at_lr_floor and cfg.schedule.start_bits is None
                      and lr_cfg.initial_lr > lr_cfg.final_lr)
     optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-    best_dev, best = math.inf, shadow
+    best_dev, best, best_buffers = math.inf, shadow, net.get_buffers()
     epoch = 0
     for epoch, (bits, update_steps) in enumerate(plan):
         if epoch and bits != plan[epoch - 1][0]:
             shadow = init_quantization(best.master, shadow.groups, bits)
+            net.set_buffers(best_buffers)
             record.events.append(f"drop-bit:{epoch}:{bits}")
             optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
             best_dev, best = math.inf, shadow
@@ -292,12 +294,14 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
             best_dev = dev
             best = ShadowParams({k: v.copy() for k, v in shadow.master.items()},
                                 shadow.groups, dict(shadow.specs))
+            best_buffers = net.get_buffers()
         lr_sched.step(dev)
         if stop_at_floor and lr_sched.at_floor:
             break
 
     net.reset_state()
     net.set_params(best.quantized)
+    net.set_buffers(best_buffers)
     record.final_test_metric = task.evaluate(net, "test")
     record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
     return shadow, best
@@ -306,14 +310,16 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
 def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     """Full retraining of one (bits, schedule) cell from a float checkpoint.
 
-    The network is built from `float_ckpt.layer_cfgs`; `task` supplies the
-    data: batches(split, epoch), evaluate(net, split) -> metric (lower is
-    better), and metric_name.  Returns (final ShadowParams, RunRecord).
+    The network is built from `float_ckpt.layer_cfgs`, with its params and
+    buffers; `task` supplies the data: batches(split, epoch), evaluate(net,
+    split) -> metric (lower is better), and metric_name.  Returns (final
+    ShadowParams, RunRecord).
     """
     record = RunRecord(run_id=run_id, cell_bits=cfg.bits, schedule=cfg.schedule.name,
                        seed=cfg.seed, metric_name=task.metric_name)
     net = build_network(float_ckpt.layer_cfgs, np.random.default_rng(cfg.seed))
     net.set_params(float_ckpt.params)
+    net.set_buffers(float_ckpt.buffers)
     shadow = init_quantization(net.get_params(), net.quant_group_map(),
                                cfg.schedule.start_bits or cfg.bits)
     if cfg.schedule.name == "exhaustive":

@@ -93,3 +93,47 @@ def test_param_name_without_array_rejected_naming_path(tmp_path):
     with pytest.raises(ValueError, match=f"{re.escape(str(path))}: no array for parameter "
                                          "'fc0.b'"):
         load_checkpoint(path)
+
+
+BN_CFGS = [{"kind": "fc", "in": 3, "out": 2}, {"kind": "batchnorm", "features": 2}]
+
+
+def bn_checkpoint():
+    net = build_network(BN_CFGS, np.random.default_rng(0))
+    net.forward(np.random.default_rng(1).normal(size=(5, 3)), train=True)
+    return Checkpoint(layer_cfgs=BN_CFGS, params=net.get_params(), buffers=net.get_buffers())
+
+
+def test_buffers_round_trip(tmp_path):
+    ckpt = bn_checkpoint()
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, ckpt)
+    with np.load(path) as data:
+        assert sorted(k for k in data.files if k.startswith("buffer/")) == [
+            "buffer/batchnorm1.running_mean", "buffer/batchnorm1.running_var"]
+    back = load_checkpoint(path)
+    assert back.buffers.keys() == ckpt.buffers.keys()
+    for k in ckpt.buffers:
+        np.testing.assert_array_equal(back.buffers[k], ckpt.buffers[k])
+
+
+def test_file_without_buffer_names_loads_with_no_buffers(tmp_path):
+    cfgs = [{"kind": "fc", "in": 3, "out": 2}, {"kind": "softmax"}]
+    params = build_network(cfgs, np.random.default_rng(0)).get_params()
+    meta = {"layer_cfgs": cfgs, "param_names": sorted(params), "config_echo": {}}
+    arrays = {f"param/{k}": v for k, v in params.items()}
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    path = tmp_path / "old.npz"
+    np.savez(path, **arrays)
+    assert load_checkpoint(path).buffers == {}
+
+
+def test_buffer_name_without_array_rejected_naming_path(tmp_path):
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, bn_checkpoint())
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files if k != "buffer/batchnorm1.running_var"}
+    np.savez(path, **arrays)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: no array for buffer "
+                                         "'batchnorm1.running_var'"):
+        load_checkpoint(path)

@@ -20,6 +20,7 @@ from qatkit.nn import (
     OptimizerConfig,
     build_network,
     load_checkpoint,
+    save_checkpoint,
 )
 from qatkit.nn.network import LAYER_TYPES
 
@@ -251,6 +252,41 @@ def bn_mlp_config(**overrides):
     """mlp_config with a batch-norm layer first."""
     network = [{"kind": "batchnorm", "features": 4}, *mlp_config().network]
     return mlp_config(**{"network": network, **overrides})
+
+
+def bn_overlap_config(**overrides):
+    """bn_mlp_config on overlapping clusters: the float test error is not 0,
+    and evaluating without the batch-norm statistics raises it."""
+    return bn_mlp_config(**{"dataset": {**mlp_config().dataset, "spread": 0.5}, **overrides})
+
+
+class TestBatchNormBuffers:
+    def test_reloaded_float_checkpoint_reproduces_its_record(self, tmp_path):
+        cfg = bn_overlap_config()
+        _, record = harness.train_and_save_float(cfg, 0, tmp_path)
+        assert record.final_test_metric > 0
+        ckpt = load_checkpoint(harness.float_checkpoint_path(tmp_path, 0))
+        assert sorted(ckpt.buffers) == ["batchnorm0.running_mean", "batchnorm0.running_var"]
+        net = build_network(ckpt.layer_cfgs, np.random.default_rng(1))
+        net.set_params(ckpt.params)
+        net.set_buffers(ckpt.buffers)
+        assert harness.make_task(cfg, 0).evaluate(net, "test") == record.final_test_metric
+
+    def test_direct_8_bit_lands_near_float(self, tmp_path):
+        [direct] = harness.sweep(bn_overlap_config(cells=[{"bits": 8, "schedule": "direct"}]),
+                                 tmp_path)
+        [float_record] = harness.collect_records(tmp_path / "float")
+        assert abs(direct.final_test_metric - float_record.final_test_metric) < 0.5
+
+    def test_checkpoint_without_buffers_fails_naming_them(self, tmp_path):
+        # a batch-norm checkpoint written before checkpoints held buffers
+        cfg = bn_overlap_config(float_training={"max_epochs": 1})
+        ckpt = harness.ensure_float_checkpoint(cfg, 0, tmp_path)
+        ckpt.buffers = {}
+        save_checkpoint(harness.float_checkpoint_path(tmp_path, 0), ckpt)
+        with pytest.raises(ValueError, match=r"set_buffers: missing keys "
+                                             r"\['batchnorm0.running_mean', 'batchnorm0.running_var'\]"):
+            harness.run_cell(cfg, {"bits": 2, "schedule": "direct"}, 0, tmp_path)
 
 
 def no_cells_config(**overrides):

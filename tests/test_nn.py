@@ -303,6 +303,31 @@ class TestBatchNorm:
         y = net.forward(x, train=False)
         assert np.abs(y.mean(axis=0)).max() < 0.05
 
+    def test_buffers_are_the_running_stats_and_are_copied(self):
+        r = rng()
+        net = build_network([{"kind": "fc", "in": 2, "out": 3},
+                             {"kind": "batchnorm", "features": 3, "name": "bn"}], r)
+        net.forward(r.normal(size=(8, 2)), train=True)
+        bn = net.layers[1]
+        got = net.get_buffers()
+        assert sorted(got) == ["bn.running_mean", "bn.running_var"]
+        np.testing.assert_array_equal(got["bn.running_mean"], bn.running_mean)
+        got["bn.running_var"][:] = 7.0
+        assert not np.any(bn.running_var == 7.0)
+        net.set_buffers(got)
+        got["bn.running_var"][:] = 9.0
+        np.testing.assert_array_equal(bn.running_var, np.full(3, 7.0))
+        assert "bn.running_mean" not in net.get_params()
+
+    def test_set_buffers_rejects_missing_and_extra_keys(self):
+        net = build_network([{"kind": "batchnorm", "features": 3, "name": "bn"}], rng())
+        good = net.get_buffers()
+        with pytest.raises(ValueError, match=r"set_buffers: missing keys \['bn.running_var'\], "
+                                             r"extra keys \[\]"):
+            net.set_buffers({"bn.running_mean": good["bn.running_mean"]})
+        with pytest.raises(ValueError, match=r"missing keys \[\], extra keys \['bn.x'\]"):
+            net.set_buffers({**good, "bn.x": np.zeros(3)})
+
 
 class TestLSTMStateful:
     def test_chunked_forward_matches_full_when_stateful(self):

@@ -27,6 +27,9 @@ MLP = [
 ]
 
 
+BN_MLP = [MLP[0], {"kind": "batchnorm", "features": 8}, *MLP[1:]]
+
+
 def toy_task(seed=0):
     splits = synthetic_clusters(n_samples=300, classes=3, dim=6, seed=5, spread=0.6)
     return ClassificationTask(splits, batch_size=32, seed=seed)
@@ -368,7 +371,8 @@ class TestRun:
 
 class ScriptedDevTask:
     """`toy_task`'s batches, with the dev metric of the e-th dev evaluation
-    taken from `dev_script`; remembers the parameters each evaluation saw."""
+    taken from `dev_script`; remembers the parameters and buffers each
+    evaluation saw."""
 
     metric_name = "error"
 
@@ -376,12 +380,14 @@ class ScriptedDevTask:
         self.inner = toy_task()
         self.dev_script = dev_script
         self.seen = {"dev": [], "test": []}
+        self.seen_buffers = {"dev": [], "test": []}
 
     def batches(self, split, epoch):
         return self.inner.batches(split, epoch)
 
     def evaluate(self, net, split):
         self.seen[split].append(net.get_params())
+        self.seen_buffers[split].append(net.get_buffers())
         return self.dev_script[len(self.seen["dev"]) - 1] if split == "dev" else 0.0
 
 
@@ -406,6 +412,15 @@ class TestBestOnDev:
         assert_same_params(task.seen["test"][0], task.seen["dev"][1])
         assert params_differ(task.seen["test"][0], task.seen["dev"][3])
 
+    def test_final_test_eval_sees_best_epoch_buffers(self):
+        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
+        net = build_network(BN_MLP, np.random.default_rng(0))
+        ckpt = Checkpoint(layer_cfgs=BN_MLP, params=net.get_params(), buffers=net.get_buffers())
+        qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4), ckpt, task)
+        dev, test = task.seen_buffers["dev"], task.seen_buffers["test"]
+        assert_same_params(test[0], dev[1])
+        assert params_differ(test[0], dev[3])
+
     def test_float_checkpoint_holds_best_epoch_master(self, monkeypatch):
         task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
         monkeypatch.setattr(harness, "make_task", lambda cfg, seed: task)
@@ -422,6 +437,23 @@ class TestBestOnDev:
         assert_same_params(ckpt.params, task.seen["dev"][1])
         assert_same_params(task.seen["test"][0], task.seen["dev"][1])
         assert params_differ(ckpt.params, task.seen["dev"][3])
+
+    def test_float_checkpoint_holds_best_epoch_buffers(self, monkeypatch):
+        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
+        monkeypatch.setattr(harness, "make_task", lambda cfg, seed: task)
+        cfg = ExperimentConfig(
+            task="classification-vector",
+            dataset={"kind": "clusters", "n_samples": 300, "classes": 3, "dim": 6,
+                     "seed": 5, "spread": 0.6},
+            network=BN_MLP,
+            float_training={"max_epochs": 4, "optimizer": {
+                "learning_rate": 0.05, "lr_schedule": {"initial_lr": 0.05}}},
+        )
+        ckpt, _ = train_float(cfg, 0)
+        dev = task.seen_buffers["dev"]
+        assert_same_params(ckpt.buffers, dev[1])
+        assert_same_params(task.seen_buffers["test"][0], dev[1])
+        assert params_differ(ckpt.buffers, dev[3])
 
     def test_next_gradual_stage_starts_from_stage_best_master(self, monkeypatch):
         task, ckpt = ScriptedDevTask([5.0, 1.0, 3.0, 4.0, 2.0]), _float_ckpt_for_toy()
@@ -443,3 +475,20 @@ class TestBestOnDev:
         assert params_differ(masters[4][0], masters[3][1])
         # the 2-bit stage has one epoch, so it is that stage's best
         assert_same_params(task.seen["test"][0], task.seen["dev"][4])
+
+    def test_next_gradual_stage_starts_from_stage_best_buffers(self, monkeypatch):
+        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0, 2.0])
+        net = build_network(BN_MLP, np.random.default_rng(0))
+        ckpt = Checkpoint(layer_cfgs=BN_MLP, params=net.get_params(), buffers=net.get_buffers())
+        starts = []  # the network's buffers as each epoch's training starts
+        retrain_epoch = qat.retrain_epoch
+
+        def recording(shadow, net, *args, **kwargs):
+            starts.append(net.get_buffers())
+            return retrain_epoch(shadow, net, *args, **kwargs)
+
+        monkeypatch.setattr(qat, "retrain_epoch", recording)
+        qat.run(TestRun().retrain_cfg("gradual:3-2:4", max_epochs=5), ckpt, task)
+        dev = task.seen_buffers["dev"]
+        assert_same_params(starts[4], dev[1])
+        assert params_differ(starts[4], dev[3])
