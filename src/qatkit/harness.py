@@ -273,7 +273,9 @@ def ensure_float_checkpoint(cfg: ExperimentConfig, seed: int, out_dir) -> Checkp
     """Load the float checkpoint under `out_dir`, or train it if there is none.
 
     Raises ValueError, naming the section, when the existing checkpoint was
-    trained under another task, dataset, network or float_training config.
+    trained under another task, dataset, network or float_training config,
+    and naming the keys when its buffers are not those of its network (a
+    batch-norm checkpoint written before checkpoints held buffers).
     """
     path = float_checkpoint_path(out_dir, seed)
     if not path.exists():
@@ -286,6 +288,11 @@ def ensure_float_checkpoint(cfg: ExperimentConfig, seed: int, out_dir) -> Checkp
         if stored.get(section) != value:
             raise ValueError(f"{path} was trained with a different {section}; "
                              "delete it or use another output directory")
+    try:
+        build_network(ckpt.layer_cfgs, np.random.default_rng(0)).set_buffers(ckpt.buffers)
+    except ValueError as e:
+        raise ValueError(f"{path} does not hold the buffers of its network ({e}); "
+                         "delete it or use another output directory") from None
     return ckpt
 
 

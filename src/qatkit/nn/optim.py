@@ -88,20 +88,29 @@ class SGDNesterov:
     def __init__(self, momentum=0.9):
         self.momentum = momentum
         self.v: dict[str, np.ndarray] = {}
+        self.scratch: dict[str, np.ndarray] = {}  # lr*(g + mu*v) per key
 
     def update(self, params: dict, grads: dict, lr: float):
         mu = self.momentum
         for k, w in params.items():
             g = grads[k]
+            t = self.scratch.get(k)
+            if t is None:
+                t = self.scratch[k] = np.empty_like(g)
             if mu == 0.0:
-                w -= lr * g
+                np.multiply(g, lr, out=t)
+                w -= t
                 continue
             v = self.v.get(k)
             if v is None:
-                v = np.zeros_like(g)
-            v = mu * v + g
-            self.v[k] = v
-            w -= lr * (g + mu * v)
+                v = self.v[k] = np.zeros_like(g)
+            # in place, in the order of operations of the formulas above
+            v *= mu
+            v += g
+            np.multiply(v, mu, out=t)
+            t += g
+            t *= lr
+            w -= t
 
 
 class AdaDelta:

@@ -3,8 +3,9 @@
 A weight group is quantized onto the grid {n * step : |n| <= (M-1)/2} where
 M = 2^bits - 1 levels are symmetric about zero.  The step size that minimizes
 the squared error between float and quantized weights is found exactly, by a
-sweep over the breakpoints where a weight changes level: O(N log N + N*K log K)
-time for N weights and K = (M-1)/2, with memory bounded by two N*K arrays.
+sweep over the breakpoints where a weight changes level, for N weights and
+K = (M-1)/2: O(N log N + N*K log SWEEP_CHUNK) time, and memory for a few
+arrays of N and one window of about SWEEP_CHUNK of the N*K breakpoints.
 """
 
 from __future__ import annotations
@@ -110,8 +111,9 @@ def quant_mse(group: WeightGroup, spec: QuantizerSpec) -> float:
     return _half_squared_error(group.values, spec.step, spec.max_level)
 
 
-# Breakpoints swept per vectorized step of `optimize_step`; bounds the sweep's
-# temporaries to a few arrays of this length beside the two N*K arrays.
+# Breakpoints per window of `optimize_step`, which holds one window at a time:
+# a window and the sweep's temporaries are a few arrays of about this length
+# (read at each call).
 SWEEP_CHUNK = 4096
 
 
@@ -126,15 +128,17 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     least-squares step, so checking it (when interior) plus the region's
     right endpoint yields the global minimum.
 
-    With K = (M-1)/2, the N*K breakpoints are laid out as K ascending runs
-    (one per level, over the sorted magnitudes), merged by a stable argsort
-    and swept in chunks of SWEEP_CHUNK: O(N log N + N*K log K) time, with
-    memory bounded by the two N*K arrays (breakpoints and merge order), plus
-    a few arrays as long as the count of tied breakpoints, all in double
-    precision.  Equal breakpoints are visited in weight-index, then level
-    order, and the running sums are subtracted sequentially, so the result
-    is bit-identical to the one-breakpoint-at-a-time reference
-    (`tests/oracles.optimize_step_loop`).
+    With K = (M-1)/2, the N*K breakpoints form K ascending rows (one per
+    level, over the sorted magnitudes).  They are swept in ascending windows
+    of about SWEEP_CHUNK (`_breakpoint_windows`), each built from a rank
+    slice of every row and sorted on its own, with the running sums carried
+    from window to window: O(N log N + N*K log SWEEP_CHUNK) time.  Memory is
+    a few arrays of N, one window, and the window bounds and threshold
+    sample, up to 2*K*K*N/SWEEP_CHUNK entries each; a window grows beyond
+    SWEEP_CHUNK only where equal breakpoints pile up.  Equal breakpoints are
+    visited in weight-index, then level order, and the running sums are
+    subtracted sequentially, so the result is bit-identical to the
+    one-breakpoint-at-a-time reference (`tests/oracles.optimize_step_loop`).
 
     Raises DegenerateGroupError for an all-zero group, and ValueError naming
     the group when the sum of its squared weights overflows.  The returned step is
@@ -161,35 +165,45 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     s2 = float(max_level) ** 2 * n
     rank = np.argsort(absw, kind="stable")
     mag = absw[rank]
-    # level-major breakpoints: row k-1 holds mag / (k - 0.5), ascending, so
-    # the stable argsort only merges K runs; entry (k-1)*n + r is weight rank[r]
-    bp = (mag[None, :] / (np.arange(1, max_level + 1) - 0.5)[:, None]).ravel()
-    order = np.argsort(bp, kind="stable")
-    bp = bp[order]
-    _weight_then_level_ties(bp, order, rank)
 
     best_step, best_mse = None, math.inf
     prev_b = 0.0
-    for lo in range(0, bp.size, SWEEP_CHUNK):
-        b = bp[lo:lo + SWEEP_CHUNK]
-        level, r = np.divmod(order[lo:lo + SWEEP_CHUNK], n)
+    for b, m, h in _breakpoint_windows(mag, rank, max_level, SWEEP_CHUNK):
         # running sums before each breakpoint, subtracted in sweep order;
-        # s2 counts integers, so it stays exact and positive
-        acc1 = np.subtract.accumulate(np.concatenate(([s1], mag[r])))
-        acc2 = np.subtract.accumulate(np.concatenate(([s2], 2.0 * level + 1.0)))
+        # crossing |w|/(k - 0.5) takes |w| off s1 and 2k - 1 off s2, which
+        # counts integers, so it stays exact and positive
+        acc1 = np.concatenate(([s1], m))
+        np.subtract.accumulate(acc1, out=acc1)
+        acc2 = np.concatenate(([s2], h))
+        acc2[1:] *= 2.0
+        np.subtract.accumulate(acc2, out=acc2)
         c1, c2 = acc1[:-1], acc2[:-1]
-        prev = np.concatenate(([prev_b], b[:-1]))
         stat = c1 / c2
-        cand = np.empty(2 * b.size)
-        cand[0::2] = np.where((prev < stat) & (stat <= b),
-                              0.5 * (sum_w2 - c1 * stat), math.inf)
-        cand[1::2] = 0.5 * (sum_w2 - 2.0 * b * c1 + b * b * c2)
+        # mse at each region's right end b, 0.5 * (sum_w2 - 2.0*b*c1 + b*b*c2)
+        # in that order of operations
+        end = 2.0 * b
+        end *= c1
+        np.subtract(sum_w2, end, out=end)
+        sq = b * b
+        sq *= c2
+        end += sq
+        end *= 0.5
+        # and at each stationary point inside its region, prev < stat <= b
+        inside = stat <= b
+        inside[0] &= prev_b < stat[0]
+        inside[1:] &= b[:-1] < stat[1:]
+        j_in = np.flatnonzero(inside)
+        mid = 0.5 * (sum_w2 - c1[j_in] * stat[j_in])
         # keep the first strict improvement: the earliest minimum, if it is
-        # below the best so far (fmin skips NaN, which never improves)
-        low = np.fmin.reduce(cand)
+        # below the best so far (fmin skips NaN, which never improves); a
+        # region's stationary point comes before its right end
+        low = np.fmin.reduce(mid, initial=np.fmin.reduce(end))
         if low < best_mse:
-            j = int(np.argmax(cand == low))
-            best_step, best_mse = float(stat[j // 2] if j % 2 == 0 else b[j // 2]), low
+            best_mse = low
+            at_end = end == low
+            j = int(np.argmax(at_end)) if at_end.any() else b.size  # first right end
+            hit = j_in[mid == low]
+            best_step = float(stat[hit[0]] if hit.size and hit[0] <= j else b[j])
         s1, s2, prev_b = acc1[-1], acc2[-1], b[-1]
     if best_step is None:
         raise DegenerateGroupError(f"group {group.group_id!r}: no positive step found")
@@ -198,28 +212,96 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     return best_step, _half_squared_error(group.values, best_step, max_level)
 
 
-def _weight_then_level_ties(bp: np.ndarray, order: np.ndarray, rank: np.ndarray) -> None:
-    """Reorder `order` in place so that among equal sorted breakpoints `bp`
-    the weight index comes first and the level second.
+def _breakpoint_windows(mag: np.ndarray, rank: np.ndarray, max_level: int, chunk: int):
+    """Yield the breakpoints mag / (k - 0.5), k = 1..max_level, in sweep order,
+    one window of about `chunk` at a time, as (breakpoints, their magnitudes,
+    their k - 0.5).
 
-    The merge leaves equal breakpoints in level, then magnitude-rank order;
-    ties across levels (e.g. x/0.5 == fl(3x)/1.5) then differ from the
-    reference's order, and the running sums round differently.
+    Within a window, equal breakpoints are in weight-index, then level order
+    (`_reference_tie_order`).  Row k of the breakpoints ascends with the
+    sorted magnitudes `mag`, so value thresholds cut it into one rank slice
+    per window; a window is its rows' slices, divided as whole rows would be,
+    then sorted.  Equal breakpoints all fall on one side of a threshold, so a
+    run of ties never straddles two windows.  When all N*K fit in one chunk
+    there is a single window and no pass over the rows.  A single row (K = 1)
+    is in sweep order as it stands and is cut every `chunk` breakpoints.
     """
-    n = rank.size
-    eq = np.concatenate(([False], bp[1:] == bp[:-1]))  # bp[p] == bp[p - 1]
+    n = mag.size
+    if max_level == 1:
+        # one row, already in sweep order: the stable sort of |w| left equal
+        # magnitudes in weight-index order
+        for lo in range(0, n, chunk):
+            m = mag[lo:lo + chunk]
+            yield m / 0.5, m, np.full(m.size, 0.5)
+        return
+    halves = np.arange(1, max_level + 1) - 0.5
+    if n * max_level <= chunk:
+        windows = [(np.tile(mag, max_level), np.repeat(halves, n),
+                    np.zeros(max_level, dtype=np.intp), np.full(max_level, n))]
+    else:
+        windows = _window_slices(mag, halves, chunk)
+    # timsort merges the K ascending runs in log2(K) passes; from 4 bits
+    # (K = 7) on, numpy's quicksort is faster.  Neither fixes the order of ties.
+    kind = "stable" if max_level <= 3 else "quicksort"
+    for m, h, lo, counts in windows:
+        bp = m / h  # the same division as a whole row, so the same values
+        order = np.argsort(bp, kind=kind)
+        bp = bp[order]
+        _reference_tie_order(bp, order, rank, lo, counts)
+        yield bp, m[order], h[order]
+
+
+def _window_slices(mag: np.ndarray, halves: np.ndarray, chunk: int):
+    """Yield each window's (magnitudes, k - 0.5, first rank per row, count per
+    row), its rows' slices in level order, in ascending order of value.
+
+    The thresholds are every 2K-th point of a sorted sample of each row's
+    every (chunk/2K)-th breakpoint: a row's count below a threshold is then
+    known to within chunk/2K, so a window holds chunk +- chunk/2 breakpoints,
+    more where equal ones pile up.  Each row's slices are found by
+    `np.searchsorted` on that row, one row at a time.
+    """
+    n, rows = mag.size, halves.size
+    stride = max(1, chunk // (2 * rows))
+    sample = (mag[stride - 1::stride] / halves[:, None]).ravel()
+    sample.sort()
+    per_window = chunk // stride
+    thresholds = sample[per_window - 1:-1:per_window]
+    # row k's slice in window j is bounds[j, k]:bounds[j + 1, k]
+    bounds = np.empty((thresholds.size + 2, rows), dtype=np.intp)
+    bounds[0], bounds[-1] = 0, n
+    for k, h in enumerate(halves):
+        bounds[1:-1, k] = np.searchsorted(mag / h, thresholds, side="right")
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        counts = hi - lo
+        if counts.any():
+            m = np.concatenate([mag[a:z] for a, z in zip(lo.tolist(), hi.tolist())])
+            yield m, np.repeat(halves, counts), lo, counts
+
+
+def _reference_tie_order(bp: np.ndarray, order: np.ndarray, rank: np.ndarray,
+                         lo: np.ndarray, counts: np.ndarray) -> None:
+    """Reorder `order` in place so that equal sorted breakpoints `bp` are in
+    weight-index, then level order, as in the reference loop.
+
+    `order` indexes a window laid out as row slices: `counts[k]` breakpoints
+    of level k + 1 from magnitude rank `lo[k]` on.  The sort may leave equal
+    breakpoints in any order, and ties across levels (e.g.
+    x/0.5 == fl(3x)/1.5) must still follow the reference's order, or the
+    running sums round differently.
+    """
+    eq = bp[1:] == bp[:-1]  # bp[p + 1] == bp[p]
+    if not eq.any():
+        return
+    eq = np.concatenate(([False], eq))
     tied = eq.copy()
     tied[:-1] |= eq[1:]
-    if not tied.any():
-        return
     sub = order[tied]
-    # key: tie run, then weight index.  One weight's breakpoints tie only
-    # when they underflow to 0 or overflow to inf; the merge has them in
-    # level order, which the stable sort keeps.
-    key = np.cumsum(~eq[tied])
-    key *= n
-    key += rank[sub % n]
-    order[tied] = sub[np.argsort(key, kind="stable")]
+    starts = np.cumsum(counts) - counts
+    level = np.searchsorted(starts, sub, side="right") - 1
+    weight = rank[lo[level] + sub - starts[level]]
+    run = np.cumsum(~eq[tied])
+    order[tied] = sub[np.lexsort((level, weight, run))]
 
 
 def exhaustive_search_step(

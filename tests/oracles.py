@@ -10,8 +10,8 @@ argmax and col2im) and batch norm on a channels-last (n, features) view
 (`np.var`).  The max pool and batch norm in evaluation must match them bit for
 bit; the convolution and the batch-norm sums over the batch, which now run
 channels-first, within `assert_close_to_reference`.  The first synthetic-text
-generator (one `rng.choice` per character) and the first AdaDelta update
-(new state arrays on every call) must be matched exactly.
+generator (one `rng.choice` per character) and the first SGD-with-Nesterov
+and AdaDelta updates (new arrays on every call) must be matched exactly.
 """
 
 import math
@@ -194,6 +194,22 @@ def synthetic_text_loop(n_chars, seed, vocab_size=26, order=2):
         out.append(c)
         state = (state * v + c) % n_states
     return "".join(chars[c] for c in out)
+
+
+def sgd_nesterov_update_loop(params, grads, v, lr, mu):
+    """The first SGD-with-Nesterov-momentum update: fresh zero velocity for a
+    new key, and new arrays on every call.  Mutates params; v maps key -> array."""
+    for k, w in params.items():
+        g = grads[k]
+        if mu == 0.0:
+            w -= lr * g
+            continue
+        vk = v.get(k)
+        if vk is None:
+            vk = np.zeros_like(g)
+        vk = mu * vk + g
+        v[k] = vk
+        w -= lr * (g + mu * vk)
 
 
 def adadelta_update_loop(params, grads, eg, ex, lr, rho, eps):

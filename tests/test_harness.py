@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import csv
 import inspect
 import json
@@ -287,6 +288,23 @@ class TestBatchNormBuffers:
         with pytest.raises(ValueError, match=r"set_buffers: missing keys "
                                              r"\['batchnorm0.running_mean', 'batchnorm0.running_var'\]"):
             harness.run_cell(cfg, {"bits": 2, "schedule": "direct"}, 0, tmp_path)
+
+    def test_checkpoint_without_buffers_rejected_before_training(self, tmp_path, monkeypatch):
+        cfg = bn_mlp_config(float_training={"max_epochs": 1},
+                            cells=[{"bits": 2, "schedule": "direct"},
+                                   {"bits": 2, "schedule": "conventional"}])
+        ckpt = harness.ensure_float_checkpoint(cfg, 0, tmp_path)
+        path = harness.float_checkpoint_path(tmp_path, 0)
+        save_checkpoint(path, dataclasses.replace(ckpt, buffers={}))
+        monkeypatch.setattr(harness.qat, "run", None)  # nothing may train
+        message = (rf"{re.escape(str(path))} does not hold the buffers of its network "
+                   r"\(.*'batchnorm0.running_mean'.*\); delete it or use another output directory")
+        with pytest.raises(ValueError, match=message):
+            harness.ensure_float_checkpoint(cfg, 0, tmp_path)
+        assert harness.sweep(cfg, tmp_path) == []
+        failures = json.loads((tmp_path / "failures.json").read_text())
+        assert len(failures) == 2
+        assert all(re.search(message, f["error"]) for f in failures)
 
 
 def no_cells_config(**overrides):

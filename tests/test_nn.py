@@ -19,6 +19,7 @@ from qatkit.nn.layers import InvalidStateError
 
 from oracles import (
     adadelta_update_loop,
+    sgd_nesterov_update_loop,
     assert_bits_equal,
     finite_difference_grads,
     relative_error,
@@ -397,6 +398,29 @@ class TestOptimizers:
             assert_bits_equal(params[k], want[k])
             assert_bits_equal(opt.eg[k], want_eg[k])
             assert_bits_equal(opt.ex[k], want_ex[k])
+
+    @pytest.mark.parametrize("mu", [0.9, 0.5, 0.0])
+    def test_sgd_nesterov_matches_first_update_bit_for_bit(self, mu):
+        r = np.random.default_rng(17)
+        shapes = {"W": (6, 5), "b": (5,)}
+        params = {k: r.normal(size=s) for k, s in shapes.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        want_v = {}
+        opt = SGDNesterov(momentum=mu)
+        for step in range(200):
+            # gradients from 1e-8 to 1e3, both signs, some +0.0 and some -0.0;
+            # the first step starts from v = 0
+            grads = {k: r.normal(size=s) * 10.0 ** r.uniform(-8, 3, size=s)
+                     for k, s in shapes.items()}
+            for g in grads.values():
+                g[r.random(g.shape) < 0.2] = r.choice([0.0, -0.0])
+            lr = r.choice([0.1, 2e-3, 1e-6])
+            opt.update(params, grads, lr)
+            sgd_nesterov_update_loop(want, grads, want_v, lr, mu)
+            for k in shapes:
+                assert_bits_equal(params[k], want[k])
+                if mu:
+                    assert_bits_equal(opt.v[k], want_v[k])
 
     def test_make_optimizer_dispatch(self):
         assert isinstance(make_optimizer(OptimizerConfig(kind="adadelta")), AdaDelta)

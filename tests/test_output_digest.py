@@ -1,5 +1,6 @@
 """`tools/output_digest.py`'s digests: one line per plain file, one per array
-of an .npz file, over the arrays rather than the archive's bytes."""
+of an .npz file, over the arrays rather than the archive's bytes; with
+`--workload all`, every workload's lines, each prefixed by its workload."""
 
 import hashlib
 import importlib.util
@@ -41,3 +42,22 @@ def test_digests_per_file_and_per_array(output_digest, tmp_path):
         np.savez(tmp_path / "w.npz", a=changed, b=b)
         new = dict(output_digest.digests(tmp_path))
         assert new["w.npz:a"] != dict(got)["w.npz:a"] and new["w.npz:b"] == dict(got)["w.npz:b"]
+
+
+def test_all_workloads_prefix_each_line(output_digest, monkeypatch, capsys):
+    # a stand-in sweep that writes one file and one array per workload
+    def fake_run(name, seed, out_dir):
+        out_dir.mkdir(parents=True)
+        (out_dir / "results.csv").write_text(f"{name},{seed}\n")
+        np.savez(out_dir / "float_s0.npz", w=np.full(3, float(len(name))))
+
+    monkeypatch.setattr(output_digest, "run_workload", fake_run)
+    names = list(output_digest.workloads.WORKLOADS)
+    single = {}
+    for name in names:
+        assert output_digest.main(["--workload", name, "--seed", "1"]) == 0
+        single[name] = capsys.readouterr().out.splitlines()
+        assert len(single[name]) == 2
+    assert output_digest.main(["--workload", "all", "--seed", "1"]) == 0
+    got = capsys.readouterr().out.splitlines()
+    assert got == [f"{name}  {line}" for name in names for line in single[name]]

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qatkit import quantizer
 from qatkit.quantizer import (
     SWEEP_CHUNK,
     DegenerateGroupError,
@@ -233,6 +236,68 @@ class TestOptimizeStepMatchesLoop:
         assert_same_as_loop(rng.normal(0, 1, size=breakpoints), 2)
         if breakpoints % 3 == 0:
             assert_same_as_loop(rng.normal(0, 1, size=breakpoints // 3), 3)
+
+
+def tie_heavy_groups(rng):
+    """(name, weights) with many equal breakpoints."""
+    yield "integers", rng.integers(-20, 21, size=400).astype(np.float64)
+    # x/0.5 == fl(3x)/1.5 == fl(5x)/2.5 across levels and weights; the
+    # magnitudes are inexact, so the order of the ties changes the sums
+    x = np.abs(rng.normal(size=60))
+    yield "cross-level", rng.permutation(np.concatenate([rng.normal(size=200), x, 3 * x,
+                                                         5 * x, -7 * x]))
+    # |w|/(k - 0.5) underflows to 0 for the larger k; normal weights beside
+    tiny = rng.choice([5e-324, 1e-323, 1.5e-323, 2.5e-323, 5e-322], size=200)
+    yield "subnormal", np.concatenate([tiny, -tiny[:50], rng.normal(0, 1e-310, size=50),
+                                       rng.normal(size=100)])
+
+
+class TestSweepWindows:
+    """The sweep holds one window of breakpoints at a time; windows of any
+    size give the reference loop's result."""
+
+    @pytest.mark.parametrize("chunk", [5, 64])
+    @pytest.mark.parametrize("bits", [2, 3, 5, 6])
+    def test_tiny_windows_match_loop_on_ties(self, monkeypatch, chunk, bits):
+        monkeypatch.setattr(quantizer, "SWEEP_CHUNK", chunk)
+        rng = np.random.default_rng(700 + bits)
+        for name, w in tie_heavy_groups(rng):
+            assert_same_as_loop(w, bits)
+        assert_same_as_loop(rng.normal(size=300), bits)
+
+    @pytest.mark.parametrize("chunk", [5, 64, 1000])
+    def test_windows_hold_the_breakpoints_in_reference_order(self, chunk):
+        rng = np.random.default_rng(chunk)
+        groups = [("gaussian", rng.normal(size=700)), *tie_heavy_groups(rng)]
+        for name, w in groups:
+            absw = np.abs(w[w != 0])
+            rank = np.argsort(absw, kind="stable")
+            for max_level in (1, 3, 15):
+                halves = np.arange(1, max_level + 1) - 0.5
+                # the reference's order: value, then weight index, then level
+                bp = (absw[:, None] / halves).ravel()
+                order = np.argsort(bp, kind="stable")
+                windows = list(quantizer._breakpoint_windows(absw[rank], rank, max_level,
+                                                             chunk))
+                for got, want in zip(zip(*windows), (bp, np.repeat(absw, max_level),
+                                                     np.tile(halves, absw.size))):
+                    np.testing.assert_array_equal(np.concatenate(got), want[order])
+                if name == "gaussian":  # no ties: every window is chunk +- chunk/2
+                    sizes = [b.size for b, _, _ in windows]
+                    assert max(sizes) <= chunk + chunk // 2
+                    if absw.size * max_level > 2 * chunk:
+                        assert min(sizes[:-1]) >= chunk // 2
+
+    def test_peak_memory_is_far_below_n_times_k(self):
+        # 65,536 weights at 6 bits: one N*K array of doubles alone is 16.8 MB
+        g = WeightGroup(np.random.default_rng(0).normal(size=65536), "g")
+        tracemalloc.start()
+        try:
+            optimize_step(g, 63)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestGridOracleSelfCheck:

@@ -1,11 +1,14 @@
-"""Print a SHA-256 digest of every output file of one benchmark workload.
+"""Print a SHA-256 digest of every output file of benchmark workloads.
 
     python tools/output_digest.py --workload wide-fc --seed 0
+    python tools/output_digest.py --workload all --seed 0
 
 Runs, in a temporary directory, the sweep `perfbench` times for that workload
 (`ensure_float_checkpoint`, `run_cell` for each cell, then `report`) with the
 `src/qatkit` of this checkout and one BLAS thread, and prints one
-`<sha256>  <path>` line per output file, sorted by path.  An `.npz` file gets
+`<sha256>  <path>` line per output file, sorted by path.  `--workload all`
+runs every workload in turn and prefixes each line with its workload:
+`<workload>  <sha256>  <path>`.  An `.npz` file gets
 one line per array (`<path>:<name>`) over its name, dtype, shape and bytes,
 since the archive itself stores write times.  Run it in two checkouts and
 diff the outputs to see whether a change left every output byte-identical.
@@ -60,14 +63,17 @@ def run_workload(name: str, seed: int, out_dir: Path):
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    ap.add_argument("--workload", required=True, choices=[*workloads.WORKLOADS, "all"])
     ap.add_argument("--seed", type=int, required=True)
     args = ap.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        out_dir = Path(tmp) / "sweep"
-        run_workload(args.workload, args.seed, out_dir)
-        for rel, digest in digests(out_dir):
-            print(f"{digest}  {rel}")
+    every = args.workload == "all"
+    for name in workloads.WORKLOADS if every else [args.workload]:
+        prefix = f"{name}  " if every else ""
+        with tempfile.TemporaryDirectory() as tmp:
+            out_dir = Path(tmp) / "sweep"
+            run_workload(name, args.seed, out_dir)
+            for rel, digest in digests(out_dir):
+                print(f"{prefix}{digest}  {rel}")
     return 0
 
 
