@@ -17,7 +17,6 @@ from .network import (
     build_network,
     classification_error,
     cross_entropy,
-    squared_error,
 )
 from .optim import (
     AdaDelta,

@@ -1,6 +1,7 @@
 """Layers with explicit forward/backward passes on numpy arrays.
 
-Every layer caches what its backward pass needs during forward.  Parameter
+Every layer caches what its backward pass needs during forward; a network
+drops each layer's cache as soon as it returns in an eval pass.  Parameter
 gradients accumulate into `grads` keyed like `params`.  `quant_keys` lists
 the weight matrices, which share one quantization step; biases and
 batch-norm gain/shift are not quantized.  `buffers` names the array

@@ -19,8 +19,14 @@ class Network:
         self.layers = layer_list
 
     def forward(self, x, train=True):
+        """Output of the stack.  With `train=False` it is an inference pass:
+        each layer's backward cache is dropped as soon as the layer returns,
+        so only the activation in flight is held and nothing survives the
+        call; `backward` after it raises InvalidStateError."""
         for ly in self.layers:
             x = ly.forward(x, train=train)
+            if not train:
+                ly._cache = None
         return x
 
     def backward(self, dy):
@@ -108,13 +114,6 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray):
     dp = np.zeros_like(p)
     dp[np.arange(n), y] = -1.0 / (picked * n)
     return loss, dp.reshape(probs.shape)
-
-
-def squared_error(outputs: np.ndarray, targets: np.ndarray):
-    """Mean (1/2)||out - target||^2 per sample; returns (loss, doutputs)."""
-    d = outputs - targets
-    n = outputs.shape[0]
-    return 0.5 * float(np.sum(d * d)) / n, d / n
 
 
 def classification_error(probs: np.ndarray, labels: np.ndarray) -> float:

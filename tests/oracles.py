@@ -148,6 +148,13 @@ def assert_on_grid(q, step, points):
     assert np.abs(n).max() <= (points - 1) // 2
 
 
+def squared_error(outputs, targets):
+    """Mean (1/2)||out - target||^2 per sample; returns (loss, doutputs)."""
+    d = outputs - targets
+    n = outputs.shape[0]
+    return 0.5 * float(np.sum(d * d)) / n, d / n
+
+
 def finite_difference_grads(f, params, eps=1e-6):
     """Central-difference gradient of scalar f() w.r.t. each array in `params`
     (dict name -> ndarray, mutated in place during probing)."""

@@ -15,11 +15,11 @@ import pytest
 
 from qatkit import harness, qat
 from qatkit.harness import ExperimentConfig
-from qatkit.nn import build_network, cross_entropy, squared_error
+from qatkit.nn import build_network, cross_entropy
 from qatkit.quantizer import QuantizerSpec, WeightGroup, optimize_step, quantize
 
 from oracles import (finite_difference_grads, grid_search_mse, group_vector, relative_error,
-                     scalar_quantize)
+                     scalar_quantize, squared_error)
 
 
 def _verdict(num, title, ok, detail):

@@ -4,6 +4,7 @@ import csv
 import inspect
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from click.testing import CliRunner
 
 from qatkit import harness, qat
 from qatkit.cli import main as cli_main
-from qatkit.data import DATASET_BUILDERS
+from qatkit.data import DATASET_BUILDERS, Splits
 from qatkit.harness import EmptyInputError, ExperimentConfig
 from qatkit.nn import (
     Checkpoint,
@@ -305,6 +306,28 @@ class TestBatchNormBuffers:
         failures = json.loads((tmp_path / "failures.json").read_text())
         assert len(failures) == 2
         assert all(re.search(message, f["error"]) for f in failures)
+
+
+def test_evaluate_keeps_no_backward_state():
+    # the cnn-digits network on its 3,250 test images: each 256-image chunk's
+    # backward caches would take about 4 MB, and the last chunk's would
+    # outlive the call
+    cnn = [{"kind": "conv2d", "in_ch": 1, "out_ch": 12, "kernel": 3, "padding": 1},
+           {"kind": "batchnorm", "features": 12}, {"kind": "activation", "fn": "relu"},
+           {"kind": "maxpool2d", "size": 2}, {"kind": "flatten"},
+           {"kind": "fc", "in": 192, "out": 10}, {"kind": "softmax"}]
+    net = build_network(cnn, np.random.default_rng(0))
+    r = np.random.default_rng(1)
+    test = (r.normal(size=(3250, 1, 8, 8)), r.integers(0, 10, size=3250))
+    task = harness.ClassificationTask(Splits(train=test, dev=test, test=test))
+    tracemalloc.start()
+    try:
+        task.evaluate(net, "test")
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, f"peak {peak / 1e6:.2f} MB"
+    assert held < 0.1e6, f"held {held / 1e6:.3f} MB"
 
 
 def no_cells_config(**overrides):

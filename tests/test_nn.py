@@ -13,7 +13,6 @@ from qatkit.nn import (
     classification_error,
     cross_entropy,
     make_optimizer,
-    squared_error,
 )
 from qatkit.nn.layers import InvalidStateError
 
@@ -23,7 +22,9 @@ from oracles import (
     assert_bits_equal,
     finite_difference_grads,
     relative_error,
+    squared_error,
 )
+from test_layer_oracles import NETWORKS
 
 
 def rng():
@@ -122,6 +123,39 @@ class TestForward:
         net.set_params(params)
         params["fc0.W"] += 1.0
         assert not np.array_equal(net.layers[0].params["W"], params["fc0.W"])
+
+
+# -- eval passes -------------------------------------------------------------
+
+def _trained_twins(name):
+    """Two identical networks of test_layer_oracles.NETWORKS after one training
+    forward, which leaves every layer a cache and batch norm running stats."""
+    cfgs, x_shape, _ = NETWORKS[name]
+    x = np.random.default_rng(7).normal(size=x_shape)
+    nets = [build_network(cfgs, np.random.default_rng(8)) for _ in range(2)]
+    for net in nets:
+        net.forward(x, train=True)
+    return nets, x
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_eval_forward_drops_every_cache_and_matches_layer_by_layer(name):
+    (net, twin), x = _trained_twins(name)
+    out = net.forward(x, train=False)
+    assert [ly.name for ly in net.layers if ly._cache is not None] == []
+    want = x
+    for ly in twin.layers:  # a layer driven directly still caches
+        want = ly.forward(want, train=False)
+        assert ly._cache is not None
+    assert_bits_equal(out, want)
+
+
+@pytest.mark.parametrize("name", sorted(NETWORKS))
+def test_backward_after_eval_forward_raises(name):
+    (net, _), x = _trained_twins(name)
+    out = net.forward(x, train=False)
+    with pytest.raises(InvalidStateError):
+        net.backward(np.ones_like(out))
 
 
 # -- gradient checks ---------------------------------------------------------
