@@ -8,10 +8,14 @@ batch-norm gain/shift are not quantized.  `buffers` names the array
 attributes that evaluation reads and no optimizer trains.  `backward` returns
 the input gradient; with `need_dx=False` a layer with weights may skip
 computing it and return None (the first layer of a network has no use for it).
-Image activations are channels-first: (batch, channels, h, w).
+Image activations are channels-first: (batch, channels, h, w).  The LSTM keeps
+work arrays across calls, sized to the largest window it has seen; they are
+scratch, not `buffers`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -328,6 +332,17 @@ class LSTM(Layer):
     Gate order i, f, g, o.  Input-to-hidden and hidden-to-hidden matrices form
     one quantization group.  With `stateful` set, the final (h, c) carries over
     to the next forward call (truncated BPTT: gradients stop at chunk edges).
+
+    Each step works on a few whole contiguous arrays.  One batched product
+    before the loop gives every step's input term, the gate activations are
+    stored gate-major as (time, 4, batch, hidden), and backward forms the
+    weight gradients after the loop as batched products.  The window arrays
+    live in work buffers that the layer keeps across calls, sized to the
+    largest window seen (a smaller one uses their leading entries): fresh
+    window-sized arrays on every call went back to the system and were
+    faulted in again each time.  Every GEMM keeps the per-step shapes of the
+    first version, `tests/oracles.lstm_reference`, and results match it bit
+    for bit.
     """
 
     def __init__(self, name, input_size, hidden_size, rng, stateful=False):
@@ -342,10 +357,20 @@ class LSTM(Layer):
         self.params["b"] = b
         self.quant_keys = ["Wx", "Wh"]
         self._state = None
+        self._work: dict[str, np.ndarray] = {}
         self.zero_grads()
 
     def reset_state(self):
         self._state = None
+
+    def _scratch(self, key, *shape):
+        """An uninitialized array of `shape` on the leading entries of work
+        buffer `key`, which grows to the largest size asked for."""
+        size = math.prod(shape)
+        buf = self._work.get(key)
+        if buf is None or buf.size < size:
+            buf = self._work[key] = np.empty(size)
+        return buf[:size].reshape(shape)
 
     def forward(self, x, train=True):
         if x.ndim != 3 or x.shape[2] != self.input_size:
@@ -354,58 +379,104 @@ class LSTM(Layer):
             )
         t_len, bsz, _ = x.shape
         hsz = self.hidden_size
+        # sigmoid(z) of the four gates per step; backward writes each step's
+        # gate gradient over them
+        acts = self._scratch("acts", t_len, 4, bsz, hsz)
+        # per step (f, g, c_prev, i, tanh(c)), of which backward fills f and i:
+        # that order puts dc's four products in one call; cells[t_len, 2] is
+        # the last c
+        cells = self._scratch("cells", t_len + 1, 5, bsz, hsz)
+        hidden = self._scratch("hidden", t_len + 1, bsz, hsz)  # h before step t
+        xw = self._scratch("window", t_len, bsz, 4 * hsz)
         if self.stateful and self._state is not None and self._state[0].shape[0] == bsz:
-            h_prev, c_prev = self._state
+            hidden[0], cells[0, 2] = self._state
         else:
-            h_prev = np.zeros((bsz, hsz))
-            c_prev = np.zeros((bsz, hsz))
-        hs = np.empty((t_len, bsz, hsz))
-        steps = []
+            hidden[0] = 0.0
+            cells[0, 2] = 0.0
+        np.matmul(x, self.params["Wx"], out=xw)
+        # the bias on every row: a broadcast add over 4*hidden columns is slower
+        b = np.broadcast_to(self.params["b"], (bsz, 4 * hsz)).copy()
+        z = np.empty((bsz, 4 * hsz))
+        z_gates = z.reshape(bsz, 4, hsz).transpose(1, 0, 2)
+        ig_fc = np.empty((2, bsz, hsz))
         for t in range(t_len):
-            z = x[t] @ self.params["Wx"] + h_prev @ self.params["Wh"] + self.params["b"]
-            i = 1.0 / (1.0 + np.exp(-z[:, :hsz]))
-            f = 1.0 / (1.0 + np.exp(-z[:, hsz : 2 * hsz]))
-            g = np.tanh(z[:, 2 * hsz : 3 * hsz])
-            o = 1.0 / (1.0 + np.exp(-z[:, 3 * hsz :]))
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            steps.append((x[t], h_prev, c_prev, i, f, g, o, tc))
-            hs[t] = h
-            h_prev, c_prev = h, c
+            a, s = acts[t], cells[t]
+            np.matmul(hidden[t], self.params["Wh"], out=z)
+            z += xw[t]
+            z += b
+            # 1 / (1 + exp(-z)) over all four gates, read gate-major
+            np.negative(z_gates, out=a)
+            np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+            np.tanh(z_gates[2], out=s[1])
+            np.multiply(a[:2], s[1:3], out=ig_fc)  # i*g, f*c_prev
+            np.add(ig_fc[1], ig_fc[0], out=cells[t + 1, 2])
+            np.tanh(cells[t + 1, 2], out=s[4])
+            np.multiply(a[3], s[4], out=hidden[t + 1])
         if self.stateful:
-            self._state = (h_prev.copy(), c_prev.copy())
-        self._cache = steps
-        return hs
+            self._state = (hidden[t_len].copy(), cells[t_len, 2].copy())
+        self._cache = (x, acts, cells, hidden)
+        return hidden[1:].copy()
 
     def backward(self, dy, need_dx=True):
-        steps = self._take_cache()
+        x, acts, cells, hidden = self._take_cache()
+        t_len, bsz, n_in = x.shape
         hsz = self.hidden_size
-        dx = np.empty((len(steps), dy.shape[1], self.input_size)) if need_dx else None
-        dh_next = np.zeros((dy.shape[1], hsz))
-        dc_next = np.zeros_like(dh_next)
-        for t in reversed(range(len(steps))):
-            xt, h_prev, c_prev, i, f, g, o, tc = steps[t]
-            dh = dy[t] + dh_next
-            do = dh * tc
-            dc = dh * o * (1.0 - tc * tc) + dc_next
-            di = dc * g
-            df = dc * c_prev
-            dg = dc * i
-            dc_next = dc * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            self.grads["Wx"] += xt.T @ dz
-            self.grads["Wh"] += h_prev.T @ dz
-            self.grads["b"] += dz.sum(axis=0)
-            dh_next = dz @ self.params["Wh"].T
-            if need_dx:
-                dx[t] = dz @ self.params["Wx"].T
-        return dx
+        n = t_len * bsz * hsz
+        # the window's derivative factors during the loop, then the per-step
+        # weight-gradient products
+        work = self._scratch("window", max(5 * n, t_len * max(n_in, hsz) * 4 * hsz))
+        one_minus = work[: 4 * n].reshape(acts.shape)  # 1-i, 1-f, 1-g*g, 1-o
+        np.subtract(1.0, acts, out=one_minus)
+        g = cells[:t_len, 1]
+        np.multiply(g, g, out=one_minus[:, 2])
+        np.subtract(1.0, one_minus[:, 2], out=one_minus[:, 2])
+        dtanh_c = work[4 * n : 5 * n].reshape(t_len, bsz, hsz)  # 1-tanh(c)^2
+        np.multiply(cells[:t_len, 4], cells[:t_len, 4], out=dtanh_c)
+        np.subtract(1.0, dtanh_c, out=dtanh_c)
+        cells[:t_len, 0] = acts[:, 1]
+        cells[:t_len, 3] = acts[:, 0]
+        acts[:, 2] = 1.0  # g has no sigmoid factor
+
+        # step t's gate gradient as (batch, 4*hidden), the layout of the
+        # GEMMs, written over acts[t] once the step has read it
+        dz = acts.reshape(t_len, bsz, 4 * hsz)
+        wh_t = self.params["Wh"].T
+        dh, dc = np.empty((bsz, hsz)), np.empty((bsz, hsz))
+        dh_next = np.zeros((bsz, hsz))
+        # dc*f (dc_next for the step before), di, df, dg and do
+        u = np.zeros((5, bsz, hsz))
+        for t in reversed(range(t_len)):
+            a = acts[t]
+            np.add(dy[t], dh_next, out=dh)
+            np.multiply(dh, a[3], out=dc)
+            dc *= dtanh_c[t]
+            dc += u[0]
+            np.multiply(cells[t, :4], dc, out=u[:4])
+            np.multiply(cells[t, 4], dh, out=u[4])
+            # (d * gate) * (1 - gate) for i, f and o; dg * (1 - g*g)
+            u[1:] *= a
+            np.multiply(u[1:], one_minus[t], out=dz[t].reshape(bsz, 4, hsz).transpose(1, 0, 2))
+            np.matmul(dz[t], wh_t, out=dh_next)
+
+        # per-step products, last step first: the order the gradients sum in
+        rev = dz[::-1]
+        prod = work[: t_len * n_in * 4 * hsz].reshape(t_len, n_in, 4 * hsz)
+        self._add_steps("Wx", np.matmul(x[::-1].transpose(0, 2, 1), rev, out=prod))
+        prod = work[: t_len * hsz * 4 * hsz].reshape(t_len, hsz, 4 * hsz)
+        self._add_steps("Wh", np.matmul(hidden[:t_len][::-1].transpose(0, 2, 1), rev, out=prod))
+        self._add_steps("b", rev.sum(axis=1))
+        if not need_dx:
+            return None
+        return np.matmul(dz, self.params["Wx"].T)
+
+    def _add_steps(self, key, steps):
+        """grads[key] += each of `steps` in turn.  Onto zero gradients, adding
+        their sum gives the same bits with one reduction."""
+        g = self.grads[key]
+        if g.any():
+            for s in steps:
+                g += s
+        else:
+            g += steps.sum(axis=0)

@@ -114,26 +114,43 @@ class SGDNesterov:
 
 
 class AdaDelta:
-    """AdaDelta with a learning-rate multiplier on the adaptive step."""
+    """AdaDelta with a learning-rate multiplier on the adaptive step:
+        eg <- rho*eg + (1-rho)*g*g;  dx = -sqrt(ex + eps) / sqrt(eg + eps) * g
+        ex <- rho*ex + (1-rho)*dx*dx;  w <- w + lr*dx"""
 
     def __init__(self, rho=0.95, eps=1e-6):
         self.rho, self.eps = rho, eps
         self.eg: dict[str, np.ndarray] = {}
         self.ex: dict[str, np.ndarray] = {}
+        self.scratch: dict[str, np.ndarray] = {}  # two work arrays per key
 
     def update(self, params: dict, grads: dict, lr: float):
+        rho, eps = self.rho, self.eps
         for k, w in params.items():
             g = grads[k]
             if k not in self.eg:
                 self.eg[k], self.ex[k] = np.zeros_like(g), np.zeros_like(g)
+                self.scratch[k] = np.empty((2,) + g.shape)
             eg, ex = self.eg[k], self.ex[k]
-            # eg <- rho*eg + (1-rho)*g*g and ex likewise, in place
-            eg *= self.rho
-            eg += (1 - self.rho) * g * g
-            dx = -np.sqrt(ex + self.eps) / np.sqrt(eg + self.eps) * g
-            ex *= self.rho
-            ex += (1 - self.rho) * dx * dx
-            w += lr * dx
+            dx, t = self.scratch[k]
+            # in place, in the order of operations of the formulas above
+            eg *= rho
+            np.multiply(g, 1 - rho, out=t)
+            t *= g
+            eg += t
+            np.add(ex, eps, out=dx)
+            np.sqrt(dx, out=dx)
+            np.negative(dx, out=dx)
+            np.add(eg, eps, out=t)
+            np.sqrt(t, out=t)
+            dx /= t
+            dx *= g
+            ex *= rho
+            np.multiply(dx, 1 - rho, out=t)
+            t *= dx
+            ex += t
+            np.multiply(dx, lr, out=t)
+            w += t
 
 
 # optimizer kind -> its constructor, given the OptimizerConfig

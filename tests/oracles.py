@@ -6,10 +6,11 @@ searches evaluate the squared-error objective per candidate, the step-solver
 reference walks the breakpoints one at a time, and the gradient checker uses
 central finite differences.  The layer references are the first versions of
 the convolution (im2col and col2im loops around einsum), the max pool (im2col,
-argmax and col2im) and batch norm on a channels-last (n, features) view
-(`np.var`).  The max pool and batch norm in evaluation must match them bit for
-bit; the convolution and the batch-norm sums over the batch, which now run
-channels-first, within `assert_close_to_reference`.  The first synthetic-text
+argmax and col2im), batch norm on a channels-last (n, features) view
+(`np.var`) and the LSTM one step at a time.  The max pool, batch norm in
+evaluation and the LSTM must match them bit for bit; the convolution and the
+batch-norm sums over the batch, which now run channels-first, within
+`assert_close_to_reference`.  The first synthetic-text
 generator (one `rng.choice` per character) and the first SGD-with-Nesterov
 and AdaDelta updates (new arrays on every call) must be matched exactly.
 """
@@ -317,6 +318,55 @@ def batchnorm_backward_reference(dy2, xhat, inv_std, gamma, train):
         n = dy2.shape[0]
         return inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).sum(axis=0) / n), dgamma, dbeta
     return g * inv_std, dgamma, dbeta
+
+
+def lstm_reference(x, Wx, Wh, b, dy, grads, h0=None, c0=None, need_dx=True):
+    """The first LSTM forward and backward: one step at a time on (batch,
+    4*hidden) gate arrays, gradients added step by step, last step first.
+    Adds the parameter gradients onto `grads` (keys Wx, Wh, b) in place and
+    returns the outputs hs, the input gradient (None without need_dx) and
+    the final (h, c)."""
+    t_len, bsz, _ = x.shape
+    hsz = Wh.shape[0]
+    h_prev = np.zeros((bsz, hsz)) if h0 is None else h0
+    c_prev = np.zeros((bsz, hsz)) if c0 is None else c0
+    hs = np.empty((t_len, bsz, hsz))
+    steps = []
+    for t in range(t_len):
+        z = x[t] @ Wx + h_prev @ Wh + b
+        i = 1.0 / (1.0 + np.exp(-z[:, :hsz]))
+        f = 1.0 / (1.0 + np.exp(-z[:, hsz : 2 * hsz]))
+        g = np.tanh(z[:, 2 * hsz : 3 * hsz])
+        o = 1.0 / (1.0 + np.exp(-z[:, 3 * hsz :]))
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        steps.append((x[t], h_prev, c_prev, i, f, g, o, tc))
+        hs[t] = h
+        h_prev, c_prev = h, c
+    dx = np.empty(x.shape) if need_dx else None
+    dh_next = np.zeros((bsz, hsz))
+    dc_next = np.zeros_like(dh_next)
+    for t in reversed(range(t_len)):
+        xt, hp, cp, i, f, g, o, tc = steps[t]
+        dh = dy[t] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc * tc) + dc_next
+        di = dc * g
+        df = dc * cp
+        dg = dc * i
+        dc_next = dc * f
+        dz = np.concatenate(
+            [di * i * (1.0 - i), df * f * (1.0 - f), dg * (1.0 - g * g), do * o * (1.0 - o)],
+            axis=1,
+        )
+        grads["Wx"] += xt.T @ dz
+        grads["Wh"] += hp.T @ dz
+        grads["b"] += dz.sum(axis=0)
+        dh_next = dz @ Wh.T
+        if need_dx:
+            dx[t] = dz @ Wx.T
+    return hs, dx, (h_prev, c_prev)
 
 
 def assert_bits_equal(got, want):

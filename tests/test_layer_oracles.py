@@ -1,15 +1,17 @@
-"""Conv2D, MaxPool2D and BatchNorm against their first versions in
+"""Conv2D, MaxPool2D, BatchNorm and LSTM against their first versions in
 `oracles.py`: outputs, input gradients, parameter gradients and running
-statistics.  Max pool, batch norm in evaluation and the first-layer skip are
-compared bit for bit (bit patterns, so -0.0 differs from 0.0 and NaN payloads
-count).  The convolution's GEMMs and training batch norm's sums over (batch,
+statistics.  Max pool, batch norm in evaluation, the LSTM and the first-layer
+skip are compared bit for bit (bit patterns, so -0.0 differs from 0.0 and NaN
+payloads count).  The convolution's GEMMs and training batch norm's sums over (batch,
 h, w) run channels-first, in another order than the channels-last references,
 and are compared within `assert_close_to_reference`'s rtol of 1e-12."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qatkit.nn import BatchNorm, Conv2D, MaxPool2D, build_network, cross_entropy
+from qatkit.nn import BatchNorm, Conv2D, LSTM, MaxPool2D, build_network, cross_entropy
 
 from oracles import (
     assert_bits_equal,
@@ -17,6 +19,7 @@ from oracles import (
     batchnorm_backward_reference,
     batchnorm_reference,
     conv2d_reference,
+    lstm_reference,
     maxpool2d_reference,
 )
 
@@ -189,6 +192,150 @@ def test_conv_and_batchnorm_outputs_are_channels_first_contiguous(layout):
         assert z.flags.c_contiguous
         assert bn.backward(np.ones_like(z)).flags.c_contiguous
     assert conv.backward(np.ones_like(y)).shape == (4, 2, 6, 5)
+
+
+# -- LSTM ----------------------------------------------------------------------
+
+def make_lstm(n_in, hidden, seed=10, stateful=False):
+    rng = np.random.default_rng(seed)
+    layer = LSTM("lstm", n_in, hidden, rng, stateful=stateful)
+    layer.params["b"] = rng.normal(size=4 * hidden)  # no gate at its default bias
+    return layer
+
+
+def lstm_window(t_len, bsz, n_in, hidden, seed, one_hot=False):
+    """An input window and an output gradient; one-hot inputs are what the
+    char-LM task feeds the layer."""
+    rng = np.random.default_rng(seed)
+    if one_hot:
+        x = np.eye(n_in)[rng.integers(0, n_in, size=(t_len, bsz))]
+    else:
+        x = rng.normal(size=(t_len, bsz, n_in))
+    return x, rng.normal(size=(t_len, bsz, hidden))
+
+
+def check_lstm(layer, x, dy, want_grads, need_dx=True, state=(None, None)):
+    """One forward and backward of `layer` against `lstm_reference` started
+    from `state`; `want_grads` accumulates the reference's gradients as
+    `layer.grads` does.  Returns the reference's final (h, c)."""
+    out = layer.forward(x)
+    dx = layer.backward(dy.copy(), need_dx=need_dx)
+    p = layer.params
+    want_out, want_dx, final = lstm_reference(x, p["Wx"], p["Wh"], p["b"], dy, want_grads,
+                                              *state, need_dx=need_dx)
+    assert_bits_equal(out, want_out)
+    if need_dx:
+        assert_bits_equal(dx, want_dx)
+    else:
+        assert dx is None
+    for k, g in want_grads.items():
+        assert_bits_equal(layer.grads[k], g)
+    return final
+
+
+def zero_grads_like(layer):
+    return {k: np.zeros_like(v) for k, v in layer.params.items()}
+
+
+@pytest.mark.parametrize("t_len, bsz, n_in, hidden, one_hot", [
+    (1, 1, 3, 4, False),
+    (1, 5, 2, 3, False),
+    (6, 1, 4, 5, False),
+    (16, 16, 16, 24, True),  # the charlm-lstm layer and window
+    (16, 16, 16, 24, False),
+    (9, 7, 5, 11, False),
+])
+@pytest.mark.parametrize("need_dx", [True, False])
+def test_lstm_matches_reference(t_len, bsz, n_in, hidden, one_hot, need_dx):
+    layer = make_lstm(n_in, hidden)
+    x, dy = lstm_window(t_len, bsz, n_in, hidden, seed=11, one_hot=one_hot)
+    check_lstm(layer, x, dy, zero_grads_like(layer), need_dx=need_dx)
+
+
+def test_lstm_signed_zero_gradients():
+    # +0.0 and -0.0 in the output gradient, and a whole step of each
+    layer = make_lstm(4, 6)
+    x, dy = lstm_window(5, 3, 4, 6, seed=12)
+    rng = np.random.default_rng(13)
+    dy[rng.random(dy.shape) < 0.3] = 0.0
+    dy[rng.random(dy.shape) < 0.3] = -0.0
+    dy[4], dy[2] = -0.0, 0.0
+    check_lstm(layer, x, dy, zero_grads_like(layer))
+
+
+def test_lstm_eval_forward_matches_reference():
+    layer = make_lstm(16, 24)
+    x, dy = lstm_window(16, 16, 16, 24, seed=14, one_hot=True)
+    want = lstm_reference(x, *(layer.params[k] for k in ("Wx", "Wh", "b")), dy,
+                          zero_grads_like(layer))[0]
+    assert_bits_equal(layer.forward(x, train=False), want)
+    # an inference pass between two training steps leaves the next step exact
+    layer.forward(lstm_window(7, 16, 16, 24, seed=15)[0], train=False)
+    check_lstm(layer, x, dy, zero_grads_like(layer))
+
+
+def test_lstm_stateful_over_two_calls():
+    layer = make_lstm(3, 5, stateful=True)
+    state = (None, None)
+    for t_len, seed in ((6, 16), (4, 17)):
+        x, dy = lstm_window(t_len, 2, 3, 5, seed=seed)
+        layer.zero_grads()
+        state = check_lstm(layer, x, dy, zero_grads_like(layer), state=state)
+    # a batch of another size starts again from zeros, as does reset_state
+    x, dy = lstm_window(3, 4, 3, 5, seed=18)
+    layer.zero_grads()
+    check_lstm(layer, x, dy, zero_grads_like(layer))
+    layer.reset_state()
+    x, dy = lstm_window(3, 2, 3, 5, seed=19)
+    layer.zero_grads()
+    check_lstm(layer, x, dy, zero_grads_like(layer))
+
+
+def test_lstm_windows_of_changing_size_reuse_no_stale_values():
+    # the work buffers keep their contents between calls: a shorter window
+    # after a long one, a new input after an old one of the same shape,
+    # another batch size and then a larger window that grows the buffers
+    layer = make_lstm(16, 24)
+    for i, (t_len, bsz) in enumerate([(16, 16), (5, 16), (5, 16), (3, 4), (20, 16), (1, 16)]):
+        x, dy = lstm_window(t_len, bsz, 16, 24, seed=20 + i, one_hot=i % 2 == 0)
+        layer.zero_grads()
+        check_lstm(layer, x, dy, zero_grads_like(layer))
+
+
+@pytest.mark.parametrize("start", ["+0", "-0", "nonzero"])
+def test_lstm_backward_accumulates_without_zero_grads(start):
+    layer = make_lstm(16, 24)
+    rng = np.random.default_rng(30)
+    for k, g in layer.grads.items():
+        g[...] = {"+0": 0.0, "-0": -0.0, "nonzero": rng.normal(size=g.shape)}[start]
+    want = {k: g.copy() for k, g in layer.grads.items()}
+    for t_len, seed in ((16, 31), (11, 32)):
+        x, dy = lstm_window(t_len, 16, 16, 24, seed=seed, one_hot=True)
+        check_lstm(layer, x, dy, want, need_dx=False)
+
+
+def test_lstm_work_buffers_are_kept_and_bounded():
+    # the charlm-lstm layer and window: after one training step the layer
+    # holds its work buffers; the next step allocates only small per-call
+    # arrays.  Fails if window-sized arrays come back on every call or if
+    # the buffers multiply.
+    layer = make_lstm(16, 24)
+    x, dy = lstm_window(16, 16, 16, 24, seed=40, one_hot=True)
+    tracemalloc.start()
+    try:
+        layer.zero_grads()
+        layer.forward(x)
+        layer.backward(dy, need_dx=True)
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        layer.zero_grads()
+        layer.forward(x)
+        layer.backward(dy, need_dx=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.0e6, f"held {held / 1e6:.3f} MB"
+    assert peak - held <= 0.25e6, f"peak {(peak - held) / 1e6:.3f} MB above held"
 
 
 # -- the network skips the first layer's input gradient ------------------------

@@ -433,6 +433,29 @@ class TestOptimizers:
             assert_bits_equal(opt.eg[k], want_eg[k])
             assert_bits_equal(opt.ex[k], want_ex[k])
 
+    def test_adadelta_in_place_matches_first_update_after_every_step(self):
+        # the charlm-lstm parameter shapes; gradients with +0.0 and -0.0 and
+        # magnitudes from 1e-8 to 1e3, compared after each of 20 updates
+        r = np.random.default_rng(19)
+        shapes = {"lstm0.Wx": (16, 96), "lstm0.Wh": (24, 96), "lstm0.b": (96,),
+                  "fc1.W": (24, 16), "fc1.b": (16,)}
+        params = {k: r.normal(size=s) for k, s in shapes.items()}
+        want = {k: p.copy() for k, p in params.items()}
+        want_eg, want_ex = {}, {}
+        opt = AdaDelta(rho=0.95, eps=1e-6)
+        for step in range(20):
+            grads = {k: r.normal(size=s) * 10.0 ** r.uniform(-8, 3, size=s)
+                     for k, s in shapes.items()}
+            for g in grads.values():
+                g[r.random(g.shape) < 0.2] = r.choice([0.0, -0.0])
+            lr = r.choice([1.0, 0.5, 1e-3])
+            opt.update(params, grads, lr)
+            adadelta_update_loop(want, grads, want_eg, want_ex, lr, 0.95, 1e-6)
+            for k in shapes:
+                assert_bits_equal(params[k], want[k])
+                assert_bits_equal(opt.eg[k], want_eg[k])
+                assert_bits_equal(opt.ex[k], want_ex[k])
+
     @pytest.mark.parametrize("mu", [0.9, 0.5, 0.0])
     def test_sgd_nesterov_matches_first_update_bit_for_bit(self, mu):
         r = np.random.default_rng(17)
