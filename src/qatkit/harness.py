@@ -33,6 +33,11 @@ class EmptyInputError(ValueError):
 
 # -- task adapters -----------------------------------------------------------
 
+# rows per forward of ClassificationTask.evaluate, whatever the training
+# batch size: the activations of one chunk are all an evaluation holds
+EVAL_ROWS = 32
+
+
 class ClassificationTask:
     """Vector or image classification; metric is error rate in percent."""
 
@@ -51,10 +56,14 @@ class ClassificationTask:
             yield x[idx], y[idx]
 
     def evaluate(self, net, split: str) -> float:
+        """Error on `split`, forwarded in chunks of EVAL_ROWS rows; a tail
+        shorter than that joins the chunk before it, since a forward of a few
+        rows (a 1-row fc product runs as a GEMV) can round differently."""
         x, y = self.splits.get(split)
-        probs = []
-        for start in range(0, x.shape[0], 256):
-            probs.append(net.forward(x[start : start + 256], train=False))
+        n = x.shape[0]
+        stops = [*range(EVAL_ROWS, n - EVAL_ROWS + 1, EVAL_ROWS), n]
+        probs = [net.forward(x[start:stop], train=False)
+                 for start, stop in zip([0, *stops[:-1]], stops)]
         return classification_error(np.concatenate(probs), y)
 
 

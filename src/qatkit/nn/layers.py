@@ -59,8 +59,13 @@ class Layer:
         return cache
 
     def zero_grads(self):
+        """Zero every parameter's gradient, in place once it exists."""
         for k, v in self.params.items():
-            self.grads[k] = np.zeros_like(v)
+            g = self.grads.get(k)
+            if g is None or g.shape != v.shape:
+                self.grads[k] = np.zeros_like(v)
+            else:
+                g.fill(0.0)
 
 
 class FullyConnected(Layer):

@@ -56,11 +56,16 @@ class Network:
         return {key: ly.params[p].copy() for key, ly, p in self.param_items()}
 
     def set_params(self, values: dict[str, np.ndarray]):
-        """Copy in a value for every parameter; a missing or extra key raises."""
+        """Copy in a value for every parameter, into the arrays the layers
+        hold; a missing or extra key, or a value of another shape, raises."""
         items = list(self.param_items())
         _check_keys("set_params", values, items)
         for key, ly, p in items:
-            ly.params[p] = values[key].copy()
+            value, held = values[key], ly.params[p]
+            if np.shape(value) != held.shape:
+                raise ValueError(f"set_params: {key} has shape {np.shape(value)}, "
+                                 f"the layer's {held.shape}")
+            np.copyto(held, value)
 
     def buffer_items(self):
         """Yield (key, layer, attribute) for every buffer, in layer order."""

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .network import check_args, reject_unknown
+
+
+def _check_rate(key: str, value: float):
+    if not (0 < value < math.inf):
+        raise ValueError(f"{key} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -18,8 +24,10 @@ class LrScheduleConfig:
 
     def __post_init__(self):
         check_args(type(self).__name__, vars(self), type(self))
-        if not (self.initial_lr >= self.final_lr > 0):
-            raise ValueError("need initial_lr >= final_lr > 0")
+        for key in ("initial_lr", "final_lr"):
+            _check_rate(key, getattr(self, key))
+        if not (self.initial_lr >= self.final_lr):
+            raise ValueError("need initial_lr >= final_lr")
         if self.decay_factor <= 1:
             raise ValueError("decay_factor must be > 1")
         if self.patience_evals < 1:
@@ -65,10 +73,13 @@ class OptimizerConfig:
     def __post_init__(self):
         check_args(type(self).__name__, vars(self), type(self))
         reject_unknown("optimizer kind", [self.kind], OPTIMIZERS)
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        _check_rate("learning_rate", self.learning_rate)
         if not (0 <= self.momentum < 1):
             raise ValueError("momentum must be in [0, 1)")
+        if not (0 <= self.rho < 1):
+            raise ValueError(f"rho must be in [0, 1), got {self.rho!r}")
+        if not (0 < self.eps < math.inf):
+            raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
         if isinstance(self.lr_schedule, dict):
             self.lr_schedule = LrScheduleConfig(**check_args("lr_schedule", self.lr_schedule,
                                                              LrScheduleConfig))

@@ -32,7 +32,7 @@ log = logging.getLogger(__name__)
 
 
 class DivergenceError(RuntimeError):
-    """Training loss went non-finite."""
+    """Training loss or a master weight went non-finite."""
 
 
 # -- schedules ---------------------------------------------------------------
@@ -114,7 +114,9 @@ class ShadowParams:
 
     `groups` maps group_id -> list of parameter keys sharing one step size.
     Parameters outside any group (biases, batch-norm gain/shift) are shared
-    by reference between the two views.
+    by reference between the two views.  A grouped key's quantized array is
+    allocated once and rebuilt in place, with one scratch array as large as
+    the largest grouped key.
     """
 
     def __init__(self, master: dict[str, np.ndarray], groups: dict[str, list[str]],
@@ -122,15 +124,25 @@ class ShadowParams:
         self.master = master
         self.groups = groups
         self.specs = specs
-        self.quantized = dict(master)  # requantize replaces every grouped entry
+        self.quantized = dict(master)
+        grouped = [k for keys in groups.values() for k in keys]
+        for k in grouped:
+            self.quantized[k] = np.empty(master[k].shape)
+        self._scratch = np.empty(max((master[k].size for k in grouped), default=0))
         self.requantize()
 
     def requantize(self, gids=None):
-        """Rebuild the quantized view from the master with current steps."""
+        """Rebuild the quantized view from the master with current steps.
+        Raises DivergenceError, naming the group and key, for a master weight
+        that is NaN or infinite."""
         for gid in (gids if gids is not None else self.groups):
             spec = self.specs[gid]
             for k in self.groups[gid]:
-                self.quantized[k] = quantize(self.master[k], spec)
+                try:
+                    quantize(self.master[k], spec, out=self.quantized[k],
+                             scratch=self._scratch)
+                except ValueError as e:
+                    raise DivergenceError(f"group {gid!r}, key {k!r}: {e}") from None
 
     def update_steps(self, record: RunRecord | None = None):
         """Recompute every group's step from the master weights (the adaptive
@@ -255,11 +267,12 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     Walks the schedule's plan.  A change of width starts a stage: the shadow
     is quantized afresh from the stage before's best-on-dev master, and the
     network gets that epoch's buffers, with a fresh optimizer and lr
-    schedule.  Keeps the final stage's best-on-dev quantized state and
-    buffers, stops at the lr-schedule floor (not under gradual), then
-    evaluates that state on test; the network keeps those buffers.  A float
-    network is one whose shadow has no groups.  Returns (final ShadowParams,
-    best-on-dev ShadowParams); the best is the final one when no epoch ran.
+    schedule.  Keeps a copy of the final stage's best-on-dev master, with its
+    specs and buffers, and quantizes it once, at the end.  Stops at the
+    lr-schedule floor (not under gradual), then evaluates that best state on
+    test; the network keeps its buffers.  A float network is one whose
+    shadow has no groups.  Returns (final ShadowParams, best-on-dev
+    ShadowParams); the best is the final one when no epoch ran.
     """
     plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
     if not plan:
@@ -268,15 +281,17 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     stop_at_floor = (cfg.stop_at_lr_floor and cfg.schedule.start_bits is None
                      and lr_cfg.initial_lr > lr_cfg.final_lr)
     optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-    best_dev, best, best_buffers = math.inf, shadow, net.get_buffers()
+    # the best-on-dev (master copy, specs); None stands for the live shadow
+    best_dev, best, best_buffers = math.inf, None, net.get_buffers()
     epoch = 0
     for epoch, (bits, update_steps) in enumerate(plan):
         if epoch and bits != plan[epoch - 1][0]:
-            shadow = init_quantization(best.master, shadow.groups, bits)
+            shadow = init_quantization(best[0] if best else shadow.master,
+                                       shadow.groups, bits)
             net.set_buffers(best_buffers)
             record.events.append(f"drop-bit:{epoch}:{bits}")
             optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-            best_dev, best = math.inf, shadow
+            best_dev, best = math.inf, None
         net.reset_state()
         try:
             mean_loss = retrain_epoch(
@@ -292,13 +307,13 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         record.log_metric(epoch, "dev", task.metric_name, dev)
         if dev < best_dev:
             best_dev = dev
-            best = ShadowParams({k: v.copy() for k, v in shadow.master.items()},
-                                shadow.groups, dict(shadow.specs))
+            best = ({k: v.copy() for k, v in shadow.master.items()}, dict(shadow.specs))
             best_buffers = net.get_buffers()
         lr_sched.step(dev)
         if stop_at_floor and lr_sched.at_floor:
             break
 
+    best = ShadowParams(best[0], shadow.groups, best[1]) if best else shadow
     net.reset_state()
     net.set_params(best.quantized)
     net.set_buffers(best_buffers)

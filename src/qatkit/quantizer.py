@@ -78,31 +78,53 @@ class WeightGroup:
             raise ValueError(f"group {self.group_id!r} contains non-finite values")
 
 
-def _levels(w: np.ndarray, step: float, max_level: int) -> np.ndarray:
-    """Integer level index per weight: sgn(w) * min(floor(|w|/step + 0.5), K)."""
-    n = np.floor(np.abs(w) / step + 0.5)
-    np.minimum(n, max_level, out=n)
-    return np.sign(w) * n
-
-
-def quantize(w, spec: QuantizerSpec):
-    """Round weights onto the grid of `spec`, clipping at step*(M-1)/2.
-
-    Uses magnitude round-half-up: sgn(w) * step * min(floor(|w|/step + 0.5), (M-1)/2).
-    Accepts a scalar or an array; returns the same shape.
-    """
-    arr = np.asarray(w, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
+def _round_onto_grid(w: np.ndarray, step: float, max_level: int, out: np.ndarray,
+                     n: np.ndarray) -> np.ndarray:
+    """out = sgn(w) * min(floor(|w|/step + 0.5), max_level) * step, with the
+    level magnitudes in `n`; `out` and `n` are float64 arrays of w's shape.
+    Raises ValueError, before `out` is written, if any weight is NaN or
+    infinite."""
+    np.abs(w, out=n)
+    if not math.isfinite(n.max(initial=0.0)):  # the max of |w| is NaN or inf
         raise ValueError("quantize: input contains non-finite values")
-    scalar = arr.ndim == 0
-    out = spec.step * _levels(np.atleast_1d(arr), spec.step, spec.max_level)
-    if scalar:
-        return float(out[0])
+    n /= step
+    n += 0.5
+    np.floor(n, out=n)
+    np.minimum(n, max_level, out=n)
+    # sign times level: sgn(-0.0) is +0.0, so -0.0 gives +0.0 (copysign would
+    # keep -0.0) and a tiny negative weight gives -0.0
+    np.sign(w, out=out)
+    out *= n
+    out *= step
     return out
 
 
+def quantize(w, spec: QuantizerSpec, out: np.ndarray | None = None,
+             scratch: np.ndarray | None = None):
+    """Round weights onto the grid of `spec`, clipping at step*(M-1)/2.
+
+    Uses magnitude round-half-up: sgn(w) * step * min(floor(|w|/step + 0.5), (M-1)/2).
+    Accepts a scalar or an array; returns the same shape.  Given `out`, a
+    float64 array of w's shape, writes the result there and returns it;
+    given `scratch`, a flat float64 array of at least w.size elements, keeps
+    the level magnitudes in it, so a call given both allocates no array.
+    Raises ValueError, leaving `out` as it was, if any weight is non-finite.
+    """
+    arr = np.asarray(w, dtype=np.float64)
+    if arr.ndim == 0:
+        return float(quantize(arr.reshape(1), spec)[0])
+    if out is None:
+        out = np.empty(arr.shape)
+    elif out.shape != arr.shape or out.dtype != np.float64:
+        raise ValueError(f"quantize: out must be float64 of shape {arr.shape}, "
+                         f"got {out.dtype} {out.shape}")
+    n = np.empty(arr.shape) if scratch is None else scratch[:arr.size].reshape(arr.shape)
+    return _round_onto_grid(arr, spec.step, spec.max_level, out, n)
+
+
 def _half_squared_error(w: np.ndarray, step: float, max_level: int) -> float:
-    d = step * _levels(w, step, max_level) - w
+    d = _round_onto_grid(w, step, max_level, np.empty(w.shape), np.empty(w.shape))
+    d -= w
     return 0.5 * float(np.dot(d, d))
 
 
@@ -208,7 +230,9 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     if best_step is None:
         raise DegenerateGroupError(f"group {group.group_id!r}: no positive step found")
     # re-evaluate through the forward rounding path so the reported mse is
-    # bit-identical to quant_mse at the returned step
+    # bit-identical to quant_mse at the returned step, without the sweep's
+    # arrays of N alive beside its temporaries
+    del absw, rank, mag
     return best_step, _half_squared_error(group.values, best_step, max_level)
 
 

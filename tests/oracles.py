@@ -1,7 +1,8 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's vectorized code paths: the scalar
-quantizer is a straight-line transcription of the rounding formula, the grid
+quantizer is a straight-line transcription of the rounding formula, the
+array quantizer the first, allocating version of the in-place one, the grid
 searches evaluate the squared-error objective per candidate, the step-solver
 reference walks the breakpoints one at a time, and the gradient checker uses
 central finite differences.  The layer references are the first versions of
@@ -35,6 +36,20 @@ def scalar_quantize(w, step, points):
     if n > k:
         n = k
     return s * step * n
+
+
+def quantize_array(w, step, points):
+    """The first array quantizer, a new array at every step:
+    step * (sgn(w) * min(floor(|w|/step + 0.5), (M-1)/2)); a scalar in gives a
+    float out, and a NaN or infinite weight raises ValueError."""
+    arr = np.asarray(w, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("quantize: input contains non-finite values")
+    a = np.atleast_1d(arr)
+    n = np.floor(np.abs(a) / step + 0.5)
+    np.minimum(n, (points - 1) // 2, out=n)
+    out = step * (np.sign(a) * n)
+    return float(out[0]) if arr.ndim == 0 else out
 
 
 def quant_mse_direct(values, step, points):

@@ -26,6 +26,8 @@ from qatkit.nn import (
 )
 from qatkit.nn.network import LAYER_TYPES
 
+from oracles import assert_bits_equal
+
 
 def mlp_config(**overrides):
     base = dict(
@@ -308,15 +310,59 @@ class TestBatchNormBuffers:
         assert all(re.search(message, f["error"]) for f in failures)
 
 
+CNN_DIGITS = [{"kind": "conv2d", "in_ch": 1, "out_ch": 12, "kernel": 3, "padding": 1},
+              {"kind": "batchnorm", "features": 12}, {"kind": "activation", "fn": "relu"},
+              {"kind": "maxpool2d", "size": 2}, {"kind": "flatten"},
+              {"kind": "fc", "in": 192, "out": 10}, {"kind": "softmax"}]
+WIDE_FC = [{"kind": "fc", "in": 32, "out": 256}, {"kind": "activation", "fn": "relu"},
+           {"kind": "fc", "in": 256, "out": 256}, {"kind": "activation", "fn": "relu"},
+           {"kind": "fc", "in": 256, "out": 10}, {"kind": "softmax"}]
+
+
+class RecordingNet:
+    """A network whose forward calls are kept: (rows, train, output)."""
+
+    def __init__(self, net):
+        self.net, self.calls = net, []
+
+    def forward(self, x, train=True):
+        out = self.net.forward(x, train=train)
+        self.calls.append((x.shape[0], train, out))
+        return out
+
+
+@pytest.mark.parametrize("n", [1, 31, 32, 33, 63, 64, 65, 95, 96, 97, 263, 3250])
+def test_evaluate_forwards_32_to_63_rows(n):
+    net = RecordingNet(build_network(WIDE_FC, np.random.default_rng(0)))
+    r = np.random.default_rng(n)
+    data = (r.normal(size=(n, 32)), r.integers(0, 10, size=n))
+    harness.ClassificationTask(Splits(train=data, dev=data, test=data),
+                               batch_size=7).evaluate(net, "dev")
+    rows = [c[0] for c in net.calls]
+    assert sum(rows) == n and not any(c[1] for c in net.calls)
+    assert rows == [n] if n < 32 else all(32 <= k <= 63 for k in rows), rows
+
+
+@pytest.mark.parametrize("layers, shape", [(CNN_DIGITS, (1, 8, 8)), (WIDE_FC, (32,))],
+                         ids=["cnn-digits", "wide-fc"])
+@pytest.mark.parametrize("n", [263, 500, 600, 3250])
+def test_evaluate_probabilities_match_256_row_chunks(layers, shape, n):
+    net = build_network(layers, np.random.default_rng(0))
+    r = np.random.default_rng(n)
+    data = (r.normal(size=(n, *shape)), r.integers(0, 10, size=n))
+    rec = RecordingNet(net)
+    harness.ClassificationTask(Splits(train=data, dev=data, test=data)).evaluate(rec, "test")
+    want = np.concatenate([net.forward(data[0][s:s + 256], train=False)
+                           for s in range(0, n, 256)])
+    assert_bits_equal(np.concatenate([c[2] for c in rec.calls]), want)
+
+
 def test_evaluate_keeps_no_backward_state():
-    # the cnn-digits network on its 3,250 test images: each 256-image chunk's
-    # backward caches would take about 4 MB, and the last chunk's would
+    # the cnn-digits network on its 3,250 test images, in chunks of 32 to 63:
+    # the last chunk's forward and the probabilities peak at 1.26 MB; backward
+    # caches would add about 0.8 MB per 32 images, and the last chunk's would
     # outlive the call
-    cnn = [{"kind": "conv2d", "in_ch": 1, "out_ch": 12, "kernel": 3, "padding": 1},
-           {"kind": "batchnorm", "features": 12}, {"kind": "activation", "fn": "relu"},
-           {"kind": "maxpool2d", "size": 2}, {"kind": "flatten"},
-           {"kind": "fc", "in": 192, "out": 10}, {"kind": "softmax"}]
-    net = build_network(cnn, np.random.default_rng(0))
+    net = build_network(CNN_DIGITS, np.random.default_rng(0))
     r = np.random.default_rng(1)
     test = (r.normal(size=(3250, 1, 8, 8)), r.integers(0, 10, size=3250))
     task = harness.ClassificationTask(Splits(train=test, dev=test, test=test))
@@ -326,7 +372,7 @@ def test_evaluate_keeps_no_backward_state():
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 7e6, f"peak {peak / 1e6:.2f} MB"
+    assert peak < 1.5e6, f"peak {peak / 1e6:.2f} MB"
     assert held < 0.1e6, f"held {held / 1e6:.3f} MB"
 
 
@@ -384,10 +430,22 @@ class TestConfigValidation:
         (no_cells_config, ("retrain", "optimizer", "learning_rate"), 0.07,
          "^retrain: learning_rate 0.07 differs from lr_schedule.initial_lr 0.05"),
         (mlp_config, ("seeds", 0), "0", r"seeds must be a nonempty list of ints, got \['0'\]"),
+        (mlp_config, ("retrain", "optimizer", "learning_rate"), float("inf"),
+         r"^retrain with cells\[0\]: learning_rate must be positive and finite, got inf"),
+        (mlp_config, ("float_training", "optimizer", "lr_schedule", "initial_lr"), float("nan"),
+         "^float_training: initial_lr must be positive and finite, got nan"),
+        (mlp_config, ("retrain", "optimizer", "lr_schedule", "final_lr"), float("inf"),
+         r"^retrain with cells\[0\]: final_lr must be positive and finite, got inf"),
+        (mlp_config, ("retrain", "optimizer", "rho"), 5.0,
+         r"^retrain with cells\[0\]: rho must be in \[0, 1\), got 5.0"),
+        (mlp_config, ("float_training", "optimizer", "eps"), -1.0,
+         "^float_training: eps must be positive and finite, got -1.0"),
     ], ids=["dataset-missing-key", "dataset-float-seed", "str-batch-size", "zero-batch-size",
             "zero-update-stride", "str-momentum", "optimizer-kind", "optimizer-key",
             "cell-missing-key", "float-str-max-epochs", "float-lr-mismatch",
-            "retrain-lr-mismatch", "no-cells-retrain-lr-mismatch", "str-seed"])
+            "retrain-lr-mismatch", "no-cells-retrain-lr-mismatch", "str-seed",
+            "inf-learning-rate", "nan-initial-lr", "inf-final-lr", "rho-above-one",
+            "negative-eps"])
     def test_bad_value_rejected_at_load(self, make, path, value, message):
         *outer, key = path
         bad = copy.deepcopy(getattr(make(), outer[0]))

@@ -484,6 +484,24 @@ class TestOptimizers:
         with pytest.raises(ValueError):
             make_optimizer(OptimizerConfig(kind="adam"))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"learning_rate": float("inf"), "lr_schedule": {"initial_lr": float("inf")}},
+         "learning_rate must be positive and finite, got inf"),
+        ({"learning_rate": float("nan")}, "learning_rate must be positive and finite, got nan"),
+        ({"lr_schedule": {"initial_lr": float("inf")}},
+         "initial_lr must be positive and finite, got inf"),
+        ({"lr_schedule": {"final_lr": 0.0}}, "final_lr must be positive and finite, got 0.0"),
+        ({"kind": "adadelta", "rho": 5.0}, r"rho must be in \[0, 1\), got 5.0"),
+        ({"kind": "adadelta", "rho": 1.0}, r"rho must be in \[0, 1\), got 1.0"),
+        ({"kind": "adadelta", "rho": -0.1}, r"rho must be in \[0, 1\), got -0.1"),
+        ({"kind": "adadelta", "eps": -1.0}, "eps must be positive and finite, got -1.0"),
+        ({"kind": "adadelta", "eps": 0.0}, "eps must be positive and finite, got 0.0"),
+        ({"kind": "adadelta", "eps": float("inf")}, "eps must be positive and finite, got inf"),
+    ])
+    def test_optimizer_config_rejects_non_finite_or_out_of_range(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            OptimizerConfig(**kwargs)
+
     def test_optimizer_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(learning_rate=0)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,7 +8,13 @@ from hypothesis import given, strategies as st
 from qatkit import harness, qat
 from qatkit.data import synthetic_clusters
 from qatkit.harness import ClassificationTask, train_float, ExperimentConfig
-from qatkit.nn import Checkpoint, OptimizerConfig, build_network, make_optimizer
+from qatkit.nn import (
+    Checkpoint,
+    OptimizerConfig,
+    build_network,
+    cross_entropy,
+    make_optimizer,
+)
 from qatkit.quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
@@ -16,7 +23,7 @@ from qatkit.quantizer import (
     quantize,
 )
 
-from oracles import assert_on_grid, group_vector
+from oracles import assert_bits_equal, assert_on_grid, group_vector, quantize_array
 
 
 MLP = [
@@ -182,6 +189,118 @@ class TestInitQuantization:
         mult = shadow.quantized["a.W"] / spec.step
         np.testing.assert_allclose(mult, np.round(mult), atol=1e-9)
         assert np.abs(mult).max() <= (spec.points - 1) / 2 + 1e-9
+
+
+class TestInPlaceRequantize:
+    def test_rebuilds_the_same_arrays_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        master = {"a.W": rng.normal(size=(6, 5)), "a.b": rng.normal(size=5),
+                  "c.W": rng.normal(size=40), "c.U": rng.normal(size=(2, 3))}
+        groups = {"a": ["a.W"], "c": ["c.W", "c.U"]}
+        shadow = qat.init_quantization(master, groups, 3)
+        arrays = {k: shadow.quantized[k] for keys in groups.values() for k in keys}
+        for epoch in range(3):
+            for v in master.values():
+                v += rng.normal(scale=0.3, size=v.shape)
+            master["c.W"][:3] = [-0.0, -1e-300, 0.0]
+            if epoch == 2:
+                shadow.update_steps()
+            else:
+                shadow.requantize()
+            assert shadow.quantized["a.b"] is master["a.b"]
+            for gid, keys in groups.items():
+                spec = shadow.specs[gid]
+                for k in keys:
+                    assert shadow.quantized[k] is arrays[k]
+                    assert_bits_equal(shadow.quantized[k],
+                                      quantize_array(master[k], spec.step, spec.points))
+
+    def test_rebuilds_only_the_groups_asked_for(self):
+        master = {"a.W": np.array([0.9, -1.1]), "b.W": np.array([0.4, 2.0])}
+        shadow = qat.init_quantization(master, {"a": ["a.W"], "b": ["b.W"]}, 2)
+        before = shadow.quantized["b.W"].copy()
+        master["a.W"] *= -1.0
+        master["b.W"] *= -1.0
+        shadow.requantize(["a"])
+        assert_bits_equal(shadow.quantized["a.W"],
+                          quantize_array(master["a.W"], shadow.specs["a"].step, 3))
+        assert_bits_equal(shadow.quantized["b.W"], before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_master_names_group_and_key(self, bad):
+        master = {"a.W": np.ones(4), "b.W": np.ones((2, 2))}
+        shadow = qat.init_quantization(master, {"a": ["a.W"], "b": ["b.W"]}, 2)
+        master["b.W"][1, 0] = bad
+        with pytest.raises(qat.DivergenceError, match="^group 'b', key 'b.W': .*non-finite"):
+            shadow.requantize()
+
+    def test_fit_names_run_and_epoch_of_a_non_finite_master(self, monkeypatch):
+        # the third update of epoch 1 leaves an infinite master weight
+        task = toy_task()
+        per_epoch = sum(1 for _ in task.batches("train", 0))
+        real = qat.make_optimizer
+        calls = []
+
+        def make_optimizer(cfg):
+            opt = real(cfg)
+            update = opt.update
+
+            def poisoned(params, grads, lr):
+                update(params, grads, lr)
+                calls.append(1)
+                if len(calls) == per_epoch + 3:
+                    params["fc_out.W"][0, 0] = np.inf
+            opt.update = poisoned
+            return opt
+
+        monkeypatch.setattr(qat, "make_optimizer", make_optimizer)
+        cfg = TestRun().retrain_cfg("conventional", max_epochs=3)
+        with pytest.raises(qat.DivergenceError,
+                           match="^b2_s0: epoch 1: group 'fc_out', key 'fc_out.W': "):
+            qat.run(cfg, toy_float_ckpt(), task, run_id="b2_s0")
+
+    def test_per_batch_steps_allocate_no_weight_sized_arrays(self):
+        # wide-fc shapes, 76,874 parameters; with fresh arrays these steps
+        # allocated 513, 512, 1 and 1,024 KB a batch
+        net = build_network([{"kind": "fc", "in": 32, "out": 256},
+                             {"kind": "activation", "fn": "relu"},
+                             {"kind": "fc", "in": 256, "out": 256},
+                             {"kind": "activation", "fn": "relu"},
+                             {"kind": "fc", "in": 256, "out": 10},
+                             {"kind": "softmax"}], np.random.default_rng(0))
+        shadow = qat.init_quantization(net.get_params(), net.quant_group_map(), 4)
+        opt = make_optimizer(OptimizerConfig(
+            learning_rate=0.002, lr_schedule={"initial_lr": 0.002, "final_lr": 1e-5}))
+        rng = np.random.default_rng(1)
+        x, y = rng.normal(size=(32, 32)), rng.integers(0, 10, size=32)
+        steps = {
+            "set_params": lambda: net.set_params(shadow.quantized),
+            "zero_grads": net.zero_grads,
+            "optimizer.update": lambda: opt.update(shadow.master, net.get_grads(), 0.002),
+            "requantize": shadow.requantize,
+        }
+        peaks = {}
+
+        def step(name):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            steps[name]()
+            peaks[name] = max(peaks.get(name, 0), tracemalloc.get_traced_memory()[1] - held)
+
+        tracemalloc.start()
+        try:
+            for batch in range(3):
+                if batch == 1:  # after the warm-up
+                    peaks.clear()
+                step("set_params")
+                step("zero_grads")
+                _, dout = cross_entropy(net.forward(x, train=True), y)
+                net.backward(dout)
+                step("optimizer.update")
+                step("requantize")
+        finally:
+            tracemalloc.stop()
+        assert max(peaks.values()) < 16 * 1024, peaks
 
 
 class TestRetrainEpoch:
@@ -411,6 +530,22 @@ class TestBestOnDev:
         assert len(task.seen["dev"]) == 4 and len(task.seen["test"]) == 1
         assert_same_params(task.seen["test"][0], task.seen["dev"][1])
         assert params_differ(task.seen["test"][0], task.seen["dev"][3])
+
+    @pytest.mark.parametrize("schedule, views", [("adaptive", 2), ("gradual:3-2:2", 3)])
+    def test_best_is_quantized_once_per_stage(self, monkeypatch, schedule, views):
+        # dev improves every epoch, so every epoch takes a snapshot; the views
+        # built are run's initial one, one per stage change and the best at the end
+        ckpt, built, init = _float_ckpt_for_toy(), [], qat.ShadowParams.__init__
+
+        def counting_init(shadow, *args):
+            built.append(shadow)
+            init(shadow, *args)
+
+        monkeypatch.setattr(qat.ShadowParams, "__init__", counting_init)
+        task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
+        qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        assert len(built) == views
+        assert_same_params(task.seen["test"][0], task.seen["dev"][3])
 
     def test_final_test_eval_sees_best_epoch_buffers(self):
         task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])

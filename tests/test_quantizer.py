@@ -17,10 +17,12 @@ from qatkit.quantizer import (
 )
 
 from oracles import (
+    assert_bits_equal,
     grid_search_mse,
     grid_search_mse_slow,
     optimize_step_loop,
     quant_mse_direct,
+    quantize_array,
     scalar_quantize,
 )
 
@@ -70,6 +72,86 @@ class TestQuantize:
     def test_scalar_in_scalar_out(self):
         spec = QuantizerSpec.from_bits(2, 1.0)
         assert isinstance(quantize(0.7, spec), float)
+
+
+def in_place_cases():
+    """(name, weights, spec) on the rounding's edges, each at 2, 3 and 6 bits."""
+    cases = []
+    for bits in (2, 3, 6):
+        step = 0.173
+        spec = QuantizerSpec.from_bits(bits, step)
+        k = spec.max_level
+        halves = (np.arange(-k - 2, k + 2) + 0.5) * step
+        cases += [
+            (f"half-steps-{bits}", np.concatenate([halves, np.nextafter(halves, 0.0),
+                                                   np.nextafter(halves, np.inf)]), spec),
+            (f"beyond-clip-{bits}", np.array([k + 0.5, k + 1, 10 * k, 1e300]) * step
+             * np.array([[1.0], [-1.0]]), spec),
+            (f"signed-zeros-{bits}", np.array([-1e-300, -5e-324, -0.0, 0.0, 5e-324,
+                                               -0.49 * step, 0.49 * step]), spec),
+            (f"gaussian-{bits}", np.random.default_rng(bits).normal(size=(7, 9)), spec),
+        ]
+    return cases
+
+
+class TestQuantizeInPlace:
+    """`quantize` with `out` and `scratch`, as ShadowParams rebuilds its view,
+    against the first array quantizer bit for bit."""
+
+    @pytest.mark.parametrize("name, w, spec", in_place_cases(),
+                             ids=[c[0] for c in in_place_cases()])
+    def test_matches_array_oracle(self, name, w, spec):
+        want = quantize_array(w, spec.step, spec.points)
+        assert_bits_equal(quantize(w, spec), want)
+        out, scratch = np.full(w.shape, 7.0), np.full(w.size + 3, 7.0)
+        assert quantize(w, spec, out=out, scratch=scratch) is out
+        assert_bits_equal(out, want)
+
+    def test_signs_of_zero(self):
+        # sgn(-0.0) is +0.0, so -0.0 quantizes to +0.0 and a tiny negative to -0.0
+        spec = QuantizerSpec.from_bits(2, 1.0)
+        got = quantize(np.array([-0.0, -1e-300, 0.0]), spec, out=np.empty(3),
+                       scratch=np.empty(3))
+        assert list(np.signbit(got)) == [False, True, False]
+
+    @pytest.mark.parametrize("x", [0.7, -0.0, -1e-300, 2.6, np.float64(-0.5)])
+    def test_scalar_matches_oracle(self, x):
+        spec = QuantizerSpec.from_bits(3, 0.5)
+        got = quantize(x, spec)
+        assert isinstance(got, float)
+        assert_bits_equal(got, quantize_array(x, spec.step, spec.points))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_raises_and_leaves_out(self, bad):
+        spec = QuantizerSpec.from_bits(2, 1.0)
+        w = np.array([0.4, bad, -2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize_array(w, spec.step, spec.points)
+        out = np.full(3, 5.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(w, spec, out=out, scratch=np.empty(3))
+        assert_bits_equal(out, np.full(3, 5.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(bad, spec)
+
+    def test_out_must_match(self):
+        spec = QuantizerSpec.from_bits(2, 1.0)
+        for out in (np.empty(4), np.empty((3, 1)), np.empty(3, dtype=np.float32)):
+            with pytest.raises(ValueError, match="out must be float64 of shape"):
+                quantize(np.ones(3), spec, out=out)
+
+    def test_in_place_allocates_no_array(self):
+        w = np.random.default_rng(0).normal(size=(256, 256))
+        spec = QuantizerSpec.from_bits(4, 0.1)
+        out, scratch = np.empty_like(w), np.empty(w.size)
+        quantize(w, spec, out=out, scratch=scratch)
+        tracemalloc.start()
+        try:
+            quantize(w, spec, out=out, scratch=scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096, f"peak {peak} bytes"
 
 
 class TestQuantizerSpec:
