@@ -158,6 +158,7 @@ class ExperimentConfig:
         if not self.seeds or not all(isinstance(s, int) and not isinstance(s, bool)
                                      for s in self.seeds):
             raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}")
+        check_args(type(self).__name__, vars(self), type(self))
         kind = self.dataset.get("kind")
         reject_unknown("task", [self.task], TASKS)
         reject_unknown("dataset kind", [kind], DATASET_BUILDERS)
@@ -193,11 +194,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """The config in YAML file `path`; raises ValueError as `check_args`
+        does for its top level, and as construction does for each section."""
         import yaml
 
         with open(path, "r", encoding="utf-8") as f:
             raw = yaml.safe_load(f)
-        return cls(**raw)
+        return cls(**check_args("config", raw, cls))
 
 
 def _named(section: str, build, *args):

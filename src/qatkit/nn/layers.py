@@ -1,7 +1,8 @@
 """Layers with explicit forward/backward passes on numpy arrays.
 
-Every layer caches what its backward pass needs during forward; a network
-drops each layer's cache as soon as it returns in an eval pass.  Parameter
+Every layer caches what its backward pass needs during forward, batch norm
+only in a training forward; a network drops each layer's cache as soon as it
+returns in an eval pass.  Parameter
 gradients accumulate into `grads` keyed like `params`.  `quant_keys` lists
 the weight matrices, which share one quantization step; biases and
 batch-norm gain/shift are not quantized.  `buffers` names the array
@@ -304,28 +305,19 @@ class BatchNorm(Layer):
         xhat *= inv_std.reshape(col)
         y = self.params["gamma"].reshape(col) * xhat
         y += self.params["beta"].reshape(col)
-        self._cache = (xhat, inv_std, axes, col, train)
+        self._cache = (xhat, inv_std, axes, col) if train else None
         return y
 
     def backward(self, dy, need_dx=True):
-        xhat, inv_std, axes, col, train = self._take_cache()
-        gamma = self.params["gamma"]
-        if train:
-            sum_dy = dy.sum(axis=axes)
-            sum_dy_xhat = (dy * xhat).sum(axis=axes)
-            n = dy.size // self.features
-            dx = dy - (sum_dy / n).reshape(col)
-            dx -= xhat * (sum_dy_xhat / n).reshape(col)
-            dx *= (gamma * inv_std).reshape(col)
-        else:
-            # evaluation keeps the first version's order: the parameter
-            # gradients sum the rows of the (batch*h*w, channels) view in turn
-            dy2, xhat2 = (a if a.ndim == 2 else a.transpose(0, 2, 3, 1).reshape(-1, self.features)
-                          for a in (dy, xhat))
-            sum_dy = dy2.sum(axis=0)
-            sum_dy_xhat = (dy2 * xhat2).sum(axis=0)
-            dx = dy * gamma.reshape(col)
-            dx *= inv_std.reshape(col)
+        """The training backward; an eval forward leaves nothing to back
+        through, so backward after one raises InvalidStateError."""
+        xhat, inv_std, axes, col = self._take_cache()
+        sum_dy = dy.sum(axis=axes)
+        sum_dy_xhat = (dy * xhat).sum(axis=axes)
+        n = dy.size // self.features
+        dx = dy - (sum_dy / n).reshape(col)
+        dx -= xhat * (sum_dy_xhat / n).reshape(col)
+        dx *= (self.params["gamma"] * inv_std).reshape(col)
         self.grads["gamma"] += sum_dy_xhat
         self.grads["beta"] += sum_dy
         return dx

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import typing
 
 import numpy as np
 
@@ -58,14 +59,8 @@ class Network:
     def set_params(self, values: dict[str, np.ndarray]):
         """Copy in a value for every parameter, into the arrays the layers
         hold; a missing or extra key, or a value of another shape, raises."""
-        items = list(self.param_items())
-        _check_keys("set_params", values, items)
-        for key, ly, p in items:
-            value, held = values[key], ly.params[p]
-            if np.shape(value) != held.shape:
-                raise ValueError(f"set_params: {key} has shape {np.shape(value)}, "
-                                 f"the layer's {held.shape}")
-            np.copyto(held, value)
+        _copy_into("set_params", values,
+                   {key: ly.params[p] for key, ly, p in self.param_items()})
 
     def buffer_items(self):
         """Yield (key, layer, attribute) for every buffer, in layer order."""
@@ -77,11 +72,10 @@ class Network:
         return {key: getattr(ly, a).copy() for key, ly, a in self.buffer_items()}
 
     def set_buffers(self, values: dict[str, np.ndarray]):
-        """Copy in a value for every buffer; a missing or extra key raises."""
-        items = list(self.buffer_items())
-        _check_keys("set_buffers", values, items)
-        for key, ly, a in items:
-            setattr(ly, a, values[key].copy())
+        """Copy in a value for every buffer, into the arrays the layers hold;
+        a missing or extra key, or a value of another shape, raises."""
+        _copy_into("set_buffers", values,
+                   {key: getattr(ly, a) for key, ly, a in self.buffer_items()})
 
     def get_grads(self) -> dict[str, np.ndarray]:
         return {key: ly.grads[p] for key, ly, p in self.param_items()}
@@ -93,11 +87,19 @@ class Network:
                 for ly in self.layers if ly.quant_keys}
 
 
-def _check_keys(what: str, values: dict, items: list):
-    keys = {key for key, _, _ in items}
-    if values.keys() != keys:
-        raise ValueError(f"{what}: missing keys {sorted(keys - values.keys())}, "
-                         f"extra keys {sorted(values.keys() - keys)}")
+def _copy_into(what: str, values: dict, held: dict):
+    """Copy each of `values` into the array of its key in `held`; raises
+    ValueError, naming `what`, for a missing or extra key, and the key for a
+    value of another shape."""
+    if values.keys() != held.keys():
+        raise ValueError(f"{what}: missing keys {sorted(held.keys() - values.keys())}, "
+                         f"extra keys {sorted(values.keys() - held.keys())}")
+    for key, arr in held.items():
+        value = values[key]
+        if np.shape(value) != arr.shape:
+            raise ValueError(f"{what}: {key} has shape {np.shape(value)}, "
+                             f"the layer's {arr.shape}")
+        np.copyto(arr, value)
 
 
 # -- losses -----------------------------------------------------------------
@@ -153,7 +155,8 @@ CONFIG_KEY_NAMES = {"fan_in": "in", "fan_out": "out", "input_size": "in",
 # (flatten, conv2d, maxpool2d) ends the chain.
 WIDTH_PARAMS = {"fc": ("fan_in", "fan_out"), "lstm": ("input_size", "hidden_size")}
 WIDTH_KEEPING = ("activation", "batchnorm", "softmax")
-VALUE_TYPES = {bool: "a bool", int: "an int", float: "a float", str: "a str"}
+VALUE_TYPES = {bool: "a bool", int: "an int", float: "a float", str: "a str",
+               dict: "a mapping", list: "a list"}
 
 
 def reject_unknown(what: str, given, accepted):
@@ -167,9 +170,13 @@ def reject_unknown(what: str, given, accepted):
 def check_args(what: str, given: dict, fn, is_key=None, key_names=None) -> dict:
     """Config section `given` as keyword arguments of `fn`.  Its keys are the
     parameters of `fn` that `is_key` accepts (default all), renamed by
-    `key_names`.  Raises ValueError, naming `what` and the key, for an unknown
-    or missing required key, or a value that does not fit a bool, int, float
-    or str annotation: a bool is not an int, and an int is a float."""
+    `key_names`.  Raises ValueError, naming `what` and the key, for a `given`
+    that is not a mapping, an unknown or missing required key, or a value that
+    does not fit a bool, int, float, str, dict or list annotation, or an entry
+    that does not fit the X of a list[X] annotation: a bool is not an int, and
+    an int is a float."""
+    if not isinstance(given, dict):
+        raise ValueError(f"{what} must be a mapping, got {given!r}")
     params = {(key_names or {}).get(name, name): p
               for name, p in inspect.signature(fn, eval_str=True).parameters.items()
               if is_key is None or is_key(p)}
@@ -179,10 +186,17 @@ def check_args(what: str, given: dict, fn, is_key=None, key_names=None) -> dict:
         raise ValueError(f"{what}: missing required key {', '.join(map(repr, missing))}")
     for key, value in given.items():
         want = params[key].annotation
-        if want in VALUE_TYPES and not (isinstance(value, bool) == (want is bool) and
-                                        isinstance(value, (int, float) if want is float else want)):
-            raise ValueError(f"{what}: {key} must be {VALUE_TYPES[want]}, got {value!r}")
+        _check_value(what, key, value, typing.get_origin(want) or want)
+        if typing.get_origin(want) is list:
+            for i, entry in enumerate(value):
+                _check_value(what, f"{key}[{i}]", entry, *typing.get_args(want))
     return {params[key].name: value for key, value in given.items()}
+
+
+def _check_value(what: str, key: str, value, want):
+    if want in VALUE_TYPES and not (isinstance(value, bool) == (want is bool) and
+                                    isinstance(value, (int, float) if want is float else want)):
+        raise ValueError(f"{what}: {key} must be {VALUE_TYPES[want]}, got {value!r}")
 
 
 def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:

@@ -80,7 +80,7 @@ class OptimizerConfig:
             raise ValueError(f"rho must be in [0, 1), got {self.rho!r}")
         if not (0 < self.eps < math.inf):
             raise ValueError(f"eps must be positive and finite, got {self.eps!r}")
-        if isinstance(self.lr_schedule, dict):
+        if not isinstance(self.lr_schedule, LrScheduleConfig):
             self.lr_schedule = LrScheduleConfig(**check_args("lr_schedule", self.lr_schedule,
                                                              LrScheduleConfig))
         # training starts at lr_schedule.initial_lr; learning_rate must agree
@@ -94,7 +94,8 @@ class OptimizerConfig:
 class SGDNesterov:
     """SGD with Nesterov momentum:
         v <- mu*v + g;  w <- w - lr*(g + mu*v)
-    With momentum 0 this is plain SGD."""
+    With momentum 0 this is plain SGD, w <- w - lr*g bit for bit, except that
+    a -0.0 gradient entry can flip the sign of a zero weight."""
 
     def __init__(self, momentum=0.9):
         self.momentum = momentum
@@ -108,10 +109,6 @@ class SGDNesterov:
             t = self.scratch.get(k)
             if t is None:
                 t = self.scratch[k] = np.empty_like(g)
-            if mu == 0.0:
-                np.multiply(g, lr, out=t)
-                w -= t
-                continue
             v = self.v.get(k)
             if v is None:
                 v = self.v[k] = np.zeros_like(g)

@@ -206,7 +206,7 @@ class RetrainConfig:
             if value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
         self.schedule = sched = parse_schedule(self.schedule)
-        if isinstance(self.optimizer, dict):
+        if not isinstance(self.optimizer, OptimizerConfig):
             self.optimizer = OptimizerConfig(**check_args("optimizer", self.optimizer,
                                                           OptimizerConfig))
         if sched.start_bits is not None:

@@ -246,28 +246,13 @@ def _breakpoint_windows(mag: np.ndarray, rank: np.ndarray, max_level: int, chunk
     sorted magnitudes `mag`, so value thresholds cut it into one rank slice
     per window; a window is its rows' slices, divided as whole rows would be,
     then sorted.  Equal breakpoints all fall on one side of a threshold, so a
-    run of ties never straddles two windows.  When all N*K fit in one chunk
-    there is a single window and no pass over the rows.  A single row (K = 1)
-    is in sweep order as it stands and is cut every `chunk` breakpoints.
+    run of ties never straddles two windows.
     """
-    n = mag.size
-    if max_level == 1:
-        # one row, already in sweep order: the stable sort of |w| left equal
-        # magnitudes in weight-index order
-        for lo in range(0, n, chunk):
-            m = mag[lo:lo + chunk]
-            yield m / 0.5, m, np.full(m.size, 0.5)
-        return
     halves = np.arange(1, max_level + 1) - 0.5
-    if n * max_level <= chunk:
-        windows = [(np.tile(mag, max_level), np.repeat(halves, n),
-                    np.zeros(max_level, dtype=np.intp), np.full(max_level, n))]
-    else:
-        windows = _window_slices(mag, halves, chunk)
     # timsort merges the K ascending runs in log2(K) passes; from 4 bits
     # (K = 7) on, numpy's quicksort is faster.  Neither fixes the order of ties.
     kind = "stable" if max_level <= 3 else "quicksort"
-    for m, h, lo, counts in windows:
+    for m, h, lo, counts in _window_slices(mag, halves, chunk):
         bp = m / h  # the same division as a whole row, so the same values
         order = np.argsort(bp, kind=kind)
         bp = bp[order]

@@ -324,15 +324,13 @@ def batchnorm_reference(x2, gamma, beta, running_mean, running_var, momentum, ep
     return gamma * xhat + beta, xhat, inv_std, running_mean, running_var
 
 
-def batchnorm_backward_reference(dy2, xhat, inv_std, gamma, train):
-    """Input gradient, dgamma and dbeta of batch norm on (n, features)."""
+def batchnorm_backward_reference(dy2, xhat, inv_std, gamma):
+    """Input gradient, dgamma and dbeta of training batch norm on (n, features)."""
     dgamma = (dy2 * xhat).sum(axis=0)
     dbeta = dy2.sum(axis=0)
     g = dy2 * gamma
-    if train:
-        n = dy2.shape[0]
-        return inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).sum(axis=0) / n), dgamma, dbeta
-    return g * inv_std, dgamma, dbeta
+    n = dy2.shape[0]
+    return inv_std * (g - g.mean(axis=0) - xhat * (g * xhat).sum(axis=0) / n), dgamma, dbeta
 
 
 def lstm_reference(x, Wx, Wh, b, dy, grads, h0=None, c0=None, need_dx=True):

@@ -309,6 +309,18 @@ class TestBatchNormBuffers:
         assert len(failures) == 2
         assert all(re.search(message, f["error"]) for f in failures)
 
+    def test_checkpoint_with_misshapen_buffer_rejected(self, tmp_path):
+        cfg = bn_mlp_config(float_training={"max_epochs": 1})
+        ckpt = harness.ensure_float_checkpoint(cfg, 0, tmp_path)
+        path = harness.float_checkpoint_path(tmp_path, 0)
+        save_checkpoint(path, dataclasses.replace(
+            ckpt, buffers={**ckpt.buffers, "batchnorm0.running_mean": np.zeros(1)}))
+        message = (rf"{re.escape(str(path))} does not hold the buffers of its network "
+                   r"\(set_buffers: batchnorm0.running_mean has shape \(1,\), the layer's "
+                   r"\(4,\)\)")
+        with pytest.raises(ValueError, match=message):
+            harness.ensure_float_checkpoint(cfg, 0, tmp_path)
+
 
 CNN_DIGITS = [{"kind": "conv2d", "in_ch": 1, "out_ch": 12, "kernel": 3, "padding": 1},
               {"kind": "batchnorm", "features": 12}, {"kind": "activation", "fn": "relu"},
@@ -459,6 +471,36 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message):
             make(**{outer[0]: bad})
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: {**raw, "dataset": "clusters"}, "dataset must be a mapping, got 'clusters'"),
+        (lambda raw: {**raw, "float_training": None}, "float_training must be a mapping, got None"),
+        (lambda raw: {**raw, "cells": {"bits": 2, "schedule": "adaptive"}},
+         "cells must be a list, got {"),
+        (lambda raw: {**raw, "cells": ["b2_direct"]},
+         r"cells\[0\] must be a mapping, got 'b2_direct'"),
+        (lambda raw: {**raw, "network": ["fc", *raw["network"][1:]]},
+         r"network\[0\] must be a mapping, got 'fc'"),
+        (lambda raw: {**raw, "retrain": {**raw["retrain"], "optimizer": None}},
+         r"retrain with cells\[0\]: optimizer must be a mapping, got None"),
+        (lambda raw: {**raw, "float_training": {**raw["float_training"], "optimizer": {
+            **raw["float_training"]["optimizer"], "lr_schedule": 5}}},
+         "float_training: lr_schedule must be a mapping, got 5"),
+        (lambda raw: {**raw, "sedes": [0]}, "unknown config key 'sedes'"),
+        (lambda raw: {k: v for k, v in raw.items() if k != "network"},
+         "config: missing required key 'network'"),
+        (lambda raw: None, "config must be a mapping, got None"),
+    ], ids=["str-dataset", "empty-float-training", "mapping-cells", "str-cell", "str-layer",
+            "empty-optimizer", "int-lr-schedule", "unknown-key", "missing-key", "empty-file"])
+    def test_section_of_the_wrong_type_rejected(self, tmp_path, edit, message):
+        raw = edit(dataclasses.asdict(mlp_config()))
+        p = tmp_path / "exp.yaml"
+        p.write_text("" if raw is None else yaml.safe_dump(raw), encoding="utf-8")
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_file(p)
+        if raw is not None and raw.keys() == vars(mlp_config()).keys():
+            with pytest.raises(ValueError, match=message):
+                ExperimentConfig(**raw)
+
     def test_yaml_exponent_needs_a_dot(self, tmp_path):
         # YAML 1.1, which PyYAML reads, takes 1e-5 for a string and 1.0e-5 for a float
         cfg = mlp_config()
@@ -481,7 +523,7 @@ class TestConfigValidation:
         # check_args reads signatures with eval_str=True, which evaluates each
         # annotation on the running Python
         for fn in [*LAYER_TYPES.values(), *DATASET_BUILDERS.values(), *harness.TASKS.values(),
-                   qat.RetrainConfig, OptimizerConfig, LrScheduleConfig]:
+                   qat.RetrainConfig, OptimizerConfig, LrScheduleConfig, ExperimentConfig]:
             params = inspect.signature(fn, eval_str=True).parameters.values()
             assert not [p.name for p in params if isinstance(p.annotation, str)], fn
 

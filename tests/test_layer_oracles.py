@@ -1,6 +1,6 @@
 """Conv2D, MaxPool2D, BatchNorm and LSTM against their first versions in
 `oracles.py`: outputs, input gradients, parameter gradients and running
-statistics.  Max pool, batch norm in evaluation, the LSTM and the first-layer
+statistics.  Max pool, the batch-norm eval forward, the LSTM and the first-layer
 skip are compared bit for bit (bit patterns, so -0.0 differs from 0.0 and NaN
 payloads count).  The convolution's GEMMs and training batch norm's sums over (batch,
 h, w) run channels-first, in another order than the channels-last references,
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qatkit.nn import BatchNorm, Conv2D, LSTM, MaxPool2D, build_network, cross_entropy
+from qatkit.nn.layers import InvalidStateError
 
 from oracles import (
     assert_bits_equal,
@@ -160,24 +161,28 @@ def test_batchnorm_matches_reference(shape, layout, train):
     rm, rv = layer.running_mean.copy(), layer.running_var.copy()
     out = layer.forward(x, train=train)
     dy = rng.normal(size=out.shape)
-    dx = layer.backward(dy.copy())
 
     def to2d(a):
         return a if a.ndim == 2 else a.transpose(0, 2, 3, 1).reshape(-1, features)
 
     want_y, xhat, inv_std, want_rm, want_rv = batchnorm_reference(
         to2d(x), layer.params["gamma"], layer.params["beta"], rm, rv, 0.8, layer.eps, train)
-    want_dx, dgamma, dbeta = batchnorm_backward_reference(
-        to2d(dy), xhat, inv_std, layer.params["gamma"], train)
     # evaluation keeps the reference's operation order; training normalizes
     # with sums over the batch taken channels-first
     check = assert_close_to_reference if train else assert_bits_equal
     check(to2d(out), want_y)
+    check(layer.running_mean, want_rm)
+    check(layer.running_var, want_rv)
+    if not train:  # an eval forward leaves nothing to back through
+        with pytest.raises(InvalidStateError):
+            layer.backward(dy)
+        return
+    dx = layer.backward(dy.copy())
+    want_dx, dgamma, dbeta = batchnorm_backward_reference(
+        to2d(dy), xhat, inv_std, layer.params["gamma"])
     check(to2d(dx), want_dx)
     check(layer.grads["gamma"], np.zeros(features) + dgamma)
     check(layer.grads["beta"], np.zeros(features) + dbeta)
-    check(layer.running_mean, want_rm)
-    check(layer.running_var, want_rv)
 
 
 @pytest.mark.parametrize("layout", [np.ascontiguousarray, nhwc])
@@ -187,10 +192,10 @@ def test_conv_and_batchnorm_outputs_are_channels_first_contiguous(layout):
     bn = BatchNorm("bn", 3)
     y = conv.forward(layout(rng.normal(size=(4, 2, 6, 5))))
     assert y.shape == (4, 3, 6, 5) and y.flags.c_contiguous
-    for train in (True, False):
+    for train in (False, True):
         z = bn.forward(y, train=train)
         assert z.flags.c_contiguous
-        assert bn.backward(np.ones_like(z)).flags.c_contiguous
+    assert bn.backward(np.ones_like(z)).flags.c_contiguous
     assert conv.backward(np.ones_like(y)).shape == (4, 2, 6, 5)
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from qatkit.nn import (
     AdaDelta,
+    BatchNorm,
     LrSchedule,
     LrScheduleConfig,
     Network,
@@ -144,9 +145,9 @@ def test_eval_forward_drops_every_cache_and_matches_layer_by_layer(name):
     out = net.forward(x, train=False)
     assert [ly.name for ly in net.layers if ly._cache is not None] == []
     want = x
-    for ly in twin.layers:  # a layer driven directly still caches
+    for ly in twin.layers:  # a layer driven directly still caches, but batch norm
         want = ly.forward(want, train=False)
-        assert ly._cache is not None
+        assert (ly._cache is None) == isinstance(ly, BatchNorm)
     assert_bits_equal(out, want)
 
 
@@ -363,6 +364,14 @@ class TestBatchNorm:
         with pytest.raises(ValueError, match=r"missing keys \[\], extra keys \['bn.x'\]"):
             net.set_buffers({**good, "bn.x": np.zeros(3)})
 
+    def test_set_buffers_rejects_another_shape(self):
+        # a (1,) mean would broadcast over the 3 features at eval
+        net = build_network([{"kind": "batchnorm", "features": 3, "name": "bn"}], rng())
+        with pytest.raises(ValueError, match=r"set_buffers: bn.running_mean has shape \(1,\), "
+                                             r"the layer's \(3,\)"):
+            net.set_buffers({**net.get_buffers(), "bn.running_mean": np.zeros(1)})
+        np.testing.assert_array_equal(net.layers[0].running_mean, np.zeros(3))
+
 
 class TestLSTMStateful:
     def test_chunked_forward_matches_full_when_stateful(self):
@@ -388,6 +397,20 @@ class TestOptimizers:
         w = {"w": np.array([1.0])}
         SGDNesterov(momentum=0.0).update(w, {"w": np.array([0.5])}, lr=0.1)
         np.testing.assert_allclose(w["w"], [0.95])
+
+    def test_momentum_zero_is_plain_sgd_bit_for_bit(self):
+        # weights and gradients with +0.0 entries, compared after each of 5 steps
+        r = np.random.default_rng(23)
+        w = r.normal(size=40)
+        w[::4] = 0.0
+        params, want = {"w": w}, w.copy()
+        opt = SGDNesterov(momentum=0.0)
+        for _ in range(5):
+            g = r.normal(size=40) * 10.0 ** r.uniform(-8, 3, size=40)
+            g[r.random(40) < 0.3] = 0.0
+            opt.update(params, {"w": g}, lr=2e-3)
+            want -= np.multiply(g, 2e-3)
+            assert_bits_equal(params["w"], want)
 
     def test_nesterov_hand_recurrence(self):
         # f(w) = w^2/2, grad = w; three steps vs hand recurrence
