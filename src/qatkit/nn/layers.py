@@ -2,16 +2,17 @@
 
 Every layer caches what its backward pass needs during forward, batch norm
 only in a training forward; a network drops each layer's cache as soon as it
-returns in an eval pass.  Parameter
-gradients accumulate into `grads` keyed like `params`.  `quant_keys` lists
-the weight matrices, which share one quantization step; biases and
-batch-norm gain/shift are not quantized.  `buffers` names the array
-attributes that evaluation reads and no optimizer trains.  `backward` returns
-the input gradient; with `need_dx=False` a layer with weights may skip
-computing it and return None (the first layer of a network has no use for it).
-Image activations are channels-first: (batch, channels, h, w).  The LSTM keeps
-work arrays across calls, sized to the largest window it has seen; they are
-scratch, not `buffers`.
+returns in an eval pass.  `backward` sets every parameter's gradient in
+`grads`, keyed like `params`, writing over the arrays there, so nothing needs
+zeroing between steps.  `quant_keys` lists the weight matrices, which share
+one quantization step; biases and batch-norm gain/shift are not quantized.
+`buffers` names the array attributes that evaluation reads and no optimizer
+trains.  `backward` returns the input gradient; with `need_dx=False` a layer
+with weights may skip computing it and return None (the first layer of a
+network has no use for it).  Image activations are channels-first: (batch,
+channels, h, w).  The LSTM keeps work arrays across calls, sized to the
+largest window it has seen; they are scratch, not `buffers`.  A constructor
+raises ValueError, naming the layer, for a size or rate out of range.
 """
 
 from __future__ import annotations
@@ -60,18 +61,28 @@ class Layer:
         return cache
 
     def zero_grads(self):
-        """Zero every parameter's gradient, in place once it exists."""
+        """Zero every parameter's gradient, in place once it exists; a new
+        one is C-contiguous, as backward's `out=` writes need."""
         for k, v in self.params.items():
             g = self.grads.get(k)
             if g is None or g.shape != v.shape:
-                self.grads[k] = np.zeros_like(v)
+                self.grads[k] = np.zeros(v.shape)
             else:
                 g.fill(0.0)
+
+
+def _check_counts(name: str, floor: int, **counts):
+    """Raise ValueError, naming layer `name` and the key, for a count below
+    `floor`."""
+    for key, value in counts.items():
+        if value < floor:
+            raise ValueError(f"{name}: {key} must be >= {floor}, got {value!r}")
 
 
 class FullyConnected(Layer):
     def __init__(self, name, fan_in, fan_out, rng):
         super().__init__(name)
+        _check_counts(name, 1, fan_in=fan_in, fan_out=fan_out)
         self.fan_in, self.fan_out = fan_in, fan_out
         self.params["W"] = uniform_fan_init(rng, (fan_in, fan_out), fan_in, fan_out)
         self.params["b"] = np.zeros(fan_out)
@@ -90,8 +101,8 @@ class FullyConnected(Layer):
         x = self._take_cache()
         x2 = x.reshape(-1, self.fan_in)
         dy2 = dy.reshape(-1, self.fan_out)
-        self.grads["W"] += x2.T @ dy2
-        self.grads["b"] += dy2.sum(axis=0)
+        np.matmul(x2.T, dy2, out=self.grads["W"])
+        np.sum(dy2, axis=0, out=self.grads["b"])
         return dy @ self.params["W"].T if need_dx else None
 
 
@@ -150,6 +161,14 @@ class Flatten(Layer):
         return dy.reshape(self._take_cache())
 
 
+def _check_fits(name, x_shape, size, pad=0):
+    """Raise ShapeError, naming the layer, when a size*size window does not
+    fit the (padded) height and width of a 4-d input."""
+    if min(x_shape[2:]) + 2 * pad < size:
+        raise ShapeError(f"{name}: input {x_shape} with padding {pad} is smaller than "
+                         f"the {size}x{size} window")
+
+
 def _windows(x, size, stride):
     """The size*size strided views x[:, :, i::stride, j::stride] of a 4-d
     array, each cropped to the output grid, in window order (i, then j)."""
@@ -185,6 +204,8 @@ def _col2im(cols, x_shape, size, stride, pad):
 class Conv2D(Layer):
     def __init__(self, name, in_ch, out_ch, kernel, rng, stride=1, padding=0):
         super().__init__(name)
+        _check_counts(name, 1, in_ch=in_ch, out_ch=out_ch, kernel=kernel, stride=stride)
+        _check_counts(name, 0, padding=padding)
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.stride, self.padding = kernel, stride, padding
         fan_in = in_ch * kernel * kernel
@@ -199,6 +220,7 @@ class Conv2D(Layer):
             raise ShapeError(
                 f"{self.name}: expected input (batch, {self.in_ch}, h, w), got {x.shape}"
             )
+        _check_fits(self.name, x.shape, self.kernel, self.padding)
         cols, oh, ow = _im2col(x, self.kernel, self.stride, self.padding)
         wmat = self.params["W"].reshape(self.out_ch, -1)
         out = wmat @ cols  # (b, out_ch, oh*ow): channels-first and contiguous
@@ -213,8 +235,8 @@ class Conv2D(Layer):
         # np.tensordot copies cols as (b*P, in_ch*k*k): 1.7x slower at cnn-digits shapes
         dym_t = dym.transpose(1, 0, 2).reshape(self.out_ch, -1)
         cols_t = cols.transpose(1, 0, 2).reshape(cols.shape[1], -1)
-        self.grads["W"] += (dym_t @ cols_t.T).reshape(self.params["W"].shape)
-        self.grads["b"] += dym.sum(axis=(0, 2))
+        np.matmul(dym_t, cols_t.T, out=self.grads["W"].reshape(self.out_ch, -1))
+        np.sum(dym, axis=(0, 2), out=self.grads["b"])
         if not need_dx:
             return None
         dcols = self.params["W"].reshape(self.out_ch, -1).T @ dym
@@ -229,11 +251,13 @@ class MaxPool2D(Layer):
     def __init__(self, name, size, stride=None):
         super().__init__(name)
         self.size = size
-        self.stride = stride or size
+        self.stride = size if stride is None else stride
+        _check_counts(name, 1, size=size, stride=self.stride)
 
     def forward(self, x, train=True):
         if x.ndim != 4:
             raise ShapeError(f"{self.name}: expected 4-d input, got {x.shape}")
+        _check_fits(self.name, x.shape, self.size)
         wins = _windows(x, self.size, self.stride)
         out, hits = wins[0], []
         for win in wins[1:]:
@@ -274,6 +298,11 @@ class BatchNorm(Layer):
 
     def __init__(self, name, features, momentum=0.9, eps=1e-5):
         super().__init__(name)
+        _check_counts(name, 1, features=features)
+        if not 0 <= momentum < 1:
+            raise ValueError(f"{name}: momentum must be in [0, 1), got {momentum!r}")
+        if not 0 < eps < math.inf:
+            raise ValueError(f"{name}: eps must be positive and finite, got {eps!r}")
         self.features, self.momentum, self.eps = features, momentum, eps
         self.params["gamma"] = np.ones(features)
         self.params["beta"] = np.zeros(features)
@@ -312,14 +341,12 @@ class BatchNorm(Layer):
         """The training backward; an eval forward leaves nothing to back
         through, so backward after one raises InvalidStateError."""
         xhat, inv_std, axes, col = self._take_cache()
-        sum_dy = dy.sum(axis=axes)
-        sum_dy_xhat = (dy * xhat).sum(axis=axes)
+        sum_dy = np.sum(dy, axis=axes, out=self.grads["beta"])
+        sum_dy_xhat = np.sum(dy * xhat, axis=axes, out=self.grads["gamma"])
         n = dy.size // self.features
         dx = dy - (sum_dy / n).reshape(col)
         dx -= xhat * (sum_dy_xhat / n).reshape(col)
         dx *= (self.params["gamma"] * inv_std).reshape(col)
-        self.grads["gamma"] += sum_dy_xhat
-        self.grads["beta"] += sum_dy
         return dx
 
 
@@ -344,6 +371,7 @@ class LSTM(Layer):
 
     def __init__(self, name, input_size, hidden_size, rng, stateful=False):
         super().__init__(name)
+        _check_counts(name, 1, input_size=input_size, hidden_size=hidden_size)
         self.input_size, self.hidden_size = input_size, hidden_size
         self.stateful = stateful
         h = hidden_size
@@ -460,20 +488,12 @@ class LSTM(Layer):
         # per-step products, last step first: the order the gradients sum in
         rev = dz[::-1]
         prod = work[: t_len * n_in * 4 * hsz].reshape(t_len, n_in, 4 * hsz)
-        self._add_steps("Wx", np.matmul(x[::-1].transpose(0, 2, 1), rev, out=prod))
+        g = self.grads
+        np.sum(np.matmul(x[::-1].transpose(0, 2, 1), rev, out=prod), axis=0, out=g["Wx"])
         prod = work[: t_len * hsz * 4 * hsz].reshape(t_len, hsz, 4 * hsz)
-        self._add_steps("Wh", np.matmul(hidden[:t_len][::-1].transpose(0, 2, 1), rev, out=prod))
-        self._add_steps("b", rev.sum(axis=1))
+        np.sum(np.matmul(hidden[:t_len][::-1].transpose(0, 2, 1), rev, out=prod), axis=0,
+               out=g["Wh"])
+        np.sum(rev.sum(axis=1), axis=0, out=g["b"])
         if not need_dx:
             return None
         return np.matmul(dz, self.params["Wx"].T)
-
-    def _add_steps(self, key, steps):
-        """grads[key] += each of `steps` in turn.  Onto zero gradients, adding
-        their sum gives the same bits with one reduction."""
-        g = self.grads[key]
-        if g.any():
-            for s in steps:
-                g += s
-        else:
-            g += steps.sum(axis=0)

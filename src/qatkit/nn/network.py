@@ -31,8 +31,8 @@ class Network:
         return x
 
     def backward(self, dy):
-        """Accumulate every layer's parameter gradients; returns None, since
-        the first layer computes no input gradient."""
+        """Set every layer's parameter gradients; returns None, since the
+        first layer computes no input gradient."""
         for i in reversed(range(len(self.layers))):
             dy = self.layers[i].backward(dy, need_dx=i > 0)
 
@@ -56,11 +56,27 @@ class Network:
     def get_params(self) -> dict[str, np.ndarray]:
         return {key: ly.params[p].copy() for key, ly, p in self.param_items()}
 
+    def param_arrays(self) -> dict[str, np.ndarray]:
+        """The arrays the layers hold, by key; not copies."""
+        return {key: ly.params[p] for key, ly, p in self.param_items()}
+
     def set_params(self, values: dict[str, np.ndarray]):
         """Copy in a value for every parameter, into the arrays the layers
         hold; a missing or extra key, or a value of another shape, raises."""
-        _copy_into("set_params", values,
-                   {key: ly.params[p] for key, ly, p in self.param_items()})
+        _copy_into("set_params", values, self.param_arrays())
+
+    def bind_params(self, arrays: dict[str, np.ndarray]):
+        """Make the layers hold `arrays` themselves, not copies: forward reads
+        them and an in-place write to one is seen by the next forward.  A
+        missing or extra key, or an array of another shape or not float64,
+        raises ValueError."""
+        _check_like("bind_params", arrays, self.param_arrays())
+        for key, arr in arrays.items():
+            if getattr(arr, "dtype", None) != np.float64:
+                raise ValueError(f"bind_params: {key} must be a float64 array, "
+                                 f"got {type(arr).__name__} {getattr(arr, 'dtype', '')}")
+        for key, ly, p in self.param_items():
+            ly.params[p] = arrays[key]
 
     def buffer_items(self):
         """Yield (key, layer, attribute) for every buffer, in layer order."""
@@ -68,14 +84,17 @@ class Network:
             for name in ly.buffers:
                 yield f"{ly.name}.{name}", ly, name
 
+    def buffer_arrays(self) -> dict[str, np.ndarray]:
+        """The buffer arrays the layers hold now, by key; not copies."""
+        return {key: getattr(ly, a) for key, ly, a in self.buffer_items()}
+
     def get_buffers(self) -> dict[str, np.ndarray]:
-        return {key: getattr(ly, a).copy() for key, ly, a in self.buffer_items()}
+        return {key: v.copy() for key, v in self.buffer_arrays().items()}
 
     def set_buffers(self, values: dict[str, np.ndarray]):
         """Copy in a value for every buffer, into the arrays the layers hold;
         a missing or extra key, or a value of another shape, raises."""
-        _copy_into("set_buffers", values,
-                   {key: getattr(ly, a) for key, ly, a in self.buffer_items()})
+        _copy_into("set_buffers", values, self.buffer_arrays())
 
     def get_grads(self) -> dict[str, np.ndarray]:
         return {key: ly.grads[p] for key, ly, p in self.param_items()}
@@ -87,19 +106,24 @@ class Network:
                 for ly in self.layers if ly.quant_keys}
 
 
-def _copy_into(what: str, values: dict, held: dict):
-    """Copy each of `values` into the array of its key in `held`; raises
-    ValueError, naming `what`, for a missing or extra key, and the key for a
-    value of another shape."""
+def _check_like(what: str, values: dict, held: dict):
+    """Raise ValueError, naming `what`, for a key of `held` that `values`
+    lacks or one it adds, and the key for a value of another shape."""
     if values.keys() != held.keys():
         raise ValueError(f"{what}: missing keys {sorted(held.keys() - values.keys())}, "
                          f"extra keys {sorted(values.keys() - held.keys())}")
     for key, arr in held.items():
-        value = values[key]
-        if np.shape(value) != arr.shape:
-            raise ValueError(f"{what}: {key} has shape {np.shape(value)}, "
+        if np.shape(values[key]) != arr.shape:
+            raise ValueError(f"{what}: {key} has shape {np.shape(values[key])}, "
                              f"the layer's {arr.shape}")
-        np.copyto(arr, value)
+
+
+def _copy_into(what: str, values: dict, held: dict):
+    """Copy each of `values` into the array of its key in `held`, after
+    `_check_like`."""
+    _check_like(what, values, held)
+    for key, arr in held.items():
+        np.copyto(arr, values[key])
 
 
 # -- losses -----------------------------------------------------------------

@@ -3,7 +3,10 @@
 The loop per minibatch: forward and backward run on the quantized view, the
 gradient updates the float master, and the quantized view is rebuilt from the
 master with the current step size.  Step sizes themselves change only at
-epoch boundaries, as dictated by the schedule.
+epoch boundaries, as dictated by the schedule.  The network holds the
+shadow's arrays themselves (`Network.bind_params`), so it computes on each
+rebuilt view without a copy, and its backward writes the gradients the
+optimizer reads in place.
 """
 
 from __future__ import annotations
@@ -116,7 +119,8 @@ class ShadowParams:
     Parameters outside any group (biases, batch-norm gain/shift) are shared
     by reference between the two views.  A grouped key's quantized array is
     allocated once and rebuilt in place, with one scratch array as large as
-    the largest grouped key.
+    the largest grouped key; a network bound to `quantized` sees every
+    rebuild.
     """
 
     def __init__(self, master: dict[str, np.ndarray], groups: dict[str, list[str]],
@@ -163,7 +167,9 @@ def _solve(master: dict[str, np.ndarray], keys: list[str], gid: str,
     """The L2-optimal spec at `bits` for group `gid`, the weights `keys` of
     `master`.  Raises DegenerateGroupError, naming the group, if all are zero
     or the solver finds no positive finite step (squares that underflow)."""
-    vec = np.concatenate([master[k].ravel() for k in keys])
+    # one key's weights as they are; only a group of several is gathered
+    vec = (master[keys[0]].ravel() if len(keys) == 1
+           else np.concatenate([master[k].ravel() for k in keys]))
     with np.errstate(divide="ignore", invalid="ignore"):  # a step of 0 is reported below
         step, _ = optimize_step(WeightGroup(vec, gid), points_for_bits(bits))
     if not (step > 0.0 and math.isfinite(step)):
@@ -221,11 +227,10 @@ def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
                   update_steps: bool, record: RunRecord | None = None) -> float:
     """One pass over `batches` (iterable of (x, y)) with the Fig.-style loop
     under cross-entropy, then a re-solve of every group's step if
-    `update_steps`; the mean loss."""
+    `update_steps`; the mean loss.  `net` must hold `shadow.quantized`
+    (`Network.bind_params`)."""
     total, count = 0.0, 0
     for x, y in batches:
-        net.set_params(shadow.quantized)
-        net.zero_grads()
         out = net.forward(x, train=True)
         loss, dout = cross_entropy(out, y)
         if not math.isfinite(loss):
@@ -240,21 +245,26 @@ def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
     return total / max(count, 1)
 
 
-def _evaluate_quantized(net, shadow, task, split):
-    net.set_params(shadow.quantized)
-    return task.evaluate(net, split)
+def _snapshot(values: dict, into: dict | None) -> dict:
+    """Copies of `values`, written into the arrays of `into` if there is one."""
+    if into is None:
+        return {k: v.copy() for k, v in values.items()}
+    for k, v in values.items():
+        np.copyto(into[k], v)
+    return into
 
 
 def _exhaustive_init(shadow, net, task):
     """The exhaustive schedule's initial steps: per group, geometric search
-    around the L2-optimal step scoring the quantized network on the dev split."""
+    around the L2-optimal step scoring the quantized network on the dev split.
+    `net` must hold `shadow.quantized`."""
     for gid in sorted(shadow.groups):
         spec = shadow.specs[gid]
 
         def score(step):
             shadow.specs[gid] = QuantizerSpec.from_bits(spec.bits, step)
             shadow.requantize([gid])
-            return _evaluate_quantized(net, shadow, task, "dev")
+            return task.evaluate(net, "dev")
 
         best = exhaustive_search_step(spec.step, score, EXHAUSTIVE_CANDIDATES)
         shadow.specs[gid] = QuantizerSpec.from_bits(spec.bits, best)
@@ -264,14 +274,16 @@ def _exhaustive_init(shadow, net, task):
 def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) -> tuple:
     """The epoch loop shared by float training and retraining.
 
-    Walks the schedule's plan.  A change of width starts a stage: the shadow
-    is quantized afresh from the stage before's best-on-dev master, and the
-    network gets that epoch's buffers, with a fresh optimizer and lr
-    schedule.  Keeps a copy of the final stage's best-on-dev master, with its
-    specs and buffers, and quantizes it once, at the end.  Stops at the
-    lr-schedule floor (not under gradual), then evaluates that best state on
-    test; the network keeps its buffers.  A float network is one whose
-    shadow has no groups.  Returns (final ShadowParams, best-on-dev
+    `net` must hold `shadow.quantized` (`Network.bind_params`).  Walks the
+    schedule's plan.  A change of width starts a stage: the shadow is
+    quantized afresh from the stage before's best-on-dev master, the network
+    is bound to it and gets that epoch's buffers, with a fresh optimizer and
+    lr schedule.  Keeps a copy of the final stage's best-on-dev master, with
+    its specs and buffers, written into the same arrays at each improvement,
+    and quantizes it once, at the end.  Stops at the lr-schedule floor (not
+    under gradual), then binds the network to that best state and evaluates
+    it on test; the network keeps it and its buffers.  A float network is one
+    whose shadow has no groups.  Returns (final ShadowParams, best-on-dev
     ShadowParams); the best is the final one when no epoch ran.
     """
     plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
@@ -281,17 +293,20 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     stop_at_floor = (cfg.stop_at_lr_floor and cfg.schedule.start_bits is None
                      and lr_cfg.initial_lr > lr_cfg.final_lr)
     optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-    # the best-on-dev (master copy, specs); None stands for the live shadow
-    best_dev, best, best_buffers = math.inf, None, net.get_buffers()
+    # the stage's best-on-dev master copy and specs; None stands for the live shadow
+    best_dev, best_master, best_specs = math.inf, None, None
+    best_buffers = net.get_buffers()
     epoch = 0
     for epoch, (bits, update_steps) in enumerate(plan):
         if epoch and bits != plan[epoch - 1][0]:
-            shadow = init_quantization(best[0] if best else shadow.master,
+            # the snapshot becomes the new master: the next one gets fresh arrays
+            shadow = init_quantization(shadow.master if best_master is None else best_master,
                                        shadow.groups, bits)
+            net.bind_params(shadow.quantized)
             net.set_buffers(best_buffers)
             record.events.append(f"drop-bit:{epoch}:{bits}")
             optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-            best_dev, best = math.inf, None
+            best_dev, best_master = math.inf, None
         net.reset_state()
         try:
             mean_loss = retrain_epoch(
@@ -303,19 +318,21 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         record.log_metric(epoch, "train", "loss", mean_loss)
         record.log_deltas(epoch, shadow.specs)
         net.reset_state()
-        dev = _evaluate_quantized(net, shadow, task, "dev")
+        dev = task.evaluate(net, "dev")
         record.log_metric(epoch, "dev", task.metric_name, dev)
         if dev < best_dev:
-            best_dev = dev
-            best = ({k: v.copy() for k, v in shadow.master.items()}, dict(shadow.specs))
-            best_buffers = net.get_buffers()
+            best_dev, best_specs = dev, dict(shadow.specs)
+            best_master = _snapshot(shadow.master, best_master)
+            best_buffers = _snapshot(net.buffer_arrays(), best_buffers)
         lr_sched.step(dev)
         if stop_at_floor and lr_sched.at_floor:
             break
 
-    best = ShadowParams(best[0], shadow.groups, best[1]) if best else shadow
+    del optimizer  # its state goes before the best view is allocated
+    best = shadow if best_master is None else ShadowParams(best_master, shadow.groups,
+                                                            best_specs)
     net.reset_state()
-    net.set_params(best.quantized)
+    net.bind_params(best.quantized)
     net.set_buffers(best_buffers)
     record.final_test_metric = task.evaluate(net, "test")
     record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
@@ -325,18 +342,20 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
 def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     """Full retraining of one (bits, schedule) cell from a float checkpoint.
 
-    The network is built from `float_ckpt.layer_cfgs`, with its params and
-    buffers; `task` supplies the data: batches(split, epoch), evaluate(net,
-    split) -> metric (lower is better), and metric_name.  Returns (final
-    ShadowParams, RunRecord).
+    The network is built from `float_ckpt.layer_cfgs`, with copies of its
+    params and buffers; the arrays it holds become the float master, and it
+    is bound to the quantized view.  `task` supplies the data:
+    batches(split, epoch), evaluate(net, split) -> metric (lower is better),
+    and metric_name.  Returns (final ShadowParams, RunRecord).
     """
     record = RunRecord(run_id=run_id, cell_bits=cfg.bits, schedule=cfg.schedule.name,
                        seed=cfg.seed, metric_name=task.metric_name)
     net = build_network(float_ckpt.layer_cfgs, np.random.default_rng(cfg.seed))
     net.set_params(float_ckpt.params)
     net.set_buffers(float_ckpt.buffers)
-    shadow = init_quantization(net.get_params(), net.quant_group_map(),
+    shadow = init_quantization(net.param_arrays(), net.quant_group_map(),
                                cfg.schedule.start_bits or cfg.bits)
+    net.bind_params(shadow.quantized)
     if cfg.schedule.name == "exhaustive":
         _exhaustive_init(shadow, net, task)
     shadow, _ = fit(cfg, net, shadow, task, record)

@@ -170,7 +170,8 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
         raise ValueError(f"M must be odd and >= 3, got {M}")
     max_level = (M - 1) // 2
     absw = np.abs(group.values)
-    absw = absw[absw > 0.0]
+    if not absw.all():  # a copy of the nonzero magnitudes only where there is a zero
+        absw = absw[absw > 0.0]
     n = absw.size
     if n == 0:
         raise DegenerateGroupError(
@@ -187,6 +188,7 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     s2 = float(max_level) ** 2 * n
     rank = np.argsort(absw, kind="stable")
     mag = absw[rank]
+    del absw  # the sweep reads the sorted copy
 
     best_step, best_mse = None, math.inf
     prev_b = 0.0
@@ -232,7 +234,7 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     # re-evaluate through the forward rounding path so the reported mse is
     # bit-identical to quant_mse at the returned step, without the sweep's
     # arrays of N alive beside its temporaries
-    del absw, rank, mag
+    del rank, mag
     return best_step, _half_squared_error(group.values, best_step, max_level)
 
 

@@ -132,7 +132,6 @@ def test_conv2d_matches_reference(batch, in_ch, out_ch, kernel, stride, pad, hw)
 
     # without the input gradient: nothing returned, the same parameter gradients
     grads = {k: g.copy() for k, g in layer.grads.items()}
-    layer.zero_grads()
     layer.forward(x)
     assert layer.backward(dy.copy(), need_dx=False) is None
     for k, g in grads.items():
@@ -219,10 +218,11 @@ def lstm_window(t_len, bsz, n_in, hidden, seed, one_hot=False):
     return x, rng.normal(size=(t_len, bsz, hidden))
 
 
-def check_lstm(layer, x, dy, want_grads, need_dx=True, state=(None, None)):
+def check_lstm(layer, x, dy, need_dx=True, state=(None, None)):
     """One forward and backward of `layer` against `lstm_reference` started
-    from `state`; `want_grads` accumulates the reference's gradients as
-    `layer.grads` does.  Returns the reference's final (h, c)."""
+    from `state`, the parameter gradients included: backward sets them,
+    whatever they held.  Returns the reference's final (h, c)."""
+    want_grads = zero_grads_like(layer)
     out = layer.forward(x)
     dx = layer.backward(dy.copy(), need_dx=need_dx)
     p = layer.params
@@ -254,7 +254,7 @@ def zero_grads_like(layer):
 def test_lstm_matches_reference(t_len, bsz, n_in, hidden, one_hot, need_dx):
     layer = make_lstm(n_in, hidden)
     x, dy = lstm_window(t_len, bsz, n_in, hidden, seed=11, one_hot=one_hot)
-    check_lstm(layer, x, dy, zero_grads_like(layer), need_dx=need_dx)
+    check_lstm(layer, x, dy, need_dx=need_dx)
 
 
 def test_lstm_signed_zero_gradients():
@@ -265,7 +265,7 @@ def test_lstm_signed_zero_gradients():
     dy[rng.random(dy.shape) < 0.3] = 0.0
     dy[rng.random(dy.shape) < 0.3] = -0.0
     dy[4], dy[2] = -0.0, 0.0
-    check_lstm(layer, x, dy, zero_grads_like(layer))
+    check_lstm(layer, x, dy)
 
 
 def test_lstm_eval_forward_matches_reference():
@@ -276,7 +276,7 @@ def test_lstm_eval_forward_matches_reference():
     assert_bits_equal(layer.forward(x, train=False), want)
     # an inference pass between two training steps leaves the next step exact
     layer.forward(lstm_window(7, 16, 16, 24, seed=15)[0], train=False)
-    check_lstm(layer, x, dy, zero_grads_like(layer))
+    check_lstm(layer, x, dy)
 
 
 def test_lstm_stateful_over_two_calls():
@@ -284,16 +284,13 @@ def test_lstm_stateful_over_two_calls():
     state = (None, None)
     for t_len, seed in ((6, 16), (4, 17)):
         x, dy = lstm_window(t_len, 2, 3, 5, seed=seed)
-        layer.zero_grads()
-        state = check_lstm(layer, x, dy, zero_grads_like(layer), state=state)
+        state = check_lstm(layer, x, dy, state=state)
     # a batch of another size starts again from zeros, as does reset_state
     x, dy = lstm_window(3, 4, 3, 5, seed=18)
-    layer.zero_grads()
-    check_lstm(layer, x, dy, zero_grads_like(layer))
+    check_lstm(layer, x, dy)
     layer.reset_state()
     x, dy = lstm_window(3, 2, 3, 5, seed=19)
-    layer.zero_grads()
-    check_lstm(layer, x, dy, zero_grads_like(layer))
+    check_lstm(layer, x, dy)
 
 
 def test_lstm_windows_of_changing_size_reuse_no_stale_values():
@@ -303,20 +300,7 @@ def test_lstm_windows_of_changing_size_reuse_no_stale_values():
     layer = make_lstm(16, 24)
     for i, (t_len, bsz) in enumerate([(16, 16), (5, 16), (5, 16), (3, 4), (20, 16), (1, 16)]):
         x, dy = lstm_window(t_len, bsz, 16, 24, seed=20 + i, one_hot=i % 2 == 0)
-        layer.zero_grads()
-        check_lstm(layer, x, dy, zero_grads_like(layer))
-
-
-@pytest.mark.parametrize("start", ["+0", "-0", "nonzero"])
-def test_lstm_backward_accumulates_without_zero_grads(start):
-    layer = make_lstm(16, 24)
-    rng = np.random.default_rng(30)
-    for k, g in layer.grads.items():
-        g[...] = {"+0": 0.0, "-0": -0.0, "nonzero": rng.normal(size=g.shape)}[start]
-    want = {k: g.copy() for k, g in layer.grads.items()}
-    for t_len, seed in ((16, 31), (11, 32)):
-        x, dy = lstm_window(t_len, 16, 16, 24, seed=seed, one_hot=True)
-        check_lstm(layer, x, dy, want, need_dx=False)
+        check_lstm(layer, x, dy)
 
 
 def test_lstm_work_buffers_are_kept_and_bounded():
@@ -328,12 +312,10 @@ def test_lstm_work_buffers_are_kept_and_bounded():
     x, dy = lstm_window(16, 16, 16, 24, seed=40, one_hot=True)
     tracemalloc.start()
     try:
-        layer.zero_grads()
         layer.forward(x)
         layer.backward(dy, need_dx=True)
         held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        layer.zero_grads()
         layer.forward(x)
         layer.backward(dy, need_dx=True)
         peak = tracemalloc.get_traced_memory()[1]
@@ -379,3 +361,53 @@ def test_first_layer_skip_keeps_every_gradient(name):
     assert grads[0].keys() == grads[1].keys()
     for k in grads[0]:
         assert_bits_equal(grads[0][k], grads[1][k])
+
+
+# -- backward sets the parameter gradients -------------------------------------
+
+# one layer of each kind, with an input of its shape
+LAYER_INPUTS = {
+    "fc": ({"kind": "fc", "in": 6, "out": 4}, (5, 6)),
+    "activation": ({"kind": "activation", "fn": "tanh"}, (5, 6)),
+    "softmax": ({"kind": "softmax"}, (5, 6)),
+    "flatten": ({"kind": "flatten"}, (3, 2, 4, 4)),
+    "conv2d": ({"kind": "conv2d", "in_ch": 2, "out_ch": 3, "kernel": 3, "padding": 1},
+               (3, 2, 5, 4)),
+    "maxpool2d": ({"kind": "maxpool2d", "size": 2}, (3, 2, 5, 4)),
+    "batchnorm": ({"kind": "batchnorm", "features": 2}, (3, 2, 5, 4)),
+    "lstm": ({"kind": "lstm", "in": 3, "hidden": 4}, (6, 2, 3)),
+}
+
+
+def test_layer_inputs_cover_every_kind():
+    from qatkit.nn.network import LAYER_TYPES
+
+    assert LAYER_INPUTS.keys() == LAYER_TYPES.keys()
+
+
+@pytest.mark.parametrize("kind", sorted(LAYER_INPUTS))
+@pytest.mark.parametrize("need_dx", [True, False])
+def test_backward_sets_parameter_gradients(kind, need_dx):
+    # whatever the gradients held, NaN or the last step's, backward writes
+    # over them: two steps give one layer's first step, bit for bit
+    cfg, shape = LAYER_INPUTS[kind]
+    rng = np.random.default_rng(50)
+    x = rng.normal(size=shape)
+    layers = [build_network([cfg], np.random.default_rng(51)).layers[0] for _ in range(2)]
+    for g in layers[1].grads.values():
+        g.fill(np.nan)
+    dy = None
+    results = []
+    for layer, steps in zip(layers, (1, 2)):
+        for _ in range(steps):
+            y = layer.forward(x)
+            dy = rng.normal(size=y.shape) if dy is None else dy
+            dx = layer.backward(dy.copy(), need_dx=need_dx)
+        results.append((dx, {k: g.copy() for k, g in layer.grads.items()}))
+    (dx0, grads0), (dx1, grads1) = results
+    assert grads0.keys() == layers[0].params.keys()
+    for k in grads0:
+        assert np.isfinite(grads1[k]).all()
+        assert_bits_equal(grads1[k], grads0[k])
+    if dx0 is not None or dx1 is not None:
+        assert_bits_equal(dx1, dx0)

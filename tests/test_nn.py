@@ -125,6 +125,64 @@ class TestForward:
         params["fc0.W"] += 1.0
         assert not np.array_equal(net.layers[0].params["W"], params["fc0.W"])
 
+    def test_bind_params_holds_the_arrays_and_rejects_a_mismatch(self):
+        net = build_network([{"kind": "fc", "in": 2, "out": 3}], rng())
+        arrays = {"fc0.W": np.ones((2, 3)), "fc0.b": np.zeros(3)}
+        net.bind_params(arrays)
+        assert net.layers[0].params["W"] is arrays["fc0.W"]
+        assert net.param_arrays()["fc0.b"] is arrays["fc0.b"]
+        arrays["fc0.W"] *= 2.0  # an in-place write is what the next forward reads
+        assert_bits_equal(net.forward(np.ones((1, 2))), np.full((1, 3), 4.0))
+        for bad, message in [
+            ({"fc0.W": np.ones((2, 3))}, r"missing keys \['fc0.b'\]"),
+            ({**arrays, "fc0.W": np.ones((3, 2))}, r"fc0.W has shape \(3, 2\)"),
+            ({**arrays, "fc0.b": np.zeros(3, dtype=np.float32)}, "fc0.b must be a float64"),
+            ({**arrays, "fc0.b": [0.0, 0.0, 0.0]}, "fc0.b must be a float64"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                net.bind_params(bad)
+            # a rejected bind leaves every array as it was
+            assert net.layers[0].params["b"] is arrays["fc0.b"]
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"kind": "maxpool2d", "size": 0}, "pool: size must be >= 1, got 0"),
+        ({"kind": "maxpool2d", "size": -1}, "pool: size must be >= 1, got -1"),
+        ({"kind": "maxpool2d", "size": 2, "stride": 0}, "pool: stride must be >= 1, got 0"),
+        ({"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 3, "stride": 0},
+         "conv: stride must be >= 1, got 0"),
+        ({"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 3, "padding": -1},
+         "conv: padding must be >= 0, got -1"),
+        ({"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 0}, "conv: kernel must be >= 1"),
+        ({"kind": "batchnorm", "features": 3, "momentum": 1.5},
+         r"bn: momentum must be in \[0, 1\), got 1.5"),
+        ({"kind": "batchnorm", "features": 3, "eps": 0.0},
+         "bn: eps must be positive and finite, got 0.0"),
+        ({"kind": "batchnorm", "features": 0}, "bn: features must be >= 1, got 0"),
+        ({"kind": "fc", "in": 0, "out": 3}, "layer: fan_in must be >= 1, got 0"),
+        ({"kind": "fc", "in": 3, "out": 0}, "layer: fan_out must be >= 1, got 0"),
+        ({"kind": "lstm", "in": 3, "hidden": 0}, "layer: hidden_size must be >= 1, got 0"),
+    ], ids=["pool-size-0", "pool-size-negative", "pool-stride-0", "conv-stride-0",
+            "conv-padding-negative", "conv-kernel-0", "bn-momentum", "bn-eps-0",
+            "bn-features-0", "fc-in-0", "fc-out-0", "lstm-hidden-0"])
+    def test_bad_layer_argument_rejected_at_build(self, cfg, message):
+        name = {"maxpool2d": "pool", "conv2d": "conv", "batchnorm": "bn"}.get(cfg["kind"], "layer")
+        with pytest.raises(ValueError, match=message):
+            build_network([{**cfg, "name": name}], rng())
+
+    @pytest.mark.parametrize("cfg, hw", [
+        ({"kind": "maxpool2d", "size": 3}, (2, 5)),
+        ({"kind": "maxpool2d", "size": 3, "stride": 1}, (5, 2)),
+        ({"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 5}, (4, 6)),
+        ({"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 5, "padding": 1}, (2, 6)),
+    ], ids=["pool-height", "pool-width", "conv", "conv-padded"])
+    def test_input_smaller_than_window_raises_shape_error(self, cfg, hw):
+        net = build_network([{**cfg, "name": "small"}], rng())
+        with pytest.raises(ShapeError, match="small: input .* smaller than the"):
+            net.forward(np.zeros((2, 1, *hw)))
+        # one row or column more fits
+        fits = tuple(n + 1 if n == min(hw) else n for n in hw)
+        assert min(net.forward(np.zeros((2, 1, *fits))).shape[2:]) == 1
+
 
 # -- eval passes -------------------------------------------------------------
 

@@ -309,6 +309,7 @@ class TestRetrainEpoch:
         net = build_network(MLP, np.random.default_rng(seed))
         master = net.get_params()
         shadow = qat.init_quantization(master, net.quant_group_map(), 2)
+        net.bind_params(shadow.quantized)
         return task, net, shadow
 
     def test_zero_lr_leaves_shadow_unchanged(self):
@@ -627,3 +628,141 @@ class TestBestOnDev:
         dev = task.seen_buffers["dev"]
         assert_same_params(starts[4], dev[1])
         assert params_differ(starts[4], dev[3])
+
+
+# -- one set of parameter arrays ------------------------------------------------
+
+def assert_bound(net, arrays):
+    """The network's layers hold `arrays` themselves."""
+    held = net.param_arrays()
+    assert held.keys() == arrays.keys()
+    for k, v in arrays.items():
+        assert held[k] is v, k
+
+
+WIDE_FC = [{"kind": "fc", "in": 32, "out": 256}, {"kind": "activation", "fn": "relu"},
+           {"kind": "fc", "in": 256, "out": 256}, {"kind": "activation", "fn": "relu"},
+           {"kind": "fc", "in": 256, "out": 10}, {"kind": "softmax"}]
+
+
+class TestBinding:
+    @pytest.mark.parametrize("schedule", ["adaptive", "gradual:3-2:2", "exhaustive"])
+    def test_network_computes_on_the_shadow_arrays(self, monkeypatch, schedule):
+        ckpt = _float_ckpt_for_toy()
+        epochs, fits = [], []  # each epoch's shadow; fit's (net, final, best)
+        retrain_epoch, fit = qat.retrain_epoch, qat.fit
+
+        def checking_epoch(shadow, net, *args, **kwargs):
+            assert_bound(net, shadow.quantized)
+            epochs.append(shadow)
+            return retrain_epoch(shadow, net, *args, **kwargs)
+
+        def checking_fit(cfg, net, shadow, *args):
+            assert_bound(net, shadow.quantized)  # run's set-up
+            final, best = fit(cfg, net, shadow, *args)
+            fits.append((net, final, best))
+            return final, best
+
+        monkeypatch.setattr(qat, "retrain_epoch", checking_epoch)
+        monkeypatch.setattr(qat, "fit", checking_fit)
+        final, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, toy_task())
+        assert len(epochs) == 4 and epochs[-1] is final
+        # a stage change binds the network to the new shadow
+        assert len({id(s) for s in epochs}) == (2 if schedule.startswith("gradual") else 1)
+        (net, final, best), = fits
+        assert_bound(net, best.quantized)
+        # ungrouped keys are the master's arrays, grouped ones their own
+        grouped = {k for keys in best.groups.values() for k in keys}
+        for k, v in best.quantized.items():
+            assert (v is best.master[k]) == (k not in grouped), k
+
+    def test_final_shadow_stays_on_its_own_grid(self):
+        # dev best at epoch 1: the network ends on that view, while the final
+        # shadow `run` returns keeps its own master, specs and quantized view
+        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
+        shadow, _ = qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4),
+                            _float_ckpt_for_toy(), task)
+        assert params_differ(shadow.quantized, task.seen["test"][0])
+        for gid, keys in shadow.groups.items():
+            spec = shadow.specs[gid]
+            for k in keys:
+                assert_on_grid(shadow.quantized[k], spec.step, spec.points)
+                assert_bits_equal(shadow.quantized[k], quantize(shadow.master[k], spec))
+
+    def test_run_leaves_the_checkpoint_as_it_was(self):
+        ckpt = _float_ckpt_for_toy()
+        before = {k: v.copy() for k, v in ckpt.params.items()}
+        for schedule in ("adaptive", "gradual:3-2:1"):
+            shadow, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=3), ckpt, toy_task())
+            assert not any(shadow.master[k] is v for k, v in ckpt.params.items())
+        assert ckpt.params.keys() == before.keys()
+        for k in before:
+            assert_bits_equal(ckpt.params[k], before[k])
+
+    def test_float_baseline_trains_the_network_arrays(self, monkeypatch):
+        fit, seen = qat.fit, []
+
+        def checking_fit(cfg, net, shadow, *args):
+            assert_bound(net, shadow.master)
+            seen.append(shadow)
+            return fit(cfg, net, shadow, *args)
+
+        monkeypatch.setattr(qat, "fit", checking_fit)
+        _float_ckpt_for_toy()
+        assert len(seen) == 1 and not seen[0].groups
+
+    @pytest.mark.parametrize("schedule, stages", [("adaptive", 1), ("gradual:3-2:2", 2)])
+    def test_best_snapshot_is_written_into_its_arrays(self, monkeypatch, schedule, stages):
+        # dev improves every epoch: one snapshot per stage, its arrays reused
+        # within the stage; the next stage quantizes from them and gets fresh ones
+        ckpt, snapshot, masters = _float_ckpt_for_toy(), qat._snapshot, []
+
+        def recording(values, into):
+            out = snapshot(values, into)
+            masters.append(out)
+            return out
+
+        retrain_epoch, starts = qat.retrain_epoch, []  # each epoch's master
+
+        def starting(shadow, *args, **kwargs):
+            starts.append(shadow.master)
+            return retrain_epoch(shadow, *args, **kwargs)
+
+        monkeypatch.setattr(qat, "_snapshot", recording)
+        monkeypatch.setattr(qat, "retrain_epoch", starting)
+        task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
+        qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        snaps = masters[0::2]  # each improvement snapshots the master, then the buffers
+        assert len(snaps) == 4
+        per_stage = 4 // stages
+        for stage in range(stages):
+            run = snaps[stage * per_stage:(stage + 1) * per_stage]
+            assert all(s is run[0] for s in run)
+        if stages == 2:
+            assert snaps[2] is not snaps[0]
+            assert starts[2] is snaps[0]  # the stage's best master, not a copy
+            assert not any(snaps[2][k] is v for k, v in snaps[0].items())
+
+    def test_wide_fc_retraining_batch_allocates_no_weight_sized_array(self):
+        # wide-fc's network, 76,874 parameters; fc1's weight matrix alone is
+        # 512 KB.  Eight rows keep the batch's activations at 16 KB an array,
+        # so the bound is met only if no weight-sized array is allocated: a
+        # weight-gradient temporary, a copy into the network or a gathered
+        # group for the solver
+        net = build_network(WIDE_FC, np.random.default_rng(0))
+        shadow = qat.init_quantization(net.param_arrays(), net.quant_group_map(), 4)
+        net.bind_params(shadow.quantized)
+        opt = make_optimizer(OptimizerConfig(
+            learning_rate=0.002, lr_schedule={"initial_lr": 0.002, "final_lr": 1e-5}))
+        rng = np.random.default_rng(1)
+        batch = [(rng.normal(size=(8, 32)), rng.integers(0, 10, size=8))]
+        tracemalloc.start()
+        try:
+            qat.retrain_epoch(shadow, net, batch, opt, 0.002, False)  # the warm-up
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            qat.retrain_epoch(shadow, net, batch, opt, 0.002, False)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024, f"{peak / 1024:.0f} KB"
