@@ -243,16 +243,17 @@ def _float_retrain_config(cfg: ExperimentConfig, seed: int) -> qat.RetrainConfig
 def train_float(cfg: ExperimentConfig, seed: int):
     """Train the floating-point baseline; returns (Checkpoint, RunRecord).
 
-    Runs the retraining loop on a network with nothing quantized, whose own
-    arrays are the master: keeps the best-on-dev parameters and buffers and
-    stops at the lr-schedule floor or max_epochs.
+    Runs the retraining loop on a network with nothing quantized, whose
+    initial arrays are copied into the master: keeps the best-on-dev
+    parameters and buffers and stops at the lr-schedule floor or max_epochs.
     """
     task = make_task(cfg, seed)
     fcfg = _float_retrain_config(cfg, seed)
     net = build_network(cfg.network, np.random.default_rng(seed))
     record = RunRecord(run_id=f"float_s{seed}", cell_bits=0, schedule="float",
                        seed=seed, metric_name=task.metric_name)
-    shadow = qat.ShadowParams(net.param_arrays(), {}, {})
+    shadow = qat.init_quantization(net.param_arrays(), {}, bits=0)  # no group
+    net.bind_params(shadow.quantized, shadow.grads)
     _, best = qat.fit(fcfg, net, shadow, task, record)
     # fit leaves the network with the best-on-dev buffers
     ckpt = Checkpoint(layer_cfgs=cfg.network, params=best.master,

@@ -42,7 +42,8 @@ def save_checkpoint(path, ckpt: Checkpoint):
 
 def load_checkpoint(path) -> Checkpoint:
     """The checkpoint `save_checkpoint` wrote to `path`.  Raises ValueError,
-    naming the path, for a file that is not such a checkpoint."""
+    naming the path, for a file that is not such a checkpoint, and the key
+    for a `__meta__` that is not a JSON object with every key it needs."""
     try:
         with np.load(path, allow_pickle=False) as data:
             arrays = {k: data[k] for k in data.files}
@@ -50,7 +51,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise ValueError(f"{path} is not a checkpoint archive: {e}") from e
     if "__meta__" not in arrays:
         raise ValueError(f"{path} is not a checkpoint: it has no __meta__ array")
-    meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    try:
+        meta = json.loads(bytes(arrays.pop("__meta__")).decode("utf-8"))
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ValueError(f"{path}: __meta__ is not UTF-8 JSON: {e}") from None
+    missing = [k for k in ("layer_cfgs", "param_names", "config_echo")
+               if not isinstance(meta, dict) or k not in meta]
+    if missing:
+        raise ValueError(f"{path}: __meta__ {type(meta).__name__} lacks keys {missing}")
     names = {"param": meta["param_names"], "buffer": meta.get("buffer_names", [])}
     for kind, what in (("param", "parameter"), ("buffer", "buffer")):
         missing = [n for n in names[kind] if f"{kind}/{n}" not in arrays]

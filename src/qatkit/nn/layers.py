@@ -106,14 +106,15 @@ class FullyConnected(Layer):
         return dy @ self.params["W"].T if need_dx else None
 
 
+# fn -> (f, its derivative from y = f(z) alone: relu's z > 0 is y > 0, +-0 and NaN too)
 _ACTS = {
-    "linear": (lambda z: z, lambda z, y: np.ones_like(y)),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z, y: (z > 0).astype(z.dtype)),
+    "linear": (lambda z: z, np.ones_like),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda y: (y > 0).astype(y.dtype)),
     "sigmoid": (
         lambda z: 1.0 / (1.0 + np.exp(-z)),
-        lambda z, y: y * (1.0 - y),
+        lambda y: y * (1.0 - y),
     ),
-    "tanh": (np.tanh, lambda z, y: 1.0 - y * y),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
 }
 
 
@@ -127,13 +128,12 @@ class Activation(Layer):
     def forward(self, x, train=True):
         f, _ = _ACTS[self.fn]
         y = f(x)
-        self._cache = (x, y)
+        self._cache = y
         return y
 
     def backward(self, dy, need_dx=True):
-        x, y = self._take_cache()
         _, df = _ACTS[self.fn]
-        return dy * df(x, y)
+        return dy * df(self._take_cache())
 
 
 class Softmax(Layer):

@@ -65,18 +65,19 @@ class Network:
         hold; a missing or extra key, or a value of another shape, raises."""
         _copy_into("set_params", values, self.param_arrays())
 
-    def bind_params(self, arrays: dict[str, np.ndarray]):
-        """Make the layers hold `arrays` themselves, not copies: forward reads
-        them and an in-place write to one is seen by the next forward.  A
-        missing or extra key, or an array of another shape or not float64,
-        raises ValueError."""
-        _check_like("bind_params", arrays, self.param_arrays())
-        for key, arr in arrays.items():
-            if getattr(arr, "dtype", None) != np.float64:
-                raise ValueError(f"bind_params: {key} must be a float64 array, "
-                                 f"got {type(arr).__name__} {getattr(arr, 'dtype', '')}")
+    def bind_params(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
+        """Make the layers hold `params` and `grads` themselves, not copies:
+        forward reads the params, in-place writes included, and backward
+        writes into `grads`.  A missing or extra key, or an array of another
+        shape or not C-contiguous float64, raises ValueError, binding none."""
+        for what, arrays in (("params", params), ("grads", grads)):
+            _check_like(f"bind_params {what}", arrays, self.param_arrays())
+            for key, arr in arrays.items():
+                ok = isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                if not (ok and arr.flags.c_contiguous):
+                    raise ValueError(f"bind_params {what}: {key} must be C-contiguous float64")
         for key, ly, p in self.param_items():
-            ly.params[p] = arrays[key]
+            ly.params[p], ly.grads[p] = params[key], grads[key]
 
     def buffer_items(self):
         """Yield (key, layer, attribute) for every buffer, in layer order."""
@@ -84,17 +85,14 @@ class Network:
             for name in ly.buffers:
                 yield f"{ly.name}.{name}", ly, name
 
-    def buffer_arrays(self) -> dict[str, np.ndarray]:
-        """The buffer arrays the layers hold now, by key; not copies."""
-        return {key: getattr(ly, a) for key, ly, a in self.buffer_items()}
-
     def get_buffers(self) -> dict[str, np.ndarray]:
-        return {key: v.copy() for key, v in self.buffer_arrays().items()}
+        return {key: getattr(ly, a).copy() for key, ly, a in self.buffer_items()}
 
     def set_buffers(self, values: dict[str, np.ndarray]):
         """Copy in a value for every buffer, into the arrays the layers hold;
         a missing or extra key, or a value of another shape, raises."""
-        _copy_into("set_buffers", values, self.buffer_arrays())
+        _copy_into("set_buffers", values,
+                   {key: getattr(ly, a) for key, ly, a in self.buffer_items()})
 
     def get_grads(self) -> dict[str, np.ndarray]:
         return {key: ly.grads[p] for key, ly, p in self.param_items()}

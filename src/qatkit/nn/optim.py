@@ -1,4 +1,7 @@
-"""Optimizers and the patience-based learning-rate schedule."""
+"""Optimizers and the patience-based learning-rate schedule.  `update(w, g,
+lr)` updates one parameter vector in place from its gradient vector with
+elementwise operations; the state is one vector per role, set up by the first
+update."""
 
 from __future__ import annotations
 
@@ -99,26 +102,19 @@ class SGDNesterov:
 
     def __init__(self, momentum=0.9):
         self.momentum = momentum
-        self.v: dict[str, np.ndarray] = {}
-        self.scratch: dict[str, np.ndarray] = {}  # lr*(g + mu*v) per key
+        self.v = self.scratch = None  # the velocity and lr*(g + mu*v)
 
-    def update(self, params: dict, grads: dict, lr: float):
-        mu = self.momentum
-        for k, w in params.items():
-            g = grads[k]
-            t = self.scratch.get(k)
-            if t is None:
-                t = self.scratch[k] = np.empty_like(g)
-            v = self.v.get(k)
-            if v is None:
-                v = self.v[k] = np.zeros_like(g)
-            # in place, in the order of operations of the formulas above
-            v *= mu
-            v += g
-            np.multiply(v, mu, out=t)
-            t += g
-            t *= lr
-            w -= t
+    def update(self, w: np.ndarray, g: np.ndarray, lr: float):
+        if self.v is None:
+            self.v, self.scratch = np.zeros_like(g), np.empty_like(g)
+        v, t, mu = self.v, self.scratch, self.momentum
+        # in place, in the order of operations of the formulas above
+        v *= mu
+        v += g
+        np.multiply(v, mu, out=t)
+        t += g
+        t *= lr
+        w -= t
 
 
 class AdaDelta:
@@ -128,37 +124,32 @@ class AdaDelta:
 
     def __init__(self, rho=0.95, eps=1e-6):
         self.rho, self.eps = rho, eps
-        self.eg: dict[str, np.ndarray] = {}
-        self.ex: dict[str, np.ndarray] = {}
-        self.scratch: dict[str, np.ndarray] = {}  # two work arrays per key
+        self.eg = self.ex = self.scratch = None  # scratch: two work vectors
 
-    def update(self, params: dict, grads: dict, lr: float):
-        rho, eps = self.rho, self.eps
-        for k, w in params.items():
-            g = grads[k]
-            if k not in self.eg:
-                self.eg[k], self.ex[k] = np.zeros_like(g), np.zeros_like(g)
-                self.scratch[k] = np.empty((2,) + g.shape)
-            eg, ex = self.eg[k], self.ex[k]
-            dx, t = self.scratch[k]
-            # in place, in the order of operations of the formulas above
-            eg *= rho
-            np.multiply(g, 1 - rho, out=t)
-            t *= g
-            eg += t
-            np.add(ex, eps, out=dx)
-            np.sqrt(dx, out=dx)
-            np.negative(dx, out=dx)
-            np.add(eg, eps, out=t)
-            np.sqrt(t, out=t)
-            dx /= t
-            dx *= g
-            ex *= rho
-            np.multiply(dx, 1 - rho, out=t)
-            t *= dx
-            ex += t
-            np.multiply(dx, lr, out=t)
-            w += t
+    def update(self, w: np.ndarray, g: np.ndarray, lr: float):
+        if self.eg is None:
+            self.eg, self.ex = np.zeros_like(g), np.zeros_like(g)
+            self.scratch = np.empty((2,) + g.shape)
+        rho, eps, eg, ex = self.rho, self.eps, self.eg, self.ex
+        dx, t = self.scratch
+        # in place, in the order of operations of the formulas above
+        eg *= rho
+        np.multiply(g, 1 - rho, out=t)
+        t *= g
+        eg += t
+        np.add(ex, eps, out=dx)
+        np.sqrt(dx, out=dx)
+        np.negative(dx, out=dx)
+        np.add(eg, eps, out=t)
+        np.sqrt(t, out=t)
+        dx /= t
+        dx *= g
+        ex *= rho
+        np.multiply(dx, 1 - rho, out=t)
+        t *= dx
+        ex += t
+        np.multiply(dx, lr, out=t)
+        w += t
 
 
 # optimizer kind -> its constructor, given the OptimizerConfig

@@ -3,10 +3,10 @@
 The loop per minibatch: forward and backward run on the quantized view, the
 gradient updates the float master, and the quantized view is rebuilt from the
 master with the current step size.  Step sizes themselves change only at
-epoch boundaries, as dictated by the schedule.  The network holds the
-shadow's arrays themselves (`Network.bind_params`), so it computes on each
-rebuilt view without a copy, and its backward writes the gradients the
-optimizer reads in place.
+epoch boundaries, as dictated by the schedule.  The network holds views of
+the shadow's vectors (`ShadowParams`, `Network.bind_params`), so it computes
+on each rebuilt view without a copy, and its backward writes the gradients
+the optimizer reads in place.
 """
 
 from __future__ import annotations
@@ -113,26 +113,31 @@ def parse_schedule(text: str) -> Schedule:
 # -- shadow parameters -------------------------------------------------------
 
 class ShadowParams:
-    """Float master weights plus the derived quantized view.
+    """Float master weights, their gradients and the quantized view, each one
+    float64 vector in the key order of `shapes`: each group's keys adjacent,
+    in `groups` order, then the ungrouped keys (biases, batch-norm gain and
+    shift).  `master[k]`, `grads[k]` and `quantized[k]` are reshaped views of
+    `master_vector`, `grad_vector` and `quantized_vector`, which holds the
+    grouped keys only: an ungrouped key's quantized view is its master view.
+    A group is one slice of each, solved and rebuilt in place in one call.
+    `master` and `grads` are adopted, not copied (None: zeros); `specs` maps
+    group -> spec, or is the bit width to solve each group at, first."""
 
-    `groups` maps group_id -> list of parameter keys sharing one step size.
-    Parameters outside any group (biases, batch-norm gain/shift) are shared
-    by reference between the two views.  A grouped key's quantized array is
-    allocated once and rebuilt in place, with one scratch array as large as
-    the largest grouped key; a network bound to `quantized` sees every
-    rebuild.
-    """
-
-    def __init__(self, master: dict[str, np.ndarray], groups: dict[str, list[str]],
-                 specs: dict[str, QuantizerSpec]):
-        self.master = master
-        self.groups = groups
-        self.specs = specs
-        self.quantized = dict(master)
-        grouped = [k for keys in groups.values() for k in keys]
-        for k in grouped:
-            self.quantized[k] = np.empty(master[k].shape)
-        self._scratch = np.empty(max((master[k].size for k in grouped), default=0))
+    def __init__(self, master: np.ndarray, shapes: dict[str, tuple], groups: dict[str, list[str]],
+                 specs: dict[str, QuantizerSpec] | int, grads: np.ndarray | None):
+        self.master_vector, self.shapes, self.groups = master, shapes, groups
+        self.master = _views(master, shapes)
+        sizes = {gid: (sum(self.master[k].size for k in keys),) for gid, keys in groups.items()}
+        self._weights = _views(master, sizes)  # each group's slice of the master
+        self.specs = ({gid: _solve(w, gid, specs) for gid, w in self._weights.items()}
+                      if isinstance(specs, int) else specs)
+        self.grad_vector = np.zeros(master.size) if grads is None else grads
+        self.grads = _views(self.grad_vector, shapes)
+        self.quantized_vector = np.empty(sum(w.size for w in self._weights.values()))
+        self._levels = _views(self.quantized_vector, sizes)  # and of the quantized view
+        self.quantized = {**self.master, **_views(self.quantized_vector, {
+            k: shapes[k] for keys in groups.values() for k in keys})}
+        self._scratch = np.empty(max((w.size for w in self._weights.values()), default=0))
         self.requantize()
 
     def requantize(self, gids=None):
@@ -140,20 +145,19 @@ class ShadowParams:
         Raises DivergenceError, naming the group and key, for a master weight
         that is NaN or infinite."""
         for gid in (gids if gids is not None else self.groups):
-            spec = self.specs[gid]
-            for k in self.groups[gid]:
-                try:
-                    quantize(self.master[k], spec, out=self.quantized[k],
-                             scratch=self._scratch)
-                except ValueError as e:
-                    raise DivergenceError(f"group {gid!r}, key {k!r}: {e}") from None
+            try:
+                quantize(self._weights[gid], self.specs[gid], out=self._levels[gid],
+                         scratch=self._scratch)
+            except ValueError as e:
+                key = next(k for k in self.groups[gid] if not np.isfinite(self.master[k]).all())
+                raise DivergenceError(f"group {gid!r}, key {key!r}: {e}") from None
 
     def update_steps(self, record: RunRecord | None = None):
         """Recompute every group's step from the master weights (the adaptive
         scheme).  A degenerate all-zero group keeps its previous step."""
-        for gid, keys in self.groups.items():
+        for gid, weights in self._weights.items():
             try:
-                self.specs[gid] = _solve(self.master, keys, gid, self.specs[gid].bits)
+                self.specs[gid] = _solve(weights, gid, self.specs[gid].bits)
             except DegenerateGroupError:
                 log.warning("group %s degenerate during adaptation; keeping step %g",
                             gid, self.specs[gid].step)
@@ -162,16 +166,18 @@ class ShadowParams:
         self.requantize()
 
 
-def _solve(master: dict[str, np.ndarray], keys: list[str], gid: str,
-           bits: int) -> QuantizerSpec:
-    """The L2-optimal spec at `bits` for group `gid`, the weights `keys` of
-    `master`.  Raises DegenerateGroupError, naming the group, if all are zero
-    or the solver finds no positive finite step (squares that underflow)."""
-    # one key's weights as they are; only a group of several is gathered
-    vec = (master[keys[0]].ravel() if len(keys) == 1
-           else np.concatenate([master[k].ravel() for k in keys]))
+def _views(vector: np.ndarray, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """Consecutive slices of `vector`, one per key of `shapes` in order, reshaped."""
+    ends = np.cumsum([0] + [math.prod(s) for s in shapes.values()])
+    return {k: vector[a:b].reshape(s) for (k, s), a, b in zip(shapes.items(), ends, ends[1:])}
+
+
+def _solve(weights: np.ndarray, gid: str, bits: int) -> QuantizerSpec:
+    """The L2-optimal spec at `bits` for group `gid`, the flat `weights`.  Raises
+    DegenerateGroupError, naming the group, if all are zero or no positive
+    finite step is found (squares that underflow)."""
     with np.errstate(divide="ignore", invalid="ignore"):  # a step of 0 is reported below
-        step, _ = optimize_step(WeightGroup(vec, gid), points_for_bits(bits))
+        step, _ = optimize_step(WeightGroup(weights, gid), points_for_bits(bits))
     if not (step > 0.0 and math.isfinite(step)):
         raise DegenerateGroupError(
             f"group {gid!r}: the solver returned step {step!r}; no positive finite step "
@@ -182,9 +188,12 @@ def _solve(master: dict[str, np.ndarray], keys: list[str], gid: str,
 
 def init_quantization(master: dict[str, np.ndarray], groups: dict[str, list[str]],
                       bits: int) -> ShadowParams:
-    """Determine each group's optimal step at `bits` and build the shadow pair."""
-    specs = {gid: _solve(master, keys, gid, bits) for gid, keys in groups.items()}
-    return ShadowParams(master, groups, specs)
+    """The shadow on a copy of `master`, each group's optimal step at `bits`."""
+    grouped = [k for keys in groups.values() for k in keys]
+    shapes = {k: np.shape(master[k]) for k in grouped + [k for k in master if k not in grouped]}
+    # one float64 copy, np.empty(0) leading for a float32 checkpoint or no params
+    vector = np.concatenate([np.empty(0)] + [np.ravel(master[k]) for k in shapes])
+    return ShadowParams(vector, shapes, groups, bits, None)
 
 
 # -- retraining --------------------------------------------------------------
@@ -236,22 +245,13 @@ def retrain_epoch(shadow: ShadowParams, net, batches, optimizer, lr: float,
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss {loss} at batch {count}")
         net.backward(dout)
-        optimizer.update(shadow.master, net.get_grads(), lr)
+        optimizer.update(shadow.master_vector, shadow.grad_vector, lr)
         shadow.requantize()
         total += loss
         count += 1
     if update_steps:
         shadow.update_steps(record=record)
     return total / max(count, 1)
-
-
-def _snapshot(values: dict, into: dict | None) -> dict:
-    """Copies of `values`, written into the arrays of `into` if there is one."""
-    if into is None:
-        return {k: v.copy() for k, v in values.items()}
-    for k, v in values.items():
-        np.copyto(into[k], v)
-    return into
 
 
 def _exhaustive_init(shadow, net, task):
@@ -274,17 +274,18 @@ def _exhaustive_init(shadow, net, task):
 def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) -> tuple:
     """The epoch loop shared by float training and retraining.
 
-    `net` must hold `shadow.quantized` (`Network.bind_params`).  Walks the
-    schedule's plan.  A change of width starts a stage: the shadow is
-    quantized afresh from the stage before's best-on-dev master, the network
-    is bound to it and gets that epoch's buffers, with a fresh optimizer and
-    lr schedule.  Keeps a copy of the final stage's best-on-dev master, with
-    its specs and buffers, written into the same arrays at each improvement,
-    and quantizes it once, at the end.  Stops at the lr-schedule floor (not
-    under gradual), then binds the network to that best state and evaluates
-    it on test; the network keeps it and its buffers.  A float network is one
-    whose shadow has no groups.  Returns (final ShadowParams, best-on-dev
-    ShadowParams); the best is the final one when no epoch ran.
+    `net` must hold `shadow.quantized` and `shadow.grads`.  Walks the
+    schedule's plan.  A change of width starts a stage: the stage before's
+    best-on-dev master is quantized afresh, the network is bound to it and
+    gets that epoch's buffers, with a fresh optimizer and lr schedule.  Keeps
+    a copy of the final stage's best-on-dev master, specs and buffers, the
+    master written into one vector at each improvement, and quantizes it once,
+    at the end; a new shadow adopts its master and the live gradient vector.
+    Stops at the lr-schedule floor (not under gradual), then binds the network
+    to that best state and evaluates it on test; the network keeps it and its
+    buffers.  A float network is one whose shadow has no groups.  Returns
+    (final ShadowParams, best-on-dev ShadowParams); the best is the final one
+    when no epoch ran.
     """
     plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
     if not plan:
@@ -299,10 +300,10 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     epoch = 0
     for epoch, (bits, update_steps) in enumerate(plan):
         if epoch and bits != plan[epoch - 1][0]:
-            # the snapshot becomes the new master: the next one gets fresh arrays
-            shadow = init_quantization(shadow.master if best_master is None else best_master,
-                                       shadow.groups, bits)
-            net.bind_params(shadow.quantized)
+            # the copy becomes the new master: the next one gets a fresh vector
+            shadow = ShadowParams(shadow.master_vector if best_master is None else best_master,
+                                  shadow.shapes, shadow.groups, bits, shadow.grad_vector)
+            net.bind_params(shadow.quantized, shadow.grads)
             net.set_buffers(best_buffers)
             record.events.append(f"drop-bit:{epoch}:{bits}")
             optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
@@ -321,18 +322,19 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         dev = task.evaluate(net, "dev")
         record.log_metric(epoch, "dev", task.metric_name, dev)
         if dev < best_dev:
-            best_dev, best_specs = dev, dict(shadow.specs)
-            best_master = _snapshot(shadow.master, best_master)
-            best_buffers = _snapshot(net.buffer_arrays(), best_buffers)
+            best_dev, best_specs, best_buffers = dev, dict(shadow.specs), net.get_buffers()
+            if best_master is None:
+                best_master = np.empty_like(shadow.master_vector)
+            np.copyto(best_master, shadow.master_vector)
         lr_sched.step(dev)
         if stop_at_floor and lr_sched.at_floor:
             break
 
     del optimizer  # its state goes before the best view is allocated
-    best = shadow if best_master is None else ShadowParams(best_master, shadow.groups,
-                                                            best_specs)
+    best = shadow if best_master is None else ShadowParams(
+        best_master, shadow.shapes, shadow.groups, best_specs, shadow.grad_vector)
     net.reset_state()
-    net.bind_params(best.quantized)
+    net.bind_params(best.quantized, best.grads)
     net.set_buffers(best_buffers)
     record.final_test_metric = task.evaluate(net, "test")
     record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
@@ -342,20 +344,19 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
 def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     """Full retraining of one (bits, schedule) cell from a float checkpoint.
 
-    The network is built from `float_ckpt.layer_cfgs`, with copies of its
-    params and buffers; the arrays it holds become the float master, and it
-    is bound to the quantized view.  `task` supplies the data:
+    The network is built from `float_ckpt.layer_cfgs`, with a copy of its
+    buffers; a copy of its params becomes the master, and the network is
+    bound to the quantized view and the gradients.  `task` supplies the data:
     batches(split, epoch), evaluate(net, split) -> metric (lower is better),
     and metric_name.  Returns (final ShadowParams, RunRecord).
     """
     record = RunRecord(run_id=run_id, cell_bits=cfg.bits, schedule=cfg.schedule.name,
                        seed=cfg.seed, metric_name=task.metric_name)
     net = build_network(float_ckpt.layer_cfgs, np.random.default_rng(cfg.seed))
-    net.set_params(float_ckpt.params)
     net.set_buffers(float_ckpt.buffers)
-    shadow = init_quantization(net.param_arrays(), net.quant_group_map(),
+    shadow = init_quantization(float_ckpt.params, net.quant_group_map(),
                                cfg.schedule.start_bits or cfg.bits)
-    net.bind_params(shadow.quantized)
+    net.bind_params(shadow.quantized, shadow.grads)
     if cfg.schedule.name == "exhaustive":
         _exhaustive_init(shadow, net, task)
     shadow, _ = fit(cfg, net, shadow, task, record)

@@ -95,6 +95,23 @@ def test_param_name_without_array_rejected_naming_path(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("meta, message", [
+    (json.dumps({"layer_cfgs": [], "config_echo": {}}).encode(),
+     re.escape("__meta__ dict lacks keys ['param_names']")),
+    (json.dumps(["layer_cfgs", "param_names"]).encode(),
+     re.escape("__meta__ list lacks keys ['layer_cfgs', 'param_names', 'config_echo']")),
+    (b"\xff\xfe{}", "__meta__ is not UTF-8 JSON: 'utf-8' codec can't decode"),
+    (b"{layer_cfgs", "__meta__ is not UTF-8 JSON: Expecting property name"),
+], ids=["no-param_names", "json-list", "not-utf8", "not-json"])
+def test_malformed_meta_rejected_naming_path_and_key(tmp_path, meta, message):
+    # ensure_float_checkpoint loads this file before every cell of a sweep
+    path = tmp_path / "ck.npz"
+    np.savez(path, **{"__meta__": np.frombuffer(meta, dtype=np.uint8),
+                      "param/fc0.W": np.ones((3, 2))})
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+        load_checkpoint(path)
+
+
 BN_CFGS = [{"kind": "fc", "in": 3, "out": 2}, {"kind": "batchnorm", "features": 2}]
 
 

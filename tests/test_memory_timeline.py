@@ -61,6 +61,8 @@ def test_stub_workload_timeline(memory_timeline, monkeypatch, capsys, flags, tra
     setup = ["make_task"] * memory_timeline.SETUP_REPEATS
     train = ["  evaluate dev"] * 2 + ["  evaluate test"]
     cell = ["  ensure_float_checkpoint", "  make_task"]
-    assert calls == [*setup, "ensure_float_checkpoint", "  make_task", *train,
+    assert calls == [*setup, "ensure_float_checkpoint", "  make_task",
+                     "  init_quantization float", *train,
                      "run_cell direct@3", *cell, "  init_quantization 3 bits", "  evaluate test",
-                     "run_cell adaptive@2", *cell, "  init_quantization 2 bits", *train]
+                     "run_cell adaptive@2", *cell, "  init_quantization 2 bits",
+                     *["  update_steps", "  evaluate dev"] * 2, "  evaluate test"]

@@ -16,6 +16,7 @@ from qatkit.nn import (
     make_optimizer,
 )
 from qatkit.nn.layers import InvalidStateError
+from qatkit.qat import init_quantization
 
 from oracles import (
     adadelta_update_loop,
@@ -128,21 +129,31 @@ class TestForward:
     def test_bind_params_holds_the_arrays_and_rejects_a_mismatch(self):
         net = build_network([{"kind": "fc", "in": 2, "out": 3}], rng())
         arrays = {"fc0.W": np.ones((2, 3)), "fc0.b": np.zeros(3)}
-        net.bind_params(arrays)
+        grads = {"fc0.W": np.empty((2, 3)), "fc0.b": np.empty(3)}
+        net.bind_params(arrays, grads)
         assert net.layers[0].params["W"] is arrays["fc0.W"]
         assert net.param_arrays()["fc0.b"] is arrays["fc0.b"]
+        assert all(net.get_grads()[k] is g for k, g in grads.items())
         arrays["fc0.W"] *= 2.0  # an in-place write is what the next forward reads
-        assert_bits_equal(net.forward(np.ones((1, 2))), np.full((1, 3), 4.0))
-        for bad, message in [
-            ({"fc0.W": np.ones((2, 3))}, r"missing keys \['fc0.b'\]"),
-            ({**arrays, "fc0.W": np.ones((3, 2))}, r"fc0.W has shape \(3, 2\)"),
-            ({**arrays, "fc0.b": np.zeros(3, dtype=np.float32)}, "fc0.b must be a float64"),
-            ({**arrays, "fc0.b": [0.0, 0.0, 0.0]}, "fc0.b must be a float64"),
+        y = net.forward(np.ones((1, 2)))
+        assert_bits_equal(y, np.full((1, 3), 4.0))
+        net.backward(np.ones_like(y))  # and backward writes the bound gradients
+        assert_bits_equal(grads["fc0.W"], np.ones((2, 3)))
+        assert_bits_equal(grads["fc0.b"], np.ones(3))
+        for bad, bad_grads, message in [
+            ({"fc0.W": np.ones((2, 3))}, grads, r"params: missing keys \['fc0.b'\]"),
+            (arrays, {"fc0.W": np.ones((2, 3))}, r"grads: missing keys \['fc0.b'\]"),
+            ({**arrays, "fc0.W": np.ones((3, 2))}, grads, r"fc0.W has shape \(3, 2\)"),
+            ({**arrays, "fc0.b": np.zeros(3, dtype=np.float32)}, grads,
+             "params: fc0.b must be C-contiguous float64"),
+            ({**arrays, "fc0.b": [0.0, 0.0, 0.0]}, grads, "fc0.b must be C-contiguous"),
+            (arrays, {**grads, "fc0.W": np.ones((3, 2)).T}, "grads: fc0.W must be C-contiguous"),
         ]:
             with pytest.raises(ValueError, match=message):
-                net.bind_params(bad)
+                net.bind_params(bad, bad_grads)
             # a rejected bind leaves every array as it was
             assert net.layers[0].params["b"] is arrays["fc0.b"]
+            assert net.layers[0].grads["W"] is grads["fc0.W"]
 
     @pytest.mark.parametrize("cfg, message", [
         ({"kind": "maxpool2d", "size": 0}, "pool: size must be >= 1, got 0"),
@@ -267,6 +278,25 @@ class TestGradients:
             [{"kind": "fc", "in": 4, "out": 4}, {"kind": "activation", "fn": fn}],
             np.random.default_rng(2).normal(size=(5, 4)) + 0.1, target_shape=(5, 4),
         )
+
+    @pytest.mark.parametrize("fn, df", [
+        ("relu", lambda z, y: (z > 0).astype(z.dtype)),
+        ("sigmoid", lambda z, y: y * (1.0 - y)),
+        ("tanh", lambda z, y: 1.0 - y * y),
+        ("linear", lambda z, y: np.ones_like(y)),
+    ])
+    def test_activation_backward_reads_only_its_output(self, fn, df):
+        # the derivative from the input and output both, as the layer once
+        # took it, on +-0, NaN, ties and magnitudes from 1e-300 to 1e2
+        r = np.random.default_rng(29)
+        z = np.concatenate([[0.0, -0.0, np.nan, -np.nan, 1.5, 1.5, -1.5, -1.5, 1e-300, -1e-300],
+                            r.normal(size=30) * 10.0 ** r.uniform(-8, 2, size=30)])
+        dy = r.normal(size=z.shape)
+        dy[:4] = [1.0, -1.0, 2.0, -0.0]
+        layer = build_network([{"kind": "activation", "fn": fn}], rng()).layers[0]
+        y = layer.forward(z.copy())
+        assert layer._cache is y  # the output alone is kept for backward
+        assert_bits_equal(layer.backward(dy), dy * df(z, y))
 
     def test_conv2d(self):
         check_gradients(
@@ -445,59 +475,74 @@ class TestLSTMStateful:
 
 # -- optimizers --------------------------------------------------------------
 
+def views(vec, shapes):
+    """Per-key views of `vec`, consecutive in the order of `shapes`, as
+    ShadowParams lays out its vectors."""
+    out, start = {}, 0
+    for k, shape in shapes.items():
+        size = int(np.prod(shape))
+        out[k], start = vec[start:start + size].reshape(shape), start + size
+    return out
+
+
+def one_vector(arrays):
+    """One vector holding copies of `arrays` in order, and its per-key views."""
+    vec = np.concatenate([a.ravel() for a in arrays.values()])
+    return vec, views(vec, {k: a.shape for k, a in arrays.items()})
+
+
 class TestOptimizers:
     def test_zero_lr_leaves_params(self):
-        w = {"w": np.array([1.0, 2.0])}
-        SGDNesterov(momentum=0.9).update(w, {"w": np.array([1.0, 1.0])}, lr=0.0)
-        np.testing.assert_array_equal(w["w"], [1.0, 2.0])
+        w = np.array([1.0, 2.0])
+        SGDNesterov(momentum=0.9).update(w, np.array([1.0, 1.0]), lr=0.0)
+        np.testing.assert_array_equal(w, [1.0, 2.0])
 
     def test_plain_sgd_step(self):
-        w = {"w": np.array([1.0])}
-        SGDNesterov(momentum=0.0).update(w, {"w": np.array([0.5])}, lr=0.1)
-        np.testing.assert_allclose(w["w"], [0.95])
+        w = np.array([1.0])
+        SGDNesterov(momentum=0.0).update(w, np.array([0.5]), lr=0.1)
+        np.testing.assert_allclose(w, [0.95])
 
     def test_momentum_zero_is_plain_sgd_bit_for_bit(self):
         # weights and gradients with +0.0 entries, compared after each of 5 steps
         r = np.random.default_rng(23)
         w = r.normal(size=40)
         w[::4] = 0.0
-        params, want = {"w": w}, w.copy()
+        want = w.copy()
         opt = SGDNesterov(momentum=0.0)
         for _ in range(5):
             g = r.normal(size=40) * 10.0 ** r.uniform(-8, 3, size=40)
             g[r.random(40) < 0.3] = 0.0
-            opt.update(params, {"w": g}, lr=2e-3)
+            opt.update(w, g, lr=2e-3)
             want -= np.multiply(g, 2e-3)
-            assert_bits_equal(params["w"], want)
+            assert_bits_equal(w, want)
 
     def test_nesterov_hand_recurrence(self):
         # f(w) = w^2/2, grad = w; three steps vs hand recurrence
         mu, lr = 0.9, 0.1
         opt = SGDNesterov(momentum=mu)
-        w = {"w": np.array([1.0])}
+        w = np.array([1.0])
         wt, v = 1.0, 0.0
         for _ in range(3):
-            g = w["w"].copy()
-            opt.update(w, {"w": g}, lr=lr)
+            opt.update(w, w.copy(), lr=lr)
             gh = wt
             v = mu * v + gh
             wt = wt - lr * (gh + mu * v)
-        np.testing.assert_allclose(w["w"], [wt], rtol=1e-12)
+        np.testing.assert_allclose(w, [wt], rtol=1e-12)
 
     def test_adadelta_first_step_matches_hand(self):
         rho, eps, lr = 0.95, 1e-6, 1.0
         opt = AdaDelta(rho=rho, eps=eps)
-        w = {"w": np.array([2.0])}
+        w = np.array([2.0])
         g = np.array([0.5])
-        opt.update(w, {"w": g}, lr=lr)
+        opt.update(w, g, lr=lr)
         eg = (1 - rho) * g * g
         dx = -np.sqrt(eps) / np.sqrt(eg + eps) * g
-        np.testing.assert_allclose(w["w"], 2.0 + lr * dx, rtol=1e-12)
+        np.testing.assert_allclose(w, 2.0 + lr * dx, rtol=1e-12)
 
     def test_adadelta_matches_first_update_bit_for_bit(self):
         r = np.random.default_rng(13)
         shapes = {"W": (6, 5), "b": (5,)}
-        params = {k: r.normal(size=s) for k, s in shapes.items()}
+        w, params = one_vector({k: r.normal(size=s) for k, s in shapes.items()})
         want = {k: p.copy() for k, p in params.items()}
         want_eg, want_ex = {}, {}
         opt = AdaDelta(rho=0.95, eps=1e-6)
@@ -507,12 +552,13 @@ class TestOptimizers:
                      for k, s in shapes.items()}
             grads["b"][r.random(5) < 0.2] = 0.0
             lr = r.choice([1.0, 0.5, 1e-3])
-            opt.update(params, grads, lr)
+            opt.update(w, one_vector(grads)[0], lr)
             adadelta_update_loop(want, grads, want_eg, want_ex, lr, 0.95, 1e-6)
+        eg, ex = views(opt.eg, shapes), views(opt.ex, shapes)
         for k in shapes:
             assert_bits_equal(params[k], want[k])
-            assert_bits_equal(opt.eg[k], want_eg[k])
-            assert_bits_equal(opt.ex[k], want_ex[k])
+            assert_bits_equal(eg[k], want_eg[k])
+            assert_bits_equal(ex[k], want_ex[k])
 
     def test_adadelta_in_place_matches_first_update_after_every_step(self):
         # the charlm-lstm parameter shapes; gradients with +0.0 and -0.0 and
@@ -520,7 +566,7 @@ class TestOptimizers:
         r = np.random.default_rng(19)
         shapes = {"lstm0.Wx": (16, 96), "lstm0.Wh": (24, 96), "lstm0.b": (96,),
                   "fc1.W": (24, 16), "fc1.b": (16,)}
-        params = {k: r.normal(size=s) for k, s in shapes.items()}
+        w, params = one_vector({k: r.normal(size=s) for k, s in shapes.items()})
         want = {k: p.copy() for k, p in params.items()}
         want_eg, want_ex = {}, {}
         opt = AdaDelta(rho=0.95, eps=1e-6)
@@ -530,18 +576,19 @@ class TestOptimizers:
             for g in grads.values():
                 g[r.random(g.shape) < 0.2] = r.choice([0.0, -0.0])
             lr = r.choice([1.0, 0.5, 1e-3])
-            opt.update(params, grads, lr)
+            opt.update(w, one_vector(grads)[0], lr)
             adadelta_update_loop(want, grads, want_eg, want_ex, lr, 0.95, 1e-6)
+            eg, ex = views(opt.eg, shapes), views(opt.ex, shapes)
             for k in shapes:
                 assert_bits_equal(params[k], want[k])
-                assert_bits_equal(opt.eg[k], want_eg[k])
-                assert_bits_equal(opt.ex[k], want_ex[k])
+                assert_bits_equal(eg[k], want_eg[k])
+                assert_bits_equal(ex[k], want_ex[k])
 
     @pytest.mark.parametrize("mu", [0.9, 0.5, 0.0])
     def test_sgd_nesterov_matches_first_update_bit_for_bit(self, mu):
         r = np.random.default_rng(17)
         shapes = {"W": (6, 5), "b": (5,)}
-        params = {k: r.normal(size=s) for k, s in shapes.items()}
+        w, params = one_vector({k: r.normal(size=s) for k, s in shapes.items()})
         want = {k: p.copy() for k, p in params.items()}
         want_v = {}
         opt = SGDNesterov(momentum=mu)
@@ -553,12 +600,13 @@ class TestOptimizers:
             for g in grads.values():
                 g[r.random(g.shape) < 0.2] = r.choice([0.0, -0.0])
             lr = r.choice([0.1, 2e-3, 1e-6])
-            opt.update(params, grads, lr)
+            opt.update(w, one_vector(grads)[0], lr)
             sgd_nesterov_update_loop(want, grads, want_v, lr, mu)
+            v = views(opt.v, shapes)
             for k in shapes:
                 assert_bits_equal(params[k], want[k])
                 if mu:
-                    assert_bits_equal(opt.v[k], want_v[k])
+                    assert_bits_equal(v[k], want_v[k])
 
     def test_make_optimizer_dispatch(self):
         assert isinstance(make_optimizer(OptimizerConfig(kind="adadelta")), AdaDelta)
@@ -635,6 +683,8 @@ class TestDeterminism:
             [{"kind": "fc", "in": 4, "out": 8}, {"kind": "activation", "fn": "relu"},
              {"kind": "fc", "in": 8, "out": 3}, {"kind": "softmax"}], r,
         )
+        shadow = init_quantization(net.param_arrays(), {}, 0)
+        net.bind_params(shadow.quantized, shadow.grads)
         opt = SGDNesterov(momentum=0.9)
         data_rng = np.random.default_rng(7)
         x = data_rng.normal(size=(32, 4))
@@ -644,8 +694,7 @@ class TestDeterminism:
             p = net.forward(x)
             _, dp = cross_entropy(p, y)
             net.backward(dp)
-            params = {k: ly.params[n] for k, ly, n in net.param_items()}
-            opt.update(params, net.get_grads(), lr=0.05)
+            opt.update(shadow.master_vector, shadow.grad_vector, lr=0.05)
         return net.get_params()
 
     def test_bit_identical_across_runs(self):

@@ -179,7 +179,7 @@ class TestInitQuantization:
     def test_non_quantizable_shared_by_reference(self):
         master = {"a.W": np.array([1.0, -1.0]), "a.b": np.array([0.5])}
         shadow = qat.init_quantization(master, {"a": ["a.W"]}, 2)
-        assert shadow.quantized["a.b"] is master["a.b"]
+        assert shadow.quantized["a.b"] is shadow.master["a.b"]
 
     def test_grid_membership(self):
         rng = np.random.default_rng(3)
@@ -198,6 +198,7 @@ class TestInPlaceRequantize:
                   "c.W": rng.normal(size=40), "c.U": rng.normal(size=(2, 3))}
         groups = {"a": ["a.W"], "c": ["c.W", "c.U"]}
         shadow = qat.init_quantization(master, groups, 3)
+        master = shadow.master  # its views, which requantize reads
         arrays = {k: shadow.quantized[k] for keys in groups.values() for k in keys}
         for epoch in range(3):
             for v in master.values():
@@ -218,6 +219,7 @@ class TestInPlaceRequantize:
     def test_rebuilds_only_the_groups_asked_for(self):
         master = {"a.W": np.array([0.9, -1.1]), "b.W": np.array([0.4, 2.0])}
         shadow = qat.init_quantization(master, {"a": ["a.W"], "b": ["b.W"]}, 2)
+        master = shadow.master
         before = shadow.quantized["b.W"].copy()
         master["a.W"] *= -1.0
         master["b.W"] *= -1.0
@@ -230,7 +232,7 @@ class TestInPlaceRequantize:
     def test_non_finite_master_names_group_and_key(self, bad):
         master = {"a.W": np.ones(4), "b.W": np.ones((2, 2))}
         shadow = qat.init_quantization(master, {"a": ["a.W"], "b": ["b.W"]}, 2)
-        master["b.W"][1, 0] = bad
+        shadow.master["b.W"][1, 0] = bad
         with pytest.raises(qat.DivergenceError, match="^group 'b', key 'b.W': .*non-finite"):
             shadow.requantize()
 
@@ -245,11 +247,11 @@ class TestInPlaceRequantize:
             opt = real(cfg)
             update = opt.update
 
-            def poisoned(params, grads, lr):
-                update(params, grads, lr)
+            def poisoned(master, grads, lr):
+                update(master, grads, lr)
                 calls.append(1)
                 if len(calls) == per_epoch + 3:
-                    params["fc_out.W"][0, 0] = np.inf
+                    master[6 * 8] = np.inf  # fc_out.W[0, 0], after fc_in's 6x8 weights
             opt.update = poisoned
             return opt
 
@@ -276,7 +278,8 @@ class TestInPlaceRequantize:
         steps = {
             "set_params": lambda: net.set_params(shadow.quantized),
             "zero_grads": net.zero_grads,
-            "optimizer.update": lambda: opt.update(shadow.master, net.get_grads(), 0.002),
+            "optimizer.update": lambda: opt.update(shadow.master_vector, shadow.grad_vector,
+                                                   0.002),
             "requantize": shadow.requantize,
         }
         peaks = {}
@@ -309,7 +312,7 @@ class TestRetrainEpoch:
         net = build_network(MLP, np.random.default_rng(seed))
         master = net.get_params()
         shadow = qat.init_quantization(master, net.quant_group_map(), 2)
-        net.bind_params(shadow.quantized)
+        net.bind_params(shadow.quantized, shadow.grads)
         return task, net, shadow
 
     def test_zero_lr_leaves_shadow_unchanged(self):
@@ -713,35 +716,42 @@ class TestBinding:
 
     @pytest.mark.parametrize("schedule, stages", [("adaptive", 1), ("gradual:3-2:2", 2)])
     def test_best_snapshot_is_written_into_its_arrays(self, monkeypatch, schedule, stages):
-        # dev improves every epoch: one snapshot per stage, its arrays reused
-        # within the stage; the next stage quantizes from them and gets fresh ones
-        ckpt, snapshot, masters = _float_ckpt_for_toy(), qat._snapshot, []
-
-        def recording(values, into):
-            out = snapshot(values, into)
-            masters.append(out)
-            return out
-
-        retrain_epoch, starts = qat.retrain_epoch, []  # each epoch's master
+        # dev improves every epoch: each improvement is one np.copyto of the
+        # master vector into a vector reused within the stage; the next stage
+        # adopts it as its master, not a copy, and its copies get a fresh one
+        ckpt, epochs, fits, copies = _float_ckpt_for_toy(), [], [], []
+        retrain_epoch, fit, copyto = qat.retrain_epoch, qat.fit, np.copyto
 
         def starting(shadow, *args, **kwargs):
-            starts.append(shadow.master)
+            epochs.append(shadow)
             return retrain_epoch(shadow, *args, **kwargs)
 
-        monkeypatch.setattr(qat, "_snapshot", recording)
+        def fitting(*args):
+            fits.append(fit(*args))
+            return fits[-1]
+
+        def recording(dst, src, *args, **kwargs):
+            if any(src is shadow.master_vector for shadow in epochs):
+                copies.append(dst)
+            return copyto(dst, src, *args, **kwargs)
+
         monkeypatch.setattr(qat, "retrain_epoch", starting)
+        monkeypatch.setattr(qat, "fit", fitting)
+        monkeypatch.setattr(np, "copyto", recording)
         task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
         qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
-        snaps = masters[0::2]  # each improvement snapshots the master, then the buffers
-        assert len(snaps) == 4
+        assert len(copies) == 4
         per_stage = 4 // stages
         for stage in range(stages):
-            run = snaps[stage * per_stage:(stage + 1) * per_stage]
-            assert all(s is run[0] for s in run)
+            run = copies[stage * per_stage:(stage + 1) * per_stage]
+            assert all(c is run[0] for c in run)
         if stages == 2:
-            assert snaps[2] is not snaps[0]
-            assert starts[2] is snaps[0]  # the stage's best master, not a copy
-            assert not any(snaps[2][k] is v for k, v in snaps[0].items())
+            assert copies[2] is not copies[0]
+            assert epochs[2].master_vector is copies[0]
+        # the best view adopts the last copy and the live gradient vector
+        (final, best), = fits
+        assert best.master_vector is copies[-1]
+        assert best.grad_vector is final.grad_vector
 
     def test_wide_fc_retraining_batch_allocates_no_weight_sized_array(self):
         # wide-fc's network, 76,874 parameters; fc1's weight matrix alone is
@@ -751,7 +761,7 @@ class TestBinding:
         # group for the solver
         net = build_network(WIDE_FC, np.random.default_rng(0))
         shadow = qat.init_quantization(net.param_arrays(), net.quant_group_map(), 4)
-        net.bind_params(shadow.quantized)
+        net.bind_params(shadow.quantized, shadow.grads)
         opt = make_optimizer(OptimizerConfig(
             learning_rate=0.002, lr_schedule={"initial_lr": 0.002, "final_lr": 1e-5}))
         rng = np.random.default_rng(1)
@@ -766,3 +776,97 @@ class TestBinding:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024, f"{peak / 1024:.0f} KB"
+
+
+# -- the layout ------------------------------------------------------------------
+
+LSTM_NET = [{"kind": "lstm", "in": 5, "hidden": 4}, {"kind": "fc", "in": 4, "out": 3},
+            {"kind": "batchnorm", "features": 3}, {"kind": "softmax"}]
+
+
+def offset(view, vector):
+    """Where `view` starts in `vector`, in entries."""
+    return (view.ctypes.data - vector.ctypes.data) // vector.itemsize
+
+
+class TestLayout:
+    def test_one_vector_per_role_laid_out_group_by_group(self):
+        net = build_network(LSTM_NET, np.random.default_rng(0))
+        params, groups = net.get_params(), net.quant_group_map()
+        assert groups == {"lstm0": ["lstm0.Wx", "lstm0.Wh"], "fc1": ["fc1.W"]}
+        shadow = qat.init_quantization(params, groups, 3)
+        grouped = ["lstm0.Wx", "lstm0.Wh", "fc1.W"]
+        ungrouped = ["lstm0.b", "fc1.b", "batchnorm2.beta", "batchnorm2.gamma"]
+        assert list(shadow.master) == list(shadow.grads) == grouped + ungrouped
+        assert shadow.master_vector.size == shadow.grad_vector.size == sum(
+            v.size for v in params.values())
+        assert shadow.quantized_vector.size == sum(params[k].size for k in grouped)
+        at = 0
+        for k in grouped + ungrouped:
+            for role, vector in (("master", shadow.master_vector),
+                                 ("grads", shadow.grad_vector)):
+                view = getattr(shadow, role)[k]
+                assert np.shares_memory(view, vector) and offset(view, vector) == at, (role, k)
+            q = shadow.quantized[k]
+            if k in grouped:
+                assert np.shares_memory(q, shadow.quantized_vector), k
+                assert offset(q, shadow.quantized_vector) == at, k
+            else:
+                assert q is shadow.master[k], k
+            assert_bits_equal(shadow.master[k], params[k])
+            at += params[k].size
+        for gid, keys in groups.items():
+            spec = shadow.specs[gid]
+            for k in keys:
+                assert_bits_equal(shadow.quantized[k], quantize(params[k], spec))
+
+    def test_init_quantization_gathers_no_group(self, monkeypatch):
+        # an LSTM group is two keys, 256 KB together; the solver reads them as
+        # one slice of the master vector, with no concatenated copy beside it
+        net = build_network([{"kind": "lstm", "in": 64, "hidden": 64}],
+                            np.random.default_rng(0))
+        params, groups = net.get_params(), net.quant_group_map()
+        group_bytes = sum(params[k].nbytes for k in groups["lstm0"])
+        real, seen = qat.optimize_step, []
+
+        def solving(group, m):
+            seen.append((group.values, tracemalloc.get_traced_memory()[0]))
+            return real(group, m)
+
+        monkeypatch.setattr(qat, "optimize_step", solving)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            shadow = qat.init_quantization(params, groups, 4)
+        finally:
+            tracemalloc.stop()
+        (values, held), = seen
+        assert np.shares_memory(values, shadow.master_vector)
+        # on entering the solver: the master vector, and nothing group-sized more
+        assert held - before < shadow.master_vector.nbytes + group_bytes // 2, held - before
+
+    def test_best_view_allocates_no_second_gradient_vector(self, monkeypatch):
+        # dev improves every epoch, so the best view adopts the last copy of
+        # the master; 2,563 parameters, 20 KB a vector
+        cfgs = [{"kind": "fc", "in": 6, "out": 256}, {"kind": "activation", "fn": "relu"},
+                {"kind": "fc", "in": 256, "out": 3}, {"kind": "softmax"}]
+        net = build_network(cfgs, np.random.default_rng(0))
+        ckpt = Checkpoint(layer_cfgs=cfgs, params=net.get_params())
+        init, built = qat.ShadowParams.__init__, []
+
+        def measuring(shadow, *args):
+            tracemalloc.start()
+            try:
+                init(shadow, *args)
+                built.append((shadow, tracemalloc.get_traced_memory()[0]))
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(qat.ShadowParams, "__init__", measuring)
+        task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
+        qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4), ckpt, task)
+        (first, _), (best, grew) = built  # run's set-up and the best view
+        assert best.grad_vector is first.grad_vector
+        # its quantized vector and scratch, and no gradient vector of its own
+        own = best.quantized_vector.nbytes + best._scratch.nbytes
+        assert own < grew < own + best.grad_vector.nbytes // 2, (own, grew)

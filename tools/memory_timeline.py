@@ -9,6 +9,8 @@ sweep `tools/output_digest.py` runs (`ensure_float_checkpoint`, `run_cell`
 for each cell, `report`), with the `src/qatkit` of this checkout and one BLAS
 thread.  It prints one line per call of `harness.make_task`,
 `harness.ensure_float_checkpoint`, `harness.run_cell`, `qat.init_quantization`
+(which also sets up the float baseline's master),
+`qat.ShadowParams.update_steps` (the adaptive re-solve of every group's step)
 and a task's `evaluate`, in call order and indented by nesting depth: the
 process high-water mark before and after the call, its rise, and the
 tracemalloc peak during the call, all in MB.  The high-water mark is `VmHWM`
@@ -100,7 +102,10 @@ CALLS = [
     (harness, "ensure_float_checkpoint", lambda *a, **k: "ensure_float_checkpoint"),
     (harness, "run_cell",
      lambda cfg, cell, *a, **k: f"run_cell {cell['schedule']}@{cell['bits']}"),
-    (qat, "init_quantization", lambda master, groups, bits: f"init_quantization {bits} bits"),
+    # the float baseline's master is a shadow with no groups
+    (qat, "init_quantization", lambda master, groups, bits:
+     f"init_quantization {bits} bits" if groups else "init_quantization float"),
+    (qat.ShadowParams, "update_steps", lambda shadow, *a, **k: "update_steps"),
     (harness.ClassificationTask, "evaluate", lambda task, net, split: f"evaluate {split}"),
     (harness.CharLMTask, "evaluate", lambda task, net, split: f"evaluate {split}"),
 ]
