@@ -123,6 +123,8 @@ def synthetic_digit_images(n_samples: int, classes: int, seed: int,
                            size: int = 8, noise: float = 0.25,
                            fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Digit-style images: one random blocky template per class plus noise."""
+    if size < 2 or size % 2:
+        raise ValueError(f"digit-images size must be an even integer >= 2, got {size}")
     rng = np.random.default_rng(seed)
     coarse = rng.uniform(0.0, 1.0, size=(classes, size // 2, size // 2))
     templates = coarse.repeat(2, axis=1).repeat(2, axis=2)

@@ -354,8 +354,8 @@ class LSTM(Layer):
     """Single LSTM layer over a (time, batch, input) sequence.
 
     Gate order i, f, g, o.  Input-to-hidden and hidden-to-hidden matrices form
-    one quantization group.  With `stateful` set, the final (h, c) carries over
-    to the next forward call (truncated BPTT: gradients stop at chunk edges).
+    one quantization group.  Every forward call starts from zero (h, c), so a
+    window carries no state from the one before it.
 
     Each step works on a few whole contiguous arrays.  One batched product
     before the loop gives every step's input term, the gate activations are
@@ -369,11 +369,10 @@ class LSTM(Layer):
     for bit.
     """
 
-    def __init__(self, name, input_size, hidden_size, rng, stateful=False):
+    def __init__(self, name, input_size, hidden_size, rng):
         super().__init__(name)
         _check_counts(name, 1, input_size=input_size, hidden_size=hidden_size)
         self.input_size, self.hidden_size = input_size, hidden_size
-        self.stateful = stateful
         h = hidden_size
         self.params["Wx"] = uniform_fan_init(rng, (input_size, 4 * h), input_size, h)
         self.params["Wh"] = uniform_fan_init(rng, (h, 4 * h), h, h)
@@ -381,12 +380,8 @@ class LSTM(Layer):
         b[h : 2 * h] = 1.0  # forget-gate bias
         self.params["b"] = b
         self.quant_keys = ["Wx", "Wh"]
-        self._state = None
         self._work: dict[str, np.ndarray] = {}
         self.zero_grads()
-
-    def reset_state(self):
-        self._state = None
 
     def _scratch(self, key, *shape):
         """An uninitialized array of `shape` on the leading entries of work
@@ -413,11 +408,8 @@ class LSTM(Layer):
         cells = self._scratch("cells", t_len + 1, 5, bsz, hsz)
         hidden = self._scratch("hidden", t_len + 1, bsz, hsz)  # h before step t
         xw = self._scratch("window", t_len, bsz, 4 * hsz)
-        if self.stateful and self._state is not None and self._state[0].shape[0] == bsz:
-            hidden[0], cells[0, 2] = self._state
-        else:
-            hidden[0] = 0.0
-            cells[0, 2] = 0.0
+        hidden[0] = 0.0
+        cells[0, 2] = 0.0
         np.matmul(x, self.params["Wx"], out=xw)
         # the bias on every row: a broadcast add over 4*hidden columns is slower
         b = np.broadcast_to(self.params["b"], (bsz, 4 * hsz)).copy()
@@ -439,8 +431,6 @@ class LSTM(Layer):
             np.add(ig_fc[1], ig_fc[0], out=cells[t + 1, 2])
             np.tanh(cells[t + 1, 2], out=s[4])
             np.multiply(a[3], s[4], out=hidden[t + 1])
-        if self.stateful:
-            self._state = (hidden[t_len].copy(), cells[t_len, 2].copy())
         self._cache = (x, acts, cells, hidden)
         return hidden[1:].copy()
 

@@ -41,6 +41,9 @@ class Network:
             ly.zero_grads()
 
     def reset_state(self):
+        """Does nothing now that no layer carries state between calls; kept
+        because `perfbench/tracing.py` patches it by name.  ROADMAP item 4
+        deletes it together with the benchmark's next change."""
         for ly in self.layers:
             if hasattr(ly, "reset_state"):
                 ly.reset_state()

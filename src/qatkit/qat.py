@@ -308,7 +308,6 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
             record.events.append(f"drop-bit:{epoch}:{bits}")
             optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
             best_dev, best_master = math.inf, None
-        net.reset_state()
         try:
             mean_loss = retrain_epoch(
                 shadow, net, task.batches("train", epoch), optimizer,
@@ -318,7 +317,6 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
             raise DivergenceError(f"{record.run_id}: epoch {epoch}: {e}") from e
         record.log_metric(epoch, "train", "loss", mean_loss)
         record.log_deltas(epoch, shadow.specs)
-        net.reset_state()
         dev = task.evaluate(net, "dev")
         record.log_metric(epoch, "dev", task.metric_name, dev)
         if dev < best_dev:
@@ -333,7 +331,6 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     del optimizer  # its state goes before the best view is allocated
     best = shadow if best_master is None else ShadowParams(
         best_master, shadow.shapes, shadow.groups, best_specs, shadow.grad_vector)
-    net.reset_state()
     net.bind_params(best.quantized, best.grads)
     net.set_buffers(best_buffers)
     record.final_test_metric = task.evaluate(net, "test")

@@ -321,15 +321,15 @@ def exhaustive_search_step(
     """Black-box search over geometrically spaced steps in [init/2, 2*init].
 
     `eval_fn` scores a candidate step (lower is better, e.g. dev-set error of
-    the network quantized with it).  Ties break toward the smaller step.
+    the network quantized with it).  Ties break toward the smaller step, so
+    if no score is below inf (all inf or NaN) the smallest candidate wins.
     """
     if not (math.isfinite(initial_step) and initial_step > 0):
         raise ValueError(f"initial_step must be positive, got {initial_step}")
     if num_candidates < 2:
         raise ValueError("num_candidates must be >= 2")
     candidates = np.geomspace(initial_step / 2, 2 * initial_step, num_candidates)
-    best_step = None
-    best_score = math.inf
+    best_step, best_score = float(candidates[0]), math.inf
     for step in candidates:
         score = float(eval_fn(float(step)))
         if score < best_score:

@@ -93,6 +93,12 @@ class TestSynthetic:
         s = synthetic_digit_images(50, 10, seed=3)
         assert s.train[0].shape[1:] == (1, 8, 8)
 
+    @pytest.mark.parametrize("size", [7, 1, 0])
+    def test_digit_images_odd_or_tiny_size_rejected(self, size):
+        with pytest.raises(ValueError, match=f"digit-images size must be an even integer "
+                                             f">= 2, got {size}"):
+            synthetic_digit_images(50, 10, seed=3, size=size)
+
     def test_seed_changes_data(self):
         a = synthetic_clusters(50, 2, 3, seed=1)
         b = synthetic_clusters(50, 2, 3, seed=2)

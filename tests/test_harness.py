@@ -531,7 +531,9 @@ class TestConfigValidation:
         ({"kind": "dense", "in": 4, "out": 8}, r"unknown network\[0\] layer kind 'dense'"),
         ({"kind": "fc", "in": 4}, r"network\[0\] fc: missing required key 'out'"),
         ({"kind": "activation", "fn": "relux"}, r"activation0: unknown activation 'relux'"),
-    ], ids=["unknown-kind", "missing-key", "bad-value"])
+        ({"kind": "lstm", "in": 4, "hidden": 8, "stateful": True},
+         r"unknown network\[0\] lstm key 'stateful'; accepted: name, in, hidden"),
+    ], ids=["unknown-kind", "missing-key", "bad-value", "lstm-stateful"])
     def test_bad_layer_rejected_at_load(self, layer, message):
         network = mlp_config().network
         with pytest.raises(ValueError, match=message):

@@ -200,9 +200,9 @@ def test_conv_and_batchnorm_outputs_are_channels_first_contiguous(layout):
 
 # -- LSTM ----------------------------------------------------------------------
 
-def make_lstm(n_in, hidden, seed=10, stateful=False):
+def make_lstm(n_in, hidden, seed=10):
     rng = np.random.default_rng(seed)
-    layer = LSTM("lstm", n_in, hidden, rng, stateful=stateful)
+    layer = LSTM("lstm", n_in, hidden, rng)
     layer.params["b"] = rng.normal(size=4 * hidden)  # no gate at its default bias
     return layer
 
@@ -218,16 +218,16 @@ def lstm_window(t_len, bsz, n_in, hidden, seed, one_hot=False):
     return x, rng.normal(size=(t_len, bsz, hidden))
 
 
-def check_lstm(layer, x, dy, need_dx=True, state=(None, None)):
+def check_lstm(layer, x, dy, need_dx=True):
     """One forward and backward of `layer` against `lstm_reference` started
-    from `state`, the parameter gradients included: backward sets them,
-    whatever they held.  Returns the reference's final (h, c)."""
+    from zero (h, c), the parameter gradients included: backward sets them,
+    whatever they held."""
     want_grads = zero_grads_like(layer)
     out = layer.forward(x)
     dx = layer.backward(dy.copy(), need_dx=need_dx)
     p = layer.params
-    want_out, want_dx, final = lstm_reference(x, p["Wx"], p["Wh"], p["b"], dy, want_grads,
-                                              *state, need_dx=need_dx)
+    want_out, want_dx, _ = lstm_reference(x, p["Wx"], p["Wh"], p["b"], dy, want_grads,
+                                          need_dx=need_dx)
     assert_bits_equal(out, want_out)
     if need_dx:
         assert_bits_equal(dx, want_dx)
@@ -235,7 +235,6 @@ def check_lstm(layer, x, dy, need_dx=True, state=(None, None)):
         assert dx is None
     for k, g in want_grads.items():
         assert_bits_equal(layer.grads[k], g)
-    return final
 
 
 def zero_grads_like(layer):
@@ -276,20 +275,6 @@ def test_lstm_eval_forward_matches_reference():
     assert_bits_equal(layer.forward(x, train=False), want)
     # an inference pass between two training steps leaves the next step exact
     layer.forward(lstm_window(7, 16, 16, 24, seed=15)[0], train=False)
-    check_lstm(layer, x, dy)
-
-
-def test_lstm_stateful_over_two_calls():
-    layer = make_lstm(3, 5, stateful=True)
-    state = (None, None)
-    for t_len, seed in ((6, 16), (4, 17)):
-        x, dy = lstm_window(t_len, 2, 3, 5, seed=seed)
-        state = check_lstm(layer, x, dy, state=state)
-    # a batch of another size starts again from zeros, as does reset_state
-    x, dy = lstm_window(3, 4, 3, 5, seed=18)
-    check_lstm(layer, x, dy)
-    layer.reset_state()
-    x, dy = lstm_window(3, 2, 3, 5, seed=19)
     check_lstm(layer, x, dy)
 
 

@@ -461,18 +461,6 @@ class TestBatchNorm:
         np.testing.assert_array_equal(net.layers[0].running_mean, np.zeros(3))
 
 
-class TestLSTMStateful:
-    def test_chunked_forward_matches_full_when_stateful(self):
-        r = rng()
-        net = build_network([{"kind": "lstm", "in": 3, "hidden": 4, "stateful": True}], r)
-        x = r.normal(size=(8, 2, 3))
-        net.reset_state()
-        full = net.forward(x.copy())
-        net.reset_state()
-        parts = [net.forward(x[:4].copy()), net.forward(x[4:].copy())]
-        np.testing.assert_allclose(np.concatenate(parts), full, rtol=1e-10)
-
-
 # -- optimizers --------------------------------------------------------------
 
 def views(vec, shapes):

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -407,8 +408,15 @@ class TestExhaustiveSearch:
         assert best == pytest.approx(candidates[np.argmin(np.abs(candidates - 1.0))])
 
     def test_constant_score_ties_to_smallest(self):
-        best = exhaustive_search_step(0.8, lambda s: 1.0, 9)
-        assert best == pytest.approx(0.4)
+        # with no score below inf (inf or NaN) it still returns a step, the smallest
+        for score in (1.0, math.inf, math.nan):
+            best = exhaustive_search_step(0.8, lambda s: score, 9)
+            assert best == pytest.approx(0.4), score
+
+    def test_nan_before_finite_scores_is_passed_over(self):
+        # candidates 0.5, 0.79, 1.26, 2.0: the NaN at 0.5 never wins
+        best = exhaustive_search_step(1.0, lambda s: math.nan if s < 0.6 else abs(s - 1.3), 4)
+        assert best == pytest.approx(1.26, abs=0.01)
 
     def test_agrees_with_restricted_grid(self):
         rng = np.random.default_rng(31)
