@@ -148,18 +148,40 @@ def load_idx_classification(images, labels, fractions=CLASSIFICATION_FRACTIONS,
     return _split(_shuffled(np.random.default_rng(seed), x, y.astype(np.int64)), fractions)
 
 
+def _dense_codes(points: np.ndarray):
+    """Each of the nonnegative integers `points` as its index among their
+    sorted distinct values, as int64, and those values.  The tables are sized
+    by the largest value: a code point near 0x10FFFF makes them peak at 19 MB."""
+    present = np.bincount(points) > 0
+    rank = np.cumsum(present, dtype=np.int64)
+    rank -= 1
+    return rank[points], np.flatnonzero(present)
+
+
+def _code_points(text: str) -> np.ndarray:
+    """The code points of `text`, lone surrogates included."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
+def _corpus_splits(points: np.ndarray, fractions) -> Splits:
+    """Integer characters `points`, densely re-coded and split contiguously
+    train/dev/test (floor rule, remainder to train); each split needs 2
+    codes, an input and its target."""
+    codes, vocab = _dense_codes(points)
+    return _split((codes,), fractions, {"vocab_size": len(vocab)}, least=2)
+
+
 def encode_text(text: str):
-    vocab = sorted(set(text))
-    index = {c: i for i, c in enumerate(vocab)}
-    codes = np.fromiter((index[c] for c in text), dtype=np.int64, count=len(text))
-    return codes, vocab
+    """`text` as int64 codes into its sorted vocabulary, and that vocabulary
+    as a list of characters."""
+    codes, vocab = _dense_codes(_code_points(text))
+    return codes, [chr(c) for c in vocab.tolist()]
 
 
 def text_splits(text: str, fractions=TEXT_FRACTIONS) -> Splits:
     """Encode `text` and split it contiguously train/dev/test (floor rule,
     remainder to train); each split needs 2 codes, an input and its target."""
-    codes, vocab = encode_text(text)
-    return _split((codes,), fractions, {"vocab_size": len(vocab)}, least=2)
+    return _corpus_splits(_code_points(text), fractions)
 
 
 def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
@@ -171,42 +193,53 @@ def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
     return text_splits(text, fractions)
 
 
-def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2) -> str:
-    """`n_chars` characters of seeded Markov-chain text with nontrivial but
-    learnable structure.
-
-    Each state maps to a sparse next-character distribution, so a small model
-    can beat the unigram entropy but not reach zero.
-    """
+def _markov_codes(n_chars: int, seed: int, vocab_size: int, order: int) -> bytearray:
+    """The letter codes (0 for "a") of `synthetic_text`."""
     rng = np.random.default_rng(seed)
-    chars = [chr(ord("a") + i) for i in range(min(vocab_size, 26))]
-    v = len(chars)
+    v = min(vocab_size, 26)
     n_states = v ** order
     k = min(4, v)  # successors per state
     succ = rng.integers(0, v, size=(n_states, k))
     weights = rng.dirichlet(np.ones(k) * 0.5, size=n_states)
-    out = list(rng.integers(0, v, size=order))
+    out = bytearray(rng.integers(0, v, size=order).tolist())
     state = 0
     for c in out:
-        state = state * v + int(c)
+        state = state * v + c
     state %= n_states
     # rng.choice(k, p=weights[state]) per character, without its per-call
     # overhead: choice draws one rng.random() and returns
     # searchsorted(cdf, u, 'right') with cdf = p.cumsum() / its last entry
     cdf = weights.cumsum(axis=1)
     cdf /= cdf[:, -1:]
+    # after[s][j]: the state that successor succ[s][j] leads to
+    after = ((np.arange(n_states)[:, None] * v + succ) % n_states).tolist()
     cdf, succ = cdf.tolist(), succ.tolist()
     for u in rng.random(max(n_chars - order, 0)).tolist():
-        c = succ[state][bisect.bisect_right(cdf[state], u)]
-        out.append(c)
-        state = (state * v + c) % n_states
-    return "".join(chars[c] for c in out[:n_chars])
+        j = bisect.bisect_right(cdf[state], u)
+        out.append(succ[state][j])
+        state = after[state][j]
+    return out[:n_chars]
+
+
+# letter code -> ASCII letter, as a bytes.translate table
+_LETTERS = bytes(range(ord("a"), ord("a") + 26)).ljust(256, b"?")
+
+
+def synthetic_text(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2) -> str:
+    """`n_chars` characters of seeded Markov-chain text with nontrivial but
+    learnable structure, drawn from the first min(vocab_size, 26) letters.
+
+    Each state maps to a sparse next-character distribution, so a small model
+    can beat the unigram entropy but not reach zero.
+    """
+    return _markov_codes(n_chars, seed, vocab_size, order).translate(_LETTERS).decode("ascii")
 
 
 def synthetic_text_corpus(n_chars: int, seed: int, vocab_size: int = 26, order: int = 2,
                           fractions=TEXT_FRACTIONS) -> Splits:
-    """`synthetic_text`, split by `text_splits`."""
-    return text_splits(synthetic_text(n_chars, seed, vocab_size, order), fractions)
+    """`synthetic_text`, split by `text_splits`, from its letter codes."""
+    points = np.frombuffer(_markov_codes(n_chars, seed, vocab_size, order), np.uint8)
+    return _corpus_splits(points, fractions)
 
 
 # dataset kind -> builder; a dataset config's other keys are the builder's arguments
@@ -219,10 +252,30 @@ DATASET_BUILDERS = {
 }
 
 
+# synthetic dataset kind -> its count keys and the least value each takes
+DATASET_COUNTS = {
+    "clusters": {"n_samples": 1, "classes": 1, "dim": 1},
+    "digit-images": {"n_samples": 1, "classes": 1},
+    "synthetic-text": {"vocab_size": 1, "order": 0},
+}
+
+
+def check_dataset_counts(cfg: dict):
+    """Raise ValueError, naming the dataset kind and every key, for a count
+    key of `cfg` below its least value in DATASET_COUNTS."""
+    kind = cfg["kind"]
+    bad = [f"{key} must be >= {least}, got {cfg[key]}"
+           for key, least in DATASET_COUNTS.get(kind, {}).items()
+           if key in cfg and cfg[key] < least]
+    if bad:
+        raise ValueError(f"{kind} dataset: {'; '.join(bad)}")
+
+
 def load_dataset(cfg: dict) -> Splits:
     """Build the dataset of kind cfg['kind'] from the config's other keys."""
     args = dict(cfg)
     kind = args.pop("kind")
     if kind not in DATASET_BUILDERS:
         raise ValueError(f"unknown dataset kind {kind!r}")
+    check_dataset_counts(cfg)
     return DATASET_BUILDERS[kind](**args)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qat
-from .data import DATASET_BUILDERS, Splits, load_dataset
+from .data import DATASET_BUILDERS, Splits, check_dataset_counts, load_dataset
 from .nn import (
     Checkpoint,
     bits_per_char,
@@ -164,6 +164,7 @@ class ExperimentConfig:
         reject_unknown("dataset kind", [kind], DATASET_BUILDERS)
         check_args(f"{kind} dataset", {k: v for k, v in self.dataset.items() if k != "kind"},
                    DATASET_BUILDERS[kind])
+        check_dataset_counts(self.dataset)
         batching = check_args(f"{self.task} float_training", _batching_keys(self),
                               TASKS[self.task], lambda p: p.kind is p.KEYWORD_ONLY)
         for key, value in batching.items():

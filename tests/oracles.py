@@ -12,8 +12,9 @@ argmax and col2im), batch norm on a channels-last (n, features) view
 evaluation and the LSTM must match them bit for bit; the convolution and the
 batch-norm sums over the batch, which now run channels-first, within
 `assert_close_to_reference`.  The first synthetic-text
-generator (one `rng.choice` per character) and the first SGD-with-Nesterov
-and AdaDelta updates (new arrays on every call) must be matched exactly.
+generator (one `rng.choice` per character), the first text encoder (a dict
+lookup per character) and the first SGD-with-Nesterov and AdaDelta updates
+(new arrays on every call) must be matched exactly.
 """
 
 import math
@@ -217,6 +218,15 @@ def synthetic_text_loop(n_chars, seed, vocab_size=26, order=2):
         out.append(c)
         state = (state * v + c) % n_states
     return "".join(chars[c] for c in out)
+
+
+def encode_text_reference(text):
+    """The first `data.encode_text`: the sorted set of characters and one dict
+    lookup per character."""
+    vocab = sorted(set(text))
+    index = {c: i for i, c in enumerate(vocab)}
+    codes = np.fromiter((index[c] for c in text), dtype=np.int64, count=len(text))
+    return codes, vocab
 
 
 def sgd_nesterov_update_loop(params, grads, v, lr, mu):

@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from qatkit.data import (
     IdxParseError,
@@ -10,6 +11,7 @@ from qatkit.data import (
     load_text_corpus,
     read_idx,
     split_indices,
+    text_splits,
     synthetic_clusters,
     synthetic_digit_images,
     synthetic_text,
@@ -17,7 +19,7 @@ from qatkit.data import (
     write_idx,
 )
 
-from oracles import synthetic_text_loop
+from oracles import encode_text_reference, synthetic_text_loop
 
 
 class TestIdx:
@@ -140,6 +142,35 @@ class TestText:
     def test_encode_round_trip(self):
         codes, vocab = encode_text("hello")
         assert "".join(vocab[c] for c in codes) == "hello"
+
+    @given(st.one_of(st.text(), st.text(st.sampled_from("ab\x00~\xe9\u4e2d\uffff\U0001d11e\U0001f600\U0010ffff"))))
+    @example("")
+    @example("a\ud800b\udfff")  # lone surrogates
+    def test_encode_text_matches_dict_loop(self, text):
+        codes, vocab = encode_text(text)
+        want_codes, want_vocab = encode_text_reference(text)
+        assert codes.dtype == want_codes.dtype == np.int64
+        assert np.array_equal(codes, want_codes) and vocab == want_vocab
+
+    @pytest.mark.parametrize("vocab_size", [2, 4, 16, 26])
+    def test_synthetic_corpus_matches_encoded_text(self, vocab_size):
+        for seed, n_chars in enumerate([40, 41, 200, 3000]):
+            got = synthetic_text_corpus(n_chars, seed, vocab_size)
+            want = text_splits(synthetic_text(n_chars, seed, vocab_size))
+            assert got.meta == want.meta
+            for split in ("train", "dev", "test"):
+                (codes,), (want_codes,) = got.get(split), want.get(split)
+                assert codes.dtype == want_codes.dtype == np.int64
+                assert np.array_equal(codes, want_codes)
+
+    def test_synthetic_corpus_recodes_missing_letters(self):
+        # 40 characters cannot hold all 26 letters; the codes stay dense
+        text = synthetic_text(40, 0, 26)
+        s = synthetic_text_corpus(40, 0, 26)
+        assert s.meta["vocab_size"] == len(set(text)) < 26
+        codes = np.concatenate([s.train[0], s.dev[0], s.test[0]])
+        assert np.array_equal(np.unique(codes), np.arange(len(set(text))))
+        assert "".join(sorted(set(text))[c] for c in codes) == text
 
     def test_synthetic_text_deterministic(self):
         assert synthetic_text(500, seed=4) == synthetic_text(500, seed=4)

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from qatkit import harness, qat
 from qatkit.cli import main as cli_main
-from qatkit.data import DATASET_BUILDERS, Splits
+from qatkit.data import DATASET_BUILDERS, Splits, load_dataset
 from qatkit.harness import EmptyInputError, ExperimentConfig
 from qatkit.nn import (
     Checkpoint,
@@ -470,6 +470,41 @@ class TestConfigValidation:
             inner[key] = value
         with pytest.raises(ValueError, match=message):
             make(**{outer[0]: bad})
+
+    @pytest.mark.parametrize("dataset, message", [
+        ({"kind": "clusters", "n_samples": 0, "classes": 2, "dim": 4, "seed": 1},
+         "n_samples must be >= 1, got 0"),
+        ({"kind": "clusters", "n_samples": 40, "classes": 0, "dim": 4, "seed": 1},
+         "classes must be >= 1, got 0"),
+        ({"kind": "clusters", "n_samples": 40, "classes": 2, "dim": -1, "seed": 1},
+         "dim must be >= 1, got -1"),
+        ({"kind": "clusters", "n_samples": -5, "classes": 0, "dim": 4, "seed": 1},
+         "n_samples must be >= 1, got -5; classes must be >= 1, got 0"),
+        ({"kind": "digit-images", "n_samples": -1, "classes": 10, "seed": 1},
+         "n_samples must be >= 1, got -1"),
+        ({"kind": "digit-images", "n_samples": 40, "classes": 0, "seed": 1},
+         "classes must be >= 1, got 0"),
+        ({"kind": "synthetic-text", "n_chars": 2000, "vocab_size": 0, "seed": 1},
+         "vocab_size must be >= 1, got 0"),
+        ({"kind": "synthetic-text", "n_chars": 2000, "order": -1, "seed": 1},
+         "order must be >= 0, got -1"),
+    ], ids=["clusters-n-samples", "clusters-classes", "clusters-dim", "clusters-two-keys",
+            "digit-images-n-samples", "digit-images-classes", "synthetic-text-vocab-size",
+            "synthetic-text-order"])
+    def test_bad_dataset_count_rejected_at_load(self, dataset, message):
+        full = f"^{dataset['kind']} dataset: {message}$"
+        with pytest.raises(ValueError, match=full):
+            mlp_config(dataset=dataset)
+        with pytest.raises(ValueError, match=full):
+            load_dataset(dataset)
+
+    def test_least_dataset_counts_load(self):
+        cfg = mlp_config(dataset={"kind": "clusters", "n_samples": 40, "classes": 1, "dim": 1,
+                                  "seed": 1})
+        assert len(harness.make_task(cfg, 0).splits.train[0]) == 28
+        splits = load_dataset({"kind": "synthetic-text", "n_chars": 60, "vocab_size": 1,
+                               "order": 0, "seed": 1})
+        assert splits.meta == {"vocab_size": 1}
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: {**raw, "dataset": "clusters"}, "dataset must be a mapping, got 'clusters'"),
