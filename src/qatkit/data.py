@@ -83,6 +83,35 @@ CLASSIFICATION_FRACTIONS = (0.7, 0.15, 0.15)  # train, dev, test
 TEXT_FRACTIONS = (0.9, 0.05, 0.05)
 
 
+# dataset kind -> the numeric keys its builder checks and the least value each takes
+DATASET_COUNTS = {
+    "clusters": {"n_samples": 1, "classes": 1, "dim": 1, "spread": 0},
+    "digit-images": {"n_samples": 1, "classes": 1, "noise": 0},
+    "synthetic-text": {"n_chars": 0, "vocab_size": 1, "order": 0},
+}
+
+
+def check_dataset_counts(kind: str, **values):
+    """Raise ValueError, naming the dataset kind and every key, for a value
+    below its least one in DATASET_COUNTS; other keys are not read."""
+    bad = [f"{key} must be >= {least}, got {values[key]}"
+           for key, least in DATASET_COUNTS.get(kind, {}).items()
+           if key in values and values[key] < least]
+    if bad:
+        raise ValueError(f"{kind} dataset: {'; '.join(bad)}")
+
+
+def check_fractions(fractions):
+    """Raise ValueError, naming the value, unless `fractions` (train, dev,
+    test) is three numbers in [0, 1] whose sum is within 1e-9 of 1."""
+    numbers = isinstance(fractions, (list, tuple)) and all(
+        isinstance(f, (int, float)) and not isinstance(f, bool) for f in fractions)
+    if not (numbers and len(fractions) == 3 and all(0 <= f <= 1 for f in fractions)
+            and abs(sum(fractions) - 1) <= 1e-9):
+        raise ValueError("fractions must be three numbers in [0, 1] that sum to 1, "
+                         f"got {fractions!r}")
+
+
 def split_indices(n: int, fractions=TEXT_FRACTIONS):
     """Sizes by floor rule, remainder to train."""
     n_dev = int(n * fractions[1])
@@ -99,8 +128,10 @@ def _shuffled(rng: np.random.Generator, *arrays) -> tuple:
 
 def _split(arrays: tuple, fractions, meta: dict | None = None, least: int = 1) -> Splits:
     """Cut each of `arrays` contiguously into train, dev and test, sized by
-    `split_indices` on their common length.  Raises ValueError, naming the
-    sizes, if a split would hold fewer than `least` entries."""
+    `split_indices` on their common length.  Raises ValueError for fractions
+    `check_fractions` rejects and, naming the sizes, if a split would hold
+    fewer than `least` entries."""
+    check_fractions(fractions)
     n_train, n_dev, n_test = split_indices(len(arrays[0]), fractions)
     if min(n_train, n_dev, n_test) < least:
         raise ValueError(f"train, dev and test sizes {n_train}, {n_dev} and {n_test}: "
@@ -112,6 +143,8 @@ def _split(arrays: tuple, fractions, meta: dict | None = None, least: int = 1) -
 def synthetic_clusters(n_samples: int, classes: int, dim: int, seed: int,
                        spread: float = 1.0, fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Seeded Gaussian-cluster classification data, shuffled then split."""
+    check_dataset_counts("clusters", n_samples=n_samples, classes=classes, dim=dim,
+                         spread=spread)
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(classes, dim))
     y = rng.integers(0, classes, size=n_samples)
@@ -123,6 +156,7 @@ def synthetic_digit_images(n_samples: int, classes: int, seed: int,
                            size: int = 8, noise: float = 0.25,
                            fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Digit-style images: one random blocky template per class plus noise."""
+    check_dataset_counts("digit-images", n_samples=n_samples, classes=classes, noise=noise)
     if size < 2 or size % 2:
         raise ValueError(f"digit-images size must be an even integer >= 2, got {size}")
     rng = np.random.default_rng(seed)
@@ -195,6 +229,7 @@ def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
 
 def _markov_codes(n_chars: int, seed: int, vocab_size: int, order: int) -> bytearray:
     """The letter codes (0 for "a") of `synthetic_text`."""
+    check_dataset_counts("synthetic-text", n_chars=n_chars, vocab_size=vocab_size, order=order)
     rng = np.random.default_rng(seed)
     v = min(vocab_size, 26)
     n_states = v ** order
@@ -252,30 +287,10 @@ DATASET_BUILDERS = {
 }
 
 
-# synthetic dataset kind -> its count keys and the least value each takes
-DATASET_COUNTS = {
-    "clusters": {"n_samples": 1, "classes": 1, "dim": 1},
-    "digit-images": {"n_samples": 1, "classes": 1},
-    "synthetic-text": {"vocab_size": 1, "order": 0},
-}
-
-
-def check_dataset_counts(cfg: dict):
-    """Raise ValueError, naming the dataset kind and every key, for a count
-    key of `cfg` below its least value in DATASET_COUNTS."""
-    kind = cfg["kind"]
-    bad = [f"{key} must be >= {least}, got {cfg[key]}"
-           for key, least in DATASET_COUNTS.get(kind, {}).items()
-           if key in cfg and cfg[key] < least]
-    if bad:
-        raise ValueError(f"{kind} dataset: {'; '.join(bad)}")
-
-
 def load_dataset(cfg: dict) -> Splits:
     """Build the dataset of kind cfg['kind'] from the config's other keys."""
     args = dict(cfg)
     kind = args.pop("kind")
     if kind not in DATASET_BUILDERS:
         raise ValueError(f"unknown dataset kind {kind!r}")
-    check_dataset_counts(cfg)
     return DATASET_BUILDERS[kind](**args)

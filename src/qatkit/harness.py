@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qat
-from .data import DATASET_BUILDERS, Splits, check_dataset_counts, load_dataset
+from .data import DATASET_BUILDERS, Splits, check_dataset_counts, check_fractions, load_dataset
 from .nn import (
     Checkpoint,
     bits_per_char,
@@ -164,7 +164,9 @@ class ExperimentConfig:
         reject_unknown("dataset kind", [kind], DATASET_BUILDERS)
         check_args(f"{kind} dataset", {k: v for k, v in self.dataset.items() if k != "kind"},
                    DATASET_BUILDERS[kind])
-        check_dataset_counts(self.dataset)
+        check_dataset_counts(**self.dataset)
+        if "fractions" in self.dataset:
+            _named(f"{kind} dataset", check_fractions, self.dataset["fractions"])
         batching = check_args(f"{self.task} float_training", _batching_keys(self),
                               TASKS[self.task], lambda p: p.kind is p.KEYWORD_ONLY)
         for key, value in batching.items():
@@ -255,9 +257,9 @@ def train_float(cfg: ExperimentConfig, seed: int):
                        seed=seed, metric_name=task.metric_name)
     shadow = qat.init_quantization(net.param_arrays(), {}, bits=0)  # no group
     net.bind_params(shadow.quantized, shadow.grads)
-    _, best = qat.fit(fcfg, net, shadow, task, record)
-    # fit leaves the network with the best-on-dev buffers
-    ckpt = Checkpoint(layer_cfgs=cfg.network, params=best.master,
+    qat.fit(fcfg, net, shadow, task, record)
+    # fit leaves the shadow and the network with the best-on-dev state
+    ckpt = Checkpoint(layer_cfgs=cfg.network, params=shadow.master,
                       config_echo=_float_config_echo(cfg, seed), buffers=net.get_buffers())
     return ckpt, record
 

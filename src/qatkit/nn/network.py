@@ -173,10 +173,12 @@ LAYER_TYPES = {
 CONFIG_KEY_NAMES = {"fan_in": "in", "fan_out": "out", "input_size": "in",
                     "hidden_size": "hidden"}
 # kind -> the constructor parameters of its input and output width (the last
-# axis).  WIDTH_KEEPING kinds pass the width they receive on; any other kind
-# (flatten, conv2d, maxpool2d) ends the chain.
-WIDTH_PARAMS = {"fc": ("fan_in", "fan_out"), "lstm": ("input_size", "hidden_size")}
-WIDTH_KEEPING = ("activation", "batchnorm", "softmax")
+# axis); None for batchnorm, which passes the width it receives on, as the
+# WIDTH_KEEPING kinds do.  Any other kind (flatten, conv2d, maxpool2d) ends
+# the chain.
+WIDTH_PARAMS = {"fc": ("fan_in", "fan_out"), "lstm": ("input_size", "hidden_size"),
+                "batchnorm": ("features", None)}
+WIDTH_KEEPING = ("activation", "softmax")
 VALUE_TYPES = {bool: "a bool", int: "an int", float: "a float", str: "a str",
                dict: "a mapping", list: "a list"}
 
@@ -228,8 +230,8 @@ def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
 
     Raises ValueError, naming the layer index and kind, for an unknown kind,
     a key or value `check_args` rejects, and, naming both layers, for an `in`
-    that differs from the last width declared before it (see WIDTH_PARAMS); a
-    layer constructor raises for a bad value.
+    or a batch norm's `features` that differs from the last width declared
+    before it (see WIDTH_PARAMS); a layer constructor raises for a bad value.
     """
     layers = []
     width = None  # (layer name, width) the next layer receives, if declared
@@ -246,9 +248,11 @@ def build_network(layer_cfgs: list[dict], rng: np.random.Generator) -> Network:
         if kind in WIDTH_PARAMS:
             p_in, p_out = WIDTH_PARAMS[kind]
             if width is not None and kwargs[p_in] != width[1]:
-                raise ValueError(f"network[{i}] {kind} {kwargs['name']!r}: in {kwargs[p_in]} "
+                raise ValueError(f"network[{i}] {kind} {kwargs['name']!r}: "
+                                 f"{CONFIG_KEY_NAMES.get(p_in, p_in)} {kwargs[p_in]} "
                                  f"does not match width {width[1]} of {width[0]!r}")
-            width = (kwargs["name"], kwargs[p_out])
+            if p_out is not None:
+                width = (kwargs["name"], kwargs[p_out])
         elif kind not in WIDTH_KEEPING:
             width = None
     return Network(layers)

@@ -113,32 +113,36 @@ def parse_schedule(text: str) -> Schedule:
 # -- shadow parameters -------------------------------------------------------
 
 class ShadowParams:
-    """Float master weights, their gradients and the quantized view, each one
-    float64 vector in the key order of `shapes`: each group's keys adjacent,
+    """Float master weights (a copy of `params`), their gradients (zeros) and
+    the quantized view, each one float64 vector: each group's keys adjacent,
     in `groups` order, then the ungrouped keys (biases, batch-norm gain and
     shift).  `master[k]`, `grads[k]` and `quantized[k]` are reshaped views of
     `master_vector`, `grad_vector` and `quantized_vector`, which holds the
     grouped keys only: an ungrouped key's quantized view is its master view.
-    A group is one slice of each, solved and rebuilt in place in one call.
-    `master` and `grads` are adopted, not copied (None: zeros); `specs` maps
-    group -> spec, or is the bit width to solve each group at, first."""
+    A group is one slice of each, solved and rebuilt in place in one call,
+    and first solved at `bits`, before the other vectors are allocated."""
 
-    def __init__(self, master: np.ndarray, shapes: dict[str, tuple], groups: dict[str, list[str]],
-                 specs: dict[str, QuantizerSpec] | int, grads: np.ndarray | None):
-        self.master_vector, self.shapes, self.groups = master, shapes, groups
-        self.master = _views(master, shapes)
+    def __init__(self, params: dict[str, np.ndarray], groups: dict[str, list[str]], bits: int):
+        grouped = [k for keys in groups.values() for k in keys]
+        shapes = {k: np.shape(params[k]) for k in grouped + [k for k in params if k not in grouped]}
+        # one float64 copy, np.empty(0) leading for a float32 checkpoint or no params
+        self.master_vector = np.concatenate([np.empty(0)] + [np.ravel(params[k]) for k in shapes])
+        self.groups, self.master = groups, _views(self.master_vector, shapes)
         sizes = {gid: (sum(self.master[k].size for k in keys),) for gid, keys in groups.items()}
-        self._weights = _views(master, sizes)  # each group's slice of the master
-        self.specs = ({gid: _solve(w, gid, specs) for gid, w in self._weights.items()}
-                      if isinstance(specs, int) else specs)
-        self.grad_vector = np.zeros(master.size) if grads is None else grads
+        self._weights = _views(self.master_vector, sizes)  # each group's slice of the master
+        self.solve_steps(bits)
+        self.grad_vector = np.zeros(self.master_vector.size)
         self.grads = _views(self.grad_vector, shapes)
         self.quantized_vector = np.empty(sum(w.size for w in self._weights.values()))
         self._levels = _views(self.quantized_vector, sizes)  # and of the quantized view
-        self.quantized = {**self.master, **_views(self.quantized_vector, {
-            k: shapes[k] for keys in groups.values() for k in keys})}
+        self.quantized = {**self.master, **_views(self.quantized_vector,
+                                                  {k: shapes[k] for k in grouped})}
         self._scratch = np.empty(max((w.size for w in self._weights.values()), default=0))
         self.requantize()
+
+    def solve_steps(self, bits: int):
+        """Set each group's spec to its L2-optimal one at `bits` (see `_solve`)."""
+        self.specs = {gid: _solve(w, gid, bits) for gid, w in self._weights.items()}
 
     def requantize(self, gids=None):
         """Rebuild the quantized view from the master with current steps.
@@ -189,11 +193,7 @@ def _solve(weights: np.ndarray, gid: str, bits: int) -> QuantizerSpec:
 def init_quantization(master: dict[str, np.ndarray], groups: dict[str, list[str]],
                       bits: int) -> ShadowParams:
     """The shadow on a copy of `master`, each group's optimal step at `bits`."""
-    grouped = [k for keys in groups.values() for k in keys]
-    shapes = {k: np.shape(master[k]) for k in grouped + [k for k in master if k not in grouped]}
-    # one float64 copy, np.empty(0) leading for a float32 checkpoint or no params
-    vector = np.concatenate([np.empty(0)] + [np.ravel(master[k]) for k in shapes])
-    return ShadowParams(vector, shapes, groups, bits, None)
+    return ShadowParams(master, groups, bits)
 
 
 # -- retraining --------------------------------------------------------------
@@ -271,21 +271,18 @@ def _exhaustive_init(shadow, net, task):
         shadow.requantize([gid])
 
 
-def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) -> tuple:
-    """The epoch loop shared by float training and retraining.
+def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord):
+    """The epoch loop shared by float training and retraining; trains
+    `shadow` in place.
 
     `net` must hold `shadow.quantized` and `shadow.grads`.  Walks the
-    schedule's plan.  A change of width starts a stage: the stage before's
-    best-on-dev master is quantized afresh, the network is bound to it and
-    gets that epoch's buffers, with a fresh optimizer and lr schedule.  Keeps
-    a copy of the final stage's best-on-dev master, specs and buffers, the
-    master written into one vector at each improvement, and quantizes it once,
-    at the end; a new shadow adopts its master and the live gradient vector.
-    Stops at the lr-schedule floor (not under gradual), then binds the network
-    to that best state and evaluates it on test; the network keeps it and its
-    buffers.  A float network is one whose shadow has no groups.  Returns
-    (final ShadowParams, best-on-dev ShadowParams); the best is the final one
-    when no epoch ran.
+    schedule's plan, keeping the stage's best-on-dev master (copied into one
+    vector at each improvement), specs and buffers.  A change of width starts
+    a stage, with a fresh optimizer and lr schedule, from the stage before's
+    best state, each group solved at the new width.  Stops at the lr-schedule
+    floor (not under gradual), restores the best state of the final stage and
+    evaluates it on test; the shadow and the network keep it.  A float
+    network is one whose shadow has no groups.
     """
     plan = cfg.schedule.plan(cfg.bits, cfg.max_epochs)
     if not plan:
@@ -294,20 +291,27 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
     stop_at_floor = (cfg.stop_at_lr_floor and cfg.schedule.start_bits is None
                      and lr_cfg.initial_lr > lr_cfg.final_lr)
     optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-    # the stage's best-on-dev master copy and specs; None stands for the live shadow
+    # the stage's best dev metric (inf until an epoch improves), master copy, specs, buffers
     best_dev, best_master, best_specs = math.inf, None, None
     best_buffers = net.get_buffers()
+
+    def restore(bits=None):
+        # the stage's best state back, then each group solved afresh at `bits` if given
+        net.set_buffers(best_buffers)
+        if best_dev < math.inf:
+            np.copyto(shadow.master_vector, best_master)
+            shadow.specs = best_specs
+        if bits is not None:
+            shadow.solve_steps(bits)
+        shadow.requantize()
+
     epoch = 0
     for epoch, (bits, update_steps) in enumerate(plan):
         if epoch and bits != plan[epoch - 1][0]:
-            # the copy becomes the new master: the next one gets a fresh vector
-            shadow = ShadowParams(shadow.master_vector if best_master is None else best_master,
-                                  shadow.shapes, shadow.groups, bits, shadow.grad_vector)
-            net.bind_params(shadow.quantized, shadow.grads)
-            net.set_buffers(best_buffers)
+            restore(bits)
             record.events.append(f"drop-bit:{epoch}:{bits}")
             optimizer, lr_sched = make_optimizer(cfg.optimizer), LrSchedule(lr_cfg)
-            best_dev, best_master = math.inf, None
+            best_dev = math.inf
         try:
             mean_loss = retrain_epoch(
                 shadow, net, task.batches("train", epoch), optimizer,
@@ -328,14 +332,10 @@ def fit(cfg: RetrainConfig, net, shadow: ShadowParams, task, record: RunRecord) 
         if stop_at_floor and lr_sched.at_floor:
             break
 
-    del optimizer  # its state goes before the best view is allocated
-    best = shadow if best_master is None else ShadowParams(
-        best_master, shadow.shapes, shadow.groups, best_specs, shadow.grad_vector)
-    net.bind_params(best.quantized, best.grads)
-    net.set_buffers(best_buffers)
+    del optimizer  # its state goes before the test evaluation
+    restore()
     record.final_test_metric = task.evaluate(net, "test")
     record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
-    return shadow, best
 
 
 def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
@@ -345,7 +345,7 @@ def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     buffers; a copy of its params becomes the master, and the network is
     bound to the quantized view and the gradients.  `task` supplies the data:
     batches(split, epoch), evaluate(net, split) -> metric (lower is better),
-    and metric_name.  Returns (final ShadowParams, RunRecord).
+    and metric_name.  Returns (the best-on-dev ShadowParams, RunRecord).
     """
     record = RunRecord(run_id=run_id, cell_bits=cfg.bits, schedule=cfg.schedule.name,
                        seed=cfg.seed, metric_name=task.metric_name)
@@ -356,5 +356,5 @@ def run(cfg: RetrainConfig, float_ckpt, task, run_id: str = "run") -> tuple:
     net.bind_params(shadow.quantized, shadow.grads)
     if cfg.schedule.name == "exhaustive":
         _exhaustive_init(shadow, net, task)
-    shadow, _ = fit(cfg, net, shadow, task, record)
+    fit(cfg, net, shadow, task, record)
     return shadow, record

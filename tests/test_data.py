@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -101,6 +102,26 @@ class TestSynthetic:
                                              f">= 2, got {size}"):
             synthetic_digit_images(50, 10, seed=3, size=size)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: synthetic_clusters(40, 2, 3, seed=0, spread=-0.5),
+         "clusters dataset: spread must be >= 0, got -0.5"),
+        (lambda: synthetic_digit_images(40, 2, seed=0, noise=-1.0),
+         "digit-images dataset: noise must be >= 0, got -1.0"),
+        (lambda: synthetic_text(50, 0, vocab_size=0, order=0),
+         "synthetic-text dataset: vocab_size must be >= 1, got 0"),
+        (lambda: synthetic_text(50, 0, vocab_size=5, order=-1),
+         "synthetic-text dataset: order must be >= 0, got -1"),
+        (lambda: synthetic_text_corpus(50, 0, vocab_size=-3),
+         "synthetic-text dataset: vocab_size must be >= 1, got -3"),
+        (lambda: synthetic_text(-1, 0), "synthetic-text dataset: n_chars must be >= 0, got -1"),
+    ], ids=["clusters-spread", "digit-images-noise", "text-vocab-0", "text-order",
+            "corpus-vocab", "text-n-chars"])
+    def test_builder_rejects_a_value_below_its_least(self, build, message):
+        # at the parent these failed inside numpy or the sampler, with
+        # `scale < 0`, IndexError, TypeError or `high <= 0`
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build()
+
     def test_seed_changes_data(self):
         a = synthetic_clusters(50, 2, 3, seed=1)
         b = synthetic_clusters(50, 2, 3, seed=2)
@@ -196,6 +217,25 @@ class TestSplitIndices:
     def test_remainder_goes_to_train(self):
         n_train, n_dev, n_test = split_indices(999, (0.9, 0.05, 0.05))
         assert n_dev == 49 and n_test == 49 and n_train == 901
+
+    @pytest.mark.parametrize("fractions", [
+        [0.5, 0.6, 0.2], [0.7, 0.3], [2.0, -0.5, 0.1], [0.5, 0.5, float("nan")],
+        (0.5, True, 0.5), "abc",
+    ], ids=["sum-above-1", "two-entries", "out-of-range", "nan", "bool", "str"])
+    def test_bad_fractions_rejected(self, fractions):
+        message = re.escape("fractions must be three numbers in [0, 1] that sum to 1, "
+                            f"got {fractions!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synthetic_clusters(40, 2, 3, seed=0, fractions=fractions)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            text_splits("ab" * 40, fractions)
+
+    def test_fractions_within_rounding_of_one_accepted(self):
+        assert sum((0.7, 0.2, 0.1)) != 1.0
+        s = synthetic_clusters(40, 2, 3, seed=0, fractions=(0.7, 0.2, 0.1))
+        assert [len(s.get(name)[1]) for name in ("train", "dev", "test")] == [28, 8, 4]
+        s = synthetic_digit_images(40, 2, seed=0, fractions=[0.25, 0.1, 0.65])
+        assert [len(s.get(name)[1]) for name in ("train", "dev", "test")] == [10, 4, 26]
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from qatkit.data import DATASET_BUILDERS, Splits, load_dataset
 from qatkit.harness import EmptyInputError, ExperimentConfig
 from qatkit.nn import (
     Checkpoint,
+    bits_per_char,
     LrScheduleConfig,
     OptimizerConfig,
     build_network,
@@ -192,6 +193,18 @@ class TestSweepAndReport:
     def test_report_empty_dir_raises(self, tmp_path):
         with pytest.raises(EmptyInputError):
             harness.report(tmp_path)
+
+    def test_char_lm_split_shorter_than_two_per_stream_is_one_stream(self):
+        # 10 dev codes and 8 streams: one stream, all 9 targets scored in a window
+        cfg = char_lm_config()
+        task = harness.make_task(cfg, 0)
+        codes = np.array([0, 1, 2, 3, 0, 2, 1, 3, 3, 0])
+        task.splits = Splits(task.splits.train, (codes,), task.splits.test, task.splits.meta)
+        net = build_network(cfg.network, np.random.default_rng(0))
+        probs = net.forward(np.eye(4)[codes[:-1, None]], train=False)
+        want = bits_per_char(probs, codes[1:, None])
+        assert codes.size < 2 * task.streams
+        assert task.evaluate(net, "dev") == want
 
     def test_retraining_builds_the_checkpoint_network(self):
         # the task comes from a relu config, the checkpoint holds a tanh network
@@ -488,14 +501,34 @@ class TestConfigValidation:
          "vocab_size must be >= 1, got 0"),
         ({"kind": "synthetic-text", "n_chars": 2000, "order": -1, "seed": 1},
          "order must be >= 0, got -1"),
+        ({"kind": "clusters", "n_samples": 40, "classes": 2, "dim": 4, "seed": 1,
+          "spread": -0.5}, "spread must be >= 0, got -0.5"),
+        ({"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": 1, "noise": -1.0},
+         "noise must be >= 0, got -1.0"),
+        ({"kind": "synthetic-text", "n_chars": -1, "seed": 1}, "n_chars must be >= 0, got -1"),
     ], ids=["clusters-n-samples", "clusters-classes", "clusters-dim", "clusters-two-keys",
             "digit-images-n-samples", "digit-images-classes", "synthetic-text-vocab-size",
-            "synthetic-text-order"])
+            "synthetic-text-order", "clusters-spread", "digit-images-noise",
+            "synthetic-text-n-chars"])
     def test_bad_dataset_count_rejected_at_load(self, dataset, message):
         full = f"^{dataset['kind']} dataset: {message}$"
         with pytest.raises(ValueError, match=full):
             mlp_config(dataset=dataset)
         with pytest.raises(ValueError, match=full):
+            load_dataset(dataset)
+
+    @pytest.mark.parametrize("fractions", [[0.5, 0.6, 0.2], [0.7, 0.3], [2.0, -0.5, 0.1]],
+                             ids=["sum-above-1", "two-entries", "out-of-range"])
+    def test_bad_fractions_rejected_at_load(self, fractions):
+        # at the parent these split 40 samples 8/24/8, raised IndexError, or
+        # asked numpy for a split of -20
+        dataset = {"kind": "clusters", "n_samples": 40, "classes": 2, "dim": 4, "seed": 1,
+                   "fractions": fractions}
+        message = re.escape("fractions must be three numbers in [0, 1] that sum to 1, "
+                            f"got {fractions!r}")
+        with pytest.raises(ValueError, match=f"^clusters dataset: {message}$"):
+            mlp_config(dataset=dataset)
+        with pytest.raises(ValueError, match=f"^{message}$"):
             load_dataset(dataset)
 
     def test_least_dataset_counts_load(self):
@@ -568,7 +601,9 @@ class TestConfigValidation:
         ({"kind": "activation", "fn": "relux"}, r"activation0: unknown activation 'relux'"),
         ({"kind": "lstm", "in": 4, "hidden": 8, "stateful": True},
          r"unknown network\[0\] lstm key 'stateful'; accepted: name, in, hidden"),
-    ], ids=["unknown-kind", "missing-key", "bad-value", "lstm-stateful"])
+        ({"kind": "fc", "in": 4, "out": 8, "name": "fc2"},
+         r"duplicate layer names: \['fc2', 'activation1', 'fc2', 'softmax3'\]"),
+    ], ids=["unknown-kind", "missing-key", "bad-value", "lstm-stateful", "duplicate-name"])
     def test_bad_layer_rejected_at_load(self, layer, message):
         network = mlp_config().network
         with pytest.raises(ValueError, match=message):
@@ -580,6 +615,14 @@ class TestConfigValidation:
                                              r"width 8 of 'fc0'"):
             mlp_config(network=[*network[:2], {"kind": "fc", "in": 5, "out": 2},
                                 *network[3:]])
+
+    def test_unchained_batchnorm_features_rejected_at_load(self):
+        # at the parent this loaded, and failed at the first forward
+        network = mlp_config().network
+        with pytest.raises(ValueError, match=r"network\[1\] batchnorm 'batchnorm1': features 5 "
+                                             r"does not match width 8 of 'fc0'"):
+            mlp_config(network=[network[0], {"kind": "batchnorm", "features": 5},
+                                *network[1:]])
 
     def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")

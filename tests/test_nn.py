@@ -98,7 +98,14 @@ class TestForward:
          r"network\[1\] fc 'fc1': in 3 does not match width 6 of 'lstm0'"),
         ([{"kind": "fc", "in": 3, "out": 4}, {"kind": "lstm", "in": 3, "hidden": 2}],
          r"network\[1\] lstm 'lstm1': in 3 does not match width 4 of 'fc0'"),
-    ], ids=["fc-relu-fc", "through-batchnorm-softmax", "lstm-fc", "fc-lstm"])
+        ([{"kind": "fc", "in": 2, "out": 3}, {"kind": "batchnorm", "features": 5},
+          {"kind": "softmax"}],
+         r"network\[1\] batchnorm 'batchnorm1': features 5 does not match width 3 of 'fc0'"),
+        ([{"kind": "lstm", "in": 3, "hidden": 6}, {"kind": "activation", "fn": "tanh"},
+          {"kind": "batchnorm", "features": 3}],
+         r"network\[2\] batchnorm 'batchnorm2': features 3 does not match width 6 of 'lstm0'"),
+    ], ids=["fc-relu-fc", "through-batchnorm-softmax", "lstm-fc", "fc-lstm", "fc-batchnorm",
+            "lstm-tanh-batchnorm"])
     def test_unchained_widths_rejected_at_build(self, cfgs, message):
         with pytest.raises(ValueError, match=message):
             build_network(cfgs, rng())
@@ -109,6 +116,18 @@ class TestForward:
         build_network([{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 3},
                        {"kind": "maxpool2d", "size": 2}, {"kind": "flatten"},
                        {"kind": "fc", "in": 8, "out": 2}], rng())
+
+    def test_batchnorm_after_a_conv_is_not_chained(self):
+        # conv ends the width chain, so its batch norm's features go unchecked
+        net = build_network([{"kind": "conv2d", "in_ch": 1, "out_ch": 2, "kernel": 3},
+                             {"kind": "batchnorm", "features": 2}, {"kind": "flatten"},
+                             {"kind": "fc", "in": 8, "out": 2}], rng())
+        assert net.forward(np.zeros((1, 1, 4, 4))).shape == (1, 2)
+
+    def test_duplicate_layer_names_rejected(self):
+        with pytest.raises(ValueError, match=r"duplicate layer names: \['a', 'a'\]"):
+            build_network([{"kind": "fc", "in": 2, "out": 2, "name": "a"},
+                           {"kind": "fc", "in": 2, "out": 2, "name": "a"}], rng())
 
     def test_backward_without_forward(self):
         net = build_network([{"kind": "fc", "in": 2, "out": 2}], rng())

@@ -10,11 +10,13 @@ from qatkit.data import synthetic_clusters
 from qatkit.harness import ClassificationTask, train_float, ExperimentConfig
 from qatkit.nn import (
     Checkpoint,
+    Network,
     OptimizerConfig,
     build_network,
     cross_entropy,
     make_optimizer,
 )
+from qatkit.records import RunRecord
 from qatkit.quantizer import (
     DegenerateGroupError,
     QuantizerSpec,
@@ -176,6 +178,19 @@ class TestInitQuantization:
             with pytest.raises(ValueError, match="'big'.*overflows"):
                 shadow.update_steps()
 
+    def test_degenerate_group_keeps_its_step_during_adaptation(self, caplog):
+        master = {"a.W": np.array([1.0, -1.0, 0.5]), "b.W": np.array([0.3, -2.0])}
+        shadow = qat.init_quantization(master, {"a": ["a.W"], "b": ["b.W"]}, 2)
+        step = shadow.specs["a"].step
+        shadow.master["a.W"][:] = 0.0
+        record = RunRecord(run_id="r", cell_bits=2, schedule="adaptive", seed=0)
+        with caplog.at_level("WARNING", logger="qatkit.qat"):
+            shadow.update_steps(record)
+        assert shadow.specs["a"].step == step
+        assert "group a degenerate during adaptation" in caplog.text
+        assert record.events == ["degenerate-group:a"]
+        assert_bits_equal(shadow.quantized["a.W"], np.zeros(3))
+
     def test_non_quantizable_shared_by_reference(self):
         master = {"a.W": np.array([1.0, -1.0]), "a.b": np.array([0.5])}
         shadow = qat.init_quantization(master, {"a": ["a.W"]}, 2)
@@ -260,6 +275,18 @@ class TestInPlaceRequantize:
         with pytest.raises(qat.DivergenceError,
                            match="^b2_s0: epoch 1: group 'fc_out', key 'fc_out.W': "):
             qat.run(cfg, toy_float_ckpt(), task, run_id="b2_s0")
+
+    def test_fit_names_run_epoch_and_batch_of_a_non_finite_loss(self):
+        # a NaN input batch gives a NaN loss, which raises before backward,
+        # with no numpy warning (the suite turns those into errors)
+        task = toy_task()
+        batches = task.batches
+        task.batches = lambda split, epoch: ((np.full_like(x, np.nan), y)
+                                             for x, y in batches(split, epoch))
+        with pytest.raises(qat.DivergenceError,
+                           match="^b2_s0: epoch 0: non-finite loss nan at batch 0$"):
+            qat.run(TestRun().retrain_cfg("conventional"), toy_float_ckpt(), task,
+                    run_id="b2_s0")
 
     def test_per_batch_steps_allocate_no_weight_sized_arrays(self):
         # wide-fc shapes, 76,874 parameters; with fresh arrays these steps
@@ -444,17 +471,18 @@ class TestRun:
             assert len(set(later[1:])) == 1
 
     def test_adaptive_consistency_with_saved_master(self):
+        # dev best at epoch 1: the returned shadow holds that epoch's master
+        # and steps, which differ from the last epoch's
         ckpt = _float_ckpt_for_toy()
-        task = toy_task()
+        task = ScriptedDevTask([5.0, 1.0, 3.0])
         shadow, record = qat.run(self.retrain_cfg("adaptive", max_epochs=3), ckpt, task)
-        last_epoch = max(d.epoch for d in record.deltas)
+        logged = {(d.epoch, d.group_id): d.delta for d in record.deltas}
         for gid in shadow.groups:
             step, _ = optimize_step(
                 WeightGroup(group_vector(shadow, gid), gid), shadow.specs[gid].points
             )
-            stored = next(d.delta for d in record.deltas
-                          if d.epoch == last_epoch and d.group_id == gid)
-            assert stored == pytest.approx(step, rel=1e-8)
+            assert shadow.specs[gid].step == step == logged[1, gid], gid
+            assert logged[2, gid] != step, gid
 
     def test_gradual_drops_one_bit_per_stage(self):
         ckpt = _float_ckpt_for_toy()
@@ -535,20 +563,28 @@ class TestBestOnDev:
         assert_same_params(task.seen["test"][0], task.seen["dev"][1])
         assert params_differ(task.seen["test"][0], task.seen["dev"][3])
 
-    @pytest.mark.parametrize("schedule, views", [("adaptive", 2), ("gradual:3-2:2", 3)])
-    def test_best_is_quantized_once_per_stage(self, monkeypatch, schedule, views):
-        # dev improves every epoch, so every epoch takes a snapshot; the views
-        # built are run's initial one, one per stage change and the best at the end
+    @pytest.mark.parametrize("schedule, restores", [("adaptive", 2), ("gradual:3-2:2", 3)])
+    def test_best_is_quantized_once_per_stage(self, monkeypatch, schedule, restores):
+        # dev improves every epoch, so every epoch takes a snapshot; `run`
+        # builds one shadow, and the network's buffers are set by run's
+        # set-up and by the restore at each stage change and at the end
         ckpt, built, init = _float_ckpt_for_toy(), [], qat.ShadowParams.__init__
+        set_buffers, buffer_sets = Network.set_buffers, []
 
         def counting_init(shadow, *args):
             built.append(shadow)
             init(shadow, *args)
 
+        def counting_set_buffers(net, values):
+            buffer_sets.append(net)
+            set_buffers(net, values)
+
         monkeypatch.setattr(qat.ShadowParams, "__init__", counting_init)
+        monkeypatch.setattr(Network, "set_buffers", counting_set_buffers)
         task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
-        qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
-        assert len(built) == views
+        shadow, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        assert built == [shadow]
+        assert len(buffer_sets) == restores
         assert_same_params(task.seen["test"][0], task.seen["dev"][3])
 
     def test_final_test_eval_sees_best_epoch_buffers(self):
@@ -651,9 +687,11 @@ WIDE_FC = [{"kind": "fc", "in": 32, "out": 256}, {"kind": "activation", "fn": "r
 class TestBinding:
     @pytest.mark.parametrize("schedule", ["adaptive", "gradual:3-2:2", "exhaustive"])
     def test_network_computes_on_the_shadow_arrays(self, monkeypatch, schedule):
-        ckpt = _float_ckpt_for_toy()
-        epochs, fits = [], []  # each epoch's shadow; fit's (net, final, best)
-        retrain_epoch, fit = qat.retrain_epoch, qat.fit
+        # one shadow for the whole run, a gradual stage change included: the
+        # network holds its quantized view at every epoch and at the test
+        ckpt, task = _float_ckpt_for_toy(), toy_task()
+        epochs, fits, tested = [], [], []  # each epoch's shadow; fit's (net, shadow)
+        retrain_epoch, fit, evaluate = qat.retrain_epoch, qat.fit, task.evaluate
 
         def checking_epoch(shadow, net, *args, **kwargs):
             assert_bound(net, shadow.quantized)
@@ -662,30 +700,38 @@ class TestBinding:
 
         def checking_fit(cfg, net, shadow, *args):
             assert_bound(net, shadow.quantized)  # run's set-up
-            final, best = fit(cfg, net, shadow, *args)
-            fits.append((net, final, best))
-            return final, best
+            fits.append((net, shadow))
+            return fit(cfg, net, shadow, *args)
+
+        def evaluating(net, split):
+            if split == "test":
+                tested.append(net.param_arrays())
+            return evaluate(net, split)
 
         monkeypatch.setattr(qat, "retrain_epoch", checking_epoch)
         monkeypatch.setattr(qat, "fit", checking_fit)
-        final, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, toy_task())
-        assert len(epochs) == 4 and epochs[-1] is final
-        # a stage change binds the network to the new shadow
-        assert len({id(s) for s in epochs}) == (2 if schedule.startswith("gradual") else 1)
-        (net, final, best), = fits
-        assert_bound(net, best.quantized)
+        task.evaluate = evaluating
+        final, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        assert len(epochs) == 4 and all(s is final for s in epochs)
+        (net, shadow), = fits
+        assert shadow is final
+        held, = tested
+        assert held.keys() == final.quantized.keys()
+        assert all(held[k] is v for k, v in final.quantized.items())
+        assert_bound(net, final.quantized)
         # ungrouped keys are the master's arrays, grouped ones their own
-        grouped = {k for keys in best.groups.values() for k in keys}
-        for k, v in best.quantized.items():
-            assert (v is best.master[k]) == (k not in grouped), k
+        grouped = {k for keys in final.groups.values() for k in keys}
+        for k, v in final.quantized.items():
+            assert (v is final.master[k]) == (k not in grouped), k
 
     def test_final_shadow_stays_on_its_own_grid(self):
-        # dev best at epoch 1: the network ends on that view, while the final
-        # shadow `run` returns keeps its own master, specs and quantized view
+        # dev best at epoch 1: the shadow `run` returns holds that epoch's
+        # view, the one the test evaluation saw, on its own grid
         task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
         shadow, _ = qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4),
                             _float_ckpt_for_toy(), task)
-        assert params_differ(shadow.quantized, task.seen["test"][0])
+        assert_same_params(shadow.quantized, task.seen["test"][0])
+        assert_same_params(shadow.quantized, task.seen["dev"][1])
         for gid, keys in shadow.groups.items():
             spec = shadow.specs[gid]
             for k in keys:
@@ -717,41 +763,31 @@ class TestBinding:
     @pytest.mark.parametrize("schedule, stages", [("adaptive", 1), ("gradual:3-2:2", 2)])
     def test_best_snapshot_is_written_into_its_arrays(self, monkeypatch, schedule, stages):
         # dev improves every epoch: each improvement is one np.copyto of the
-        # master vector into a vector reused within the stage; the next stage
-        # adopts it as its master, not a copy, and its copies get a fresh one
-        ckpt, epochs, fits, copies = _float_ckpt_for_toy(), [], [], []
-        retrain_epoch, fit, copyto = qat.retrain_epoch, qat.fit, np.copyto
+        # master vector into one vector kept for the run, and each stage
+        # change and the end copy that vector back into the master
+        ckpt, epochs, copies = _float_ckpt_for_toy(), [], []  # copies: (kind, vector)
+        retrain_epoch, copyto = qat.retrain_epoch, np.copyto
 
         def starting(shadow, *args, **kwargs):
             epochs.append(shadow)
             return retrain_epoch(shadow, *args, **kwargs)
 
-        def fitting(*args):
-            fits.append(fit(*args))
-            return fits[-1]
-
         def recording(dst, src, *args, **kwargs):
-            if any(src is shadow.master_vector for shadow in epochs):
-                copies.append(dst)
+            if epochs and src is epochs[0].master_vector:
+                copies.append(("snapshot", dst))
+            elif epochs and dst is epochs[0].master_vector:
+                copies.append(("restore", src))
             return copyto(dst, src, *args, **kwargs)
 
         monkeypatch.setattr(qat, "retrain_epoch", starting)
-        monkeypatch.setattr(qat, "fit", fitting)
         monkeypatch.setattr(np, "copyto", recording)
         task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
-        qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
-        assert len(copies) == 4
+        shadow, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        assert all(s is shadow for s in epochs)
         per_stage = 4 // stages
-        for stage in range(stages):
-            run = copies[stage * per_stage:(stage + 1) * per_stage]
-            assert all(c is run[0] for c in run)
-        if stages == 2:
-            assert copies[2] is not copies[0]
-            assert epochs[2].master_vector is copies[0]
-        # the best view adopts the last copy and the live gradient vector
-        (final, best), = fits
-        assert best.master_vector is copies[-1]
-        assert best.grad_vector is final.grad_vector
+        assert [kind for kind, _ in copies] == (["snapshot"] * per_stage + ["restore"]) * stages
+        assert all(vector is copies[0][1] for _, vector in copies)
+        assert copies[0][1] is not shadow.master_vector
 
     def test_wide_fc_retraining_batch_allocates_no_weight_sized_array(self):
         # wide-fc's network, 76,874 parameters; fc1's weight matrix alone is
@@ -846,27 +882,34 @@ class TestLayout:
         assert held - before < shadow.master_vector.nbytes + group_bytes // 2, held - before
 
     def test_best_view_allocates_no_second_gradient_vector(self, monkeypatch):
-        # dev improves every epoch, so the best view adopts the last copy of
-        # the master; 2,563 parameters, 20 KB a vector
+        # dev improves every epoch, and the best view is restored into the
+        # shadow `run` built and bound: the test evaluation reads its
+        # quantized vector and writes its gradient vector
         cfgs = [{"kind": "fc", "in": 6, "out": 256}, {"kind": "activation", "fn": "relu"},
                 {"kind": "fc", "in": 256, "out": 3}, {"kind": "softmax"}]
         net = build_network(cfgs, np.random.default_rng(0))
         ckpt = Checkpoint(layer_cfgs=cfgs, params=net.get_params())
-        init, built = qat.ShadowParams.__init__, []
+        init, built, tested = qat.ShadowParams.__init__, [], []
 
-        def measuring(shadow, *args):
-            tracemalloc.start()
-            try:
-                init(shadow, *args)
-                built.append((shadow, tracemalloc.get_traced_memory()[0]))
-            finally:
-                tracemalloc.stop()
+        def counting_init(shadow, *args):
+            built.append(shadow)
+            init(shadow, *args)
 
-        monkeypatch.setattr(qat.ShadowParams, "__init__", measuring)
+        monkeypatch.setattr(qat.ShadowParams, "__init__", counting_init)
         task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
-        qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4), ckpt, task)
-        (first, _), (best, grew) = built  # run's set-up and the best view
-        assert best.grad_vector is first.grad_vector
-        # its quantized vector and scratch, and no gradient vector of its own
-        own = best.quantized_vector.nbytes + best._scratch.nbytes
-        assert own < grew < own + best.grad_vector.nbytes // 2, (own, grew)
+        evaluate = task.evaluate
+
+        def evaluating(net, split):
+            if split == "test":
+                tested.append((net.param_arrays(), net.get_grads()))
+            return evaluate(net, split)
+
+        task.evaluate = evaluating
+        shadow, _ = qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4), ckpt, task)
+        assert built == [shadow]
+        (params, grads), = tested
+        grouped = [k for keys in shadow.groups.values() for k in keys]
+        for k in grouped:
+            assert np.shares_memory(params[k], shadow.quantized_vector), k
+        for k, g in grads.items():
+            assert g is shadow.grads[k] and np.shares_memory(g, shadow.grad_vector), k
