@@ -85,20 +85,25 @@ TEXT_FRACTIONS = (0.9, 0.05, 0.05)
 
 # dataset kind -> the numeric keys its builder checks and the least value each takes
 DATASET_COUNTS = {
-    "clusters": {"n_samples": 1, "classes": 1, "dim": 1, "spread": 0},
-    "digit-images": {"n_samples": 1, "classes": 1, "noise": 0},
-    "synthetic-text": {"n_chars": 0, "vocab_size": 1, "order": 0},
+    "clusters": {"n_samples": 1, "classes": 1, "dim": 1, "spread": 0, "seed": 0},
+    "digit-images": {"n_samples": 1, "classes": 1, "noise": 0, "seed": 0},
+    "synthetic-text": {"n_chars": 0, "vocab_size": 1, "order": 0, "seed": 0},
+    "idx": {"seed": 0},
 }
 
 
 def check_dataset_counts(kind: str, **values):
     """Raise ValueError, naming the dataset kind and every key, for a value
-    below its least one in DATASET_COUNTS; other keys are not read."""
+    below its least one in DATASET_COUNTS, and for a digit-images `size`
+    that is not an even integer >= 2; other keys are not read."""
     bad = [f"{key} must be >= {least}, got {values[key]}"
            for key, least in DATASET_COUNTS.get(kind, {}).items()
            if key in values and values[key] < least]
     if bad:
         raise ValueError(f"{kind} dataset: {'; '.join(bad)}")
+    size = values.get("size", 2) if kind == "digit-images" else 2
+    if size < 2 or size % 2:
+        raise ValueError(f"digit-images size must be an even integer >= 2, got {size}")
 
 
 def check_fractions(fractions):
@@ -144,7 +149,7 @@ def synthetic_clusters(n_samples: int, classes: int, dim: int, seed: int,
                        spread: float = 1.0, fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Seeded Gaussian-cluster classification data, shuffled then split."""
     check_dataset_counts("clusters", n_samples=n_samples, classes=classes, dim=dim,
-                         spread=spread)
+                         spread=spread, seed=seed)
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(classes, dim))
     y = rng.integers(0, classes, size=n_samples)
@@ -156,9 +161,8 @@ def synthetic_digit_images(n_samples: int, classes: int, seed: int,
                            size: int = 8, noise: float = 0.25,
                            fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Digit-style images: one random blocky template per class plus noise."""
-    check_dataset_counts("digit-images", n_samples=n_samples, classes=classes, noise=noise)
-    if size < 2 or size % 2:
-        raise ValueError(f"digit-images size must be an even integer >= 2, got {size}")
+    check_dataset_counts("digit-images", n_samples=n_samples, classes=classes, noise=noise,
+                         seed=seed, size=size)
     rng = np.random.default_rng(seed)
     coarse = rng.uniform(0.0, 1.0, size=(classes, size // 2, size // 2))
     templates = coarse.repeat(2, axis=1).repeat(2, axis=2)
@@ -170,6 +174,7 @@ def synthetic_digit_images(n_samples: int, classes: int, seed: int,
 
 def load_idx_classification(images, labels, fractions=CLASSIFICATION_FRACTIONS,
                             seed: int = 0) -> Splits:
+    check_dataset_counts("idx", seed=seed)
     x = read_idx(images)
     y = read_idx(labels)
     if x.ndim != 3:
@@ -229,7 +234,8 @@ def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
 
 def _markov_codes(n_chars: int, seed: int, vocab_size: int, order: int) -> bytearray:
     """The letter codes (0 for "a") of `synthetic_text`."""
-    check_dataset_counts("synthetic-text", n_chars=n_chars, vocab_size=vocab_size, order=order)
+    check_dataset_counts("synthetic-text", n_chars=n_chars, vocab_size=vocab_size, order=order,
+                         seed=seed)
     rng = np.random.default_rng(seed)
     v = min(vocab_size, 26)
     n_states = v ** order

@@ -84,7 +84,6 @@ class CharLMTask:
         self.unroll = unroll
         self.update_stride = update_stride
         self.streams = streams
-        self.seed = seed
 
     def _stream_matrix(self, split: str):
         (codes,) = self.splits.get(split)
@@ -155,9 +154,10 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
-        if not self.seeds or not all(isinstance(s, int) and not isinstance(s, bool)
-                                     for s in self.seeds):
-            raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}")
+        # a bool seed passes here; check_args rejects it, naming its index
+        if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}; "
+                             "each must be >= 0")
         check_args(type(self).__name__, vars(self), type(self))
         kind = self.dataset.get("kind")
         reject_unknown("task", [self.task], TASKS)

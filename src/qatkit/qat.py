@@ -199,6 +199,9 @@ def init_quantization(master: dict[str, np.ndarray], groups: dict[str, list[str]
 # -- retraining --------------------------------------------------------------
 
 EXHAUSTIVE_CANDIDATES = 8  # steps tried per group by the exhaustive init
+# the widest width a run accepts; above it the step solver's threshold sample
+# grows as 4**bits (`quantizer._window_slices`)
+MAX_BITS = 8
 
 
 @dataclass
@@ -216,11 +219,16 @@ class RetrainConfig:
 
     def __post_init__(self):
         check_args(type(self).__name__, vars(self), type(self))
-        for name, least in (("bits", 2), ("max_epochs", 0)):
+        for name, least in (("bits", 2), ("max_epochs", 0), ("seed", 0)):
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        self.schedule = sched = parse_schedule(self.schedule)
+        sched = parse_schedule(self.schedule)
+        for name, width in (("bits", self.bits), ("schedule", sched.start_bits or 0)):
+            if width > MAX_BITS:
+                raise ValueError(f"{name} must be at most {MAX_BITS} bits wide, the widest "
+                                 f"supported width, got {getattr(self, name)!r}")
+        self.schedule = sched
         if not isinstance(self.optimizer, OptimizerConfig):
             self.optimizer = OptimizerConfig(**check_args("optimizer", self.optimizer,
                                                           OptimizerConfig))

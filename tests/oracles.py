@@ -14,14 +14,24 @@ batch-norm sums over the batch, which now run channels-first, within
 `assert_close_to_reference`.  The first synthetic-text
 generator (one `rng.choice` per character), the first text encoder (a dict
 lookup per character) and the first SGD-with-Nesterov and AdaDelta updates
-(new arrays on every call) must be matched exactly.
+(new arrays on every call) must be matched exactly.  `run_reference` is a
+whole retraining or float-training run written out from the README's rules,
+which `qat.run` and `harness.train_float` must match bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from qatkit.quantizer import DegenerateGroupError, WeightGroup, _half_squared_error
+from qatkit.nn import build_network, cross_entropy
+from qatkit.quantizer import (
+    DegenerateGroupError,
+    WeightGroup,
+    _half_squared_error,
+    exhaustive_search_step,
+    optimize_step,
+)
+from qatkit.records import DeltaRow, RunRecord
 
 
 def scalar_quantize(w, step, points):
@@ -156,13 +166,6 @@ def optimize_step_loop(group: WeightGroup, M: int) -> tuple[float, float]:
 def group_vector(shadow, gid):
     """The master weights of group `gid` of a ShadowParams, flattened in key order."""
     return np.concatenate([shadow.master[k].ravel() for k in shadow.groups[gid]])
-
-
-def assert_on_grid(q, step, points):
-    """Every entry of q equals n*step for an integer n with |n| <= (M-1)/2."""
-    n = np.rint(np.asarray(q) / step)
-    np.testing.assert_array_equal(n * step, q)
-    assert np.abs(n).max() <= (points - 1) // 2
 
 
 def squared_error(outputs, targets):
@@ -417,3 +420,123 @@ def assert_close_to_reference(got, want, rtol=1e-12):
         f"{bad.size} entries off by more than rtol {rtol}, first at {bad[:5]}: "
         f"{got.ravel()[bad[:5]]} vs {want.ravel()[bad[:5]]}"
     )
+
+
+# -- whole runs --------------------------------------------------------------
+
+def run_reference(cfg, ckpt, task, run_id="run", float_baseline=False):
+    """`qat.run(cfg, ckpt, task, run_id)` written out plainly; with
+    `float_baseline`, `harness.train_float`'s loop: no groups, and the arrays
+    `build_network` draws at `cfg.seed` as the start.  The master is a dict of
+    arrays; every forward gets a fresh `quantize_array` view of it in the
+    layers' `params`, and the loop optimizers read the layers' `grads`.  Stages,
+    best-on-dev state and the learning rate follow the README's rules, and a
+    degenerate group raises.  Returns ((master, quantized view, specs {group:
+    (bits, step)}, buffers), record), the state the test evaluation saw."""
+    sched, opt, lrs = cfg.schedule, cfg.optimizer, cfg.optimizer.lr_schedule
+    net = build_network(ckpt.layer_cfgs, np.random.default_rng(cfg.seed))
+    keys = [(f"{ly.name}.{p}", ly, p) for ly in net.layers for p in sorted(ly.params)]
+    bufs = [(f"{ly.name}.{b}", ly, b) for ly in net.layers for b in ly.buffers]
+    if not float_baseline:  # the checkpoint's arrays in place of the drawn ones
+        for k, ly, p in keys:
+            ly.params[p] = np.array(ckpt.params[k], dtype=np.float64)
+        for k, ly, b in bufs:
+            setattr(ly, b, np.array(ckpt.buffers[k], dtype=np.float64))
+    master = {k: ly.params[p].copy() for k, ly, p in keys}
+    groups = {ly.name: [f"{ly.name}.{q}" for q in ly.quant_keys]
+              for ly in net.layers if ly.quant_keys and not float_baseline}
+
+    def solve(gid, bits):
+        w = np.concatenate([master[k].ravel() for k in groups[gid]])
+        return bits, float(optimize_step(WeightGroup(w, gid), 2 ** bits - 1)[0])
+
+    def view():
+        q = {k: w.copy() for k, w in master.items()}
+        for gid, (bits, step) in specs.items():
+            q.update({k: quantize_array(master[k], step, 2 ** bits - 1) for k in groups[gid]})
+        return q
+
+    def load():  # a fresh quantized view into the layers
+        q = view()
+        for k, ly, p in keys:
+            ly.params[p] = q[k]
+
+    def evaluate(split):
+        load()
+        return task.evaluate(net, split)
+
+    def held_buffers():
+        return {k: getattr(ly, b).copy() for k, ly, b in bufs}
+
+    def log_deltas(epoch):
+        record.deltas += [DeltaRow(epoch, gid, step) for gid, (_, step) in sorted(specs.items())]
+
+    def restore():  # the stage's best state, if an epoch of it improved
+        for k, ly, b in bufs:
+            setattr(ly, b, best_buffers[k].copy())
+        if best_dev < math.inf:
+            master.update({k: w.copy() for k, w in best_master.items()})
+            specs.update(best_specs)
+
+    record = RunRecord(run_id=run_id, cell_bits=0 if float_baseline else cfg.bits,
+                       schedule="float" if float_baseline else sched.name,
+                       seed=cfg.seed, metric_name=task.metric_name)
+    top, per_stage = sched.start_bits or cfg.bits, sched.epochs_per_stage or 1
+    specs = {gid: solve(gid, top) for gid in groups}
+    for gid in sorted(groups) if sched.name == "exhaustive" else []:
+        bits, step = specs[gid]
+
+        def score(candidate):
+            specs[gid] = (bits, candidate)
+            return evaluate("dev")
+
+        specs[gid] = (bits, exhaustive_search_step(step, score, 8))
+    epochs = 0 if sched.name == "direct" else cfg.max_epochs
+    if not epochs:
+        log_deltas(0)
+    floor_stop = (cfg.stop_at_lr_floor and sched.start_bits is None
+                  and lrs.initial_lr > lrs.final_lr)
+    best_dev, best_master, best_specs, best_buffers = math.inf, None, None, held_buffers()
+    width, state, lr, stale, epoch = top, ({}, {}), lrs.initial_lr, 0, 0
+    for epoch in range(epochs):
+        bits = max(top - epoch // per_stage, cfg.bits)
+        if bits != width:  # a new stage
+            restore()
+            specs = {gid: solve(gid, bits) for gid in groups}
+            record.events.append(f"drop-bit:{epoch}:{bits}")
+            width, state, lr, stale, best_dev = bits, ({}, {}), lrs.initial_lr, 0, math.inf
+        total, count = 0.0, 0
+        for x, y in task.batches("train", epoch):
+            load()
+            for ly in net.layers:
+                x = ly.forward(x, train=True)
+            loss, dy = cross_entropy(x, y)
+            for i in reversed(range(len(net.layers))):
+                dy = net.layers[i].backward(dy, need_dx=i > 0)
+            grads = {k: ly.grads[p] for k, ly, p in keys}
+            if opt.kind == "sgd_nesterov":
+                sgd_nesterov_update_loop(master, grads, state[0], lr, opt.momentum)
+            else:
+                adadelta_update_loop(master, grads, *state, lr, opt.rho, opt.eps)
+            total, count = total + loss, count + 1
+        # adaptive re-solves after every epoch, adaptive_fixK after the first K of a stage
+        since = epoch - (top - bits) * per_stage
+        if sched.adapt_epochs is None or since < sched.adapt_epochs:
+            specs = {gid: solve(gid, bits) for gid in groups}
+        record.log_metric(epoch, "train", "loss", total / max(count, 1))
+        log_deltas(epoch)
+        dev = evaluate("dev")
+        record.log_metric(epoch, "dev", task.metric_name, dev)
+        if dev < best_dev:
+            best_dev, stale, best_specs = dev, 0, dict(specs)
+            best_master, best_buffers = {k: w.copy() for k, w in master.items()}, held_buffers()
+        else:
+            stale += 1
+            if stale >= lrs.patience_evals:
+                lr, stale = max(lr / lrs.decay_factor, lrs.final_lr), 0
+        if floor_stop and lr <= lrs.final_lr:
+            break
+    restore()
+    record.final_test_metric = evaluate("test")
+    record.log_metric(epoch, "test", task.metric_name, record.final_test_metric)
+    return (master, view(), specs, held_buffers()), record

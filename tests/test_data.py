@@ -114,8 +114,16 @@ class TestSynthetic:
         (lambda: synthetic_text_corpus(50, 0, vocab_size=-3),
          "synthetic-text dataset: vocab_size must be >= 1, got -3"),
         (lambda: synthetic_text(-1, 0), "synthetic-text dataset: n_chars must be >= 0, got -1"),
+        (lambda: synthetic_clusters(40, 2, 3, seed=-1),
+         "clusters dataset: seed must be >= 0, got -1"),
+        (lambda: synthetic_digit_images(40, 2, seed=-1),
+         "digit-images dataset: seed must be >= 0, got -1"),
+        (lambda: synthetic_text(50, -1), "synthetic-text dataset: seed must be >= 0, got -1"),
+        (lambda: load_dataset({"kind": "idx", "images": "i.idx", "labels": "l.idx", "seed": -1}),
+         "idx dataset: seed must be >= 0, got -1"),
     ], ids=["clusters-spread", "digit-images-noise", "text-vocab-0", "text-order",
-            "corpus-vocab", "text-n-chars"])
+            "corpus-vocab", "text-n-chars", "clusters-seed", "digit-images-seed", "text-seed",
+            "idx-seed"])
     def test_builder_rejects_a_value_below_its_least(self, build, message):
         # at the parent these failed inside numpy or the sampler, with
         # `scale < 0`, IndexError, TypeError or `high <= 0`

@@ -455,6 +455,11 @@ class TestConfigValidation:
         (no_cells_config, ("retrain", "optimizer", "learning_rate"), 0.07,
          "^retrain: learning_rate 0.07 differs from lr_schedule.initial_lr 0.05"),
         (mlp_config, ("seeds", 0), "0", r"seeds must be a nonempty list of ints, got \['0'\]"),
+        (mlp_config, ("seeds", 0), -3,
+         r"^seeds must be a nonempty list of ints, got \[-3\]; each must be >= 0$"),
+        (mlp_config, ("dataset", "seed"), -1, "^clusters dataset: seed must be >= 0, got -1$"),
+        (mlp_config, ("cells", 0, "bits"), 9, r"^retrain with cells\[0\]: bits must be at most 8 "
+         "bits wide, the widest supported width, got 9$"),
         (mlp_config, ("retrain", "optimizer", "learning_rate"), float("inf"),
          r"^retrain with cells\[0\]: learning_rate must be positive and finite, got inf"),
         (mlp_config, ("float_training", "optimizer", "lr_schedule", "initial_lr"), float("nan"),
@@ -469,6 +474,7 @@ class TestConfigValidation:
             "zero-update-stride", "str-momentum", "optimizer-kind", "optimizer-key",
             "cell-missing-key", "float-str-max-epochs", "float-lr-mismatch",
             "retrain-lr-mismatch", "no-cells-retrain-lr-mismatch", "str-seed",
+            "negative-seed", "dataset-negative-seed", "cell-bits-9",
             "inf-learning-rate", "nan-initial-lr", "inf-final-lr", "rho-above-one",
             "negative-eps"])
     def test_bad_value_rejected_at_load(self, make, path, value, message):
@@ -506,16 +512,27 @@ class TestConfigValidation:
         ({"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": 1, "noise": -1.0},
          "noise must be >= 0, got -1.0"),
         ({"kind": "synthetic-text", "n_chars": -1, "seed": 1}, "n_chars must be >= 0, got -1"),
+        ({"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": -1},
+         "seed must be >= 0, got -1"),
+        ({"kind": "synthetic-text", "n_chars": 2000, "seed": -2}, "seed must be >= 0, got -2"),
     ], ids=["clusters-n-samples", "clusters-classes", "clusters-dim", "clusters-two-keys",
             "digit-images-n-samples", "digit-images-classes", "synthetic-text-vocab-size",
             "synthetic-text-order", "clusters-spread", "digit-images-noise",
-            "synthetic-text-n-chars"])
+            "synthetic-text-n-chars", "digit-images-seed", "synthetic-text-seed"])
     def test_bad_dataset_count_rejected_at_load(self, dataset, message):
         full = f"^{dataset['kind']} dataset: {message}$"
         with pytest.raises(ValueError, match=full):
             mlp_config(dataset=dataset)
         with pytest.raises(ValueError, match=full):
             load_dataset(dataset)
+
+    def test_odd_digit_images_size_rejected_at_load(self):
+        # at the parent it loaded and failed only at make_task
+        dataset = {"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": 1, "size": 3}
+        for build in (lambda: mlp_config(dataset=dataset), lambda: load_dataset(dataset)):
+            with pytest.raises(ValueError, match="^digit-images size must be an even integer "
+                                                 ">= 2, got 3$"):
+                build()
 
     @pytest.mark.parametrize("fractions", [[0.5, 0.6, 0.2], [0.7, 0.3], [2.0, -0.5, 0.1]],
                              ids=["sum-above-1", "two-entries", "out-of-range"])
@@ -727,6 +744,15 @@ class TestCli:
         res = runner.invoke(cli_main, ["sweep", "--config", str(p)])
         assert res.exit_code == 0, res.output
         assert (tmp_path / "out" / "summary.json").exists()
+
+    def test_retrain_above_the_widest_width_exits_1(self, tmp_path):
+        p = self._config_file(tmp_path)
+        res = CliRunner().invoke(cli_main, ["retrain", "--config", str(p), "--bits", "9",
+                                            "--schedule", "conventional"])
+        assert res.exit_code == 1
+        assert res.stderr == ("error: ValueError: bits must be at most 8 bits wide, "
+                              "the widest supported width, got 9\n")
+        assert not (tmp_path / "out").exists()
 
     def test_error_exit_is_machine_readable(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 import warnings
 
@@ -6,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qatkit import harness, qat
-from qatkit.data import synthetic_clusters
-from qatkit.harness import ClassificationTask, train_float, ExperimentConfig
+from qatkit.harness import train_float, ExperimentConfig
 from qatkit.nn import (
     Checkpoint,
     Network,
@@ -19,13 +19,12 @@ from qatkit.nn import (
 from qatkit.records import RunRecord
 from qatkit.quantizer import (
     DegenerateGroupError,
-    QuantizerSpec,
     WeightGroup,
     optimize_step,
     quantize,
 )
 
-from oracles import assert_bits_equal, assert_on_grid, group_vector, quantize_array
+from oracles import assert_bits_equal, quantize_array, run_reference
 
 
 MLP = [
@@ -36,12 +35,8 @@ MLP = [
 ]
 
 
-BN_MLP = [MLP[0], {"kind": "batchnorm", "features": 8}, *MLP[1:]]
-
-
 def toy_task(seed=0):
-    splits = synthetic_clusters(n_samples=300, classes=3, dim=6, seed=5, spread=0.6)
-    return ClassificationTask(splits, batch_size=32, seed=seed)
+    return harness.make_task(reference_config("fc", seed), seed)
 
 
 def toy_float_ckpt(seed=0):
@@ -117,11 +112,16 @@ class TestSchedules:
         with pytest.raises(ValueError, match="needs bits 2 and max_epochs >= 13"):
             qat.RetrainConfig(schedule="gradual:6-2:3", bits=2, max_epochs=12)
         assert qat.RetrainConfig(schedule="gradual:6-2:3", bits=2, max_epochs=13)
+        with pytest.raises(ValueError, match="^schedule must be at most 8 bits wide, the "
+                                             "widest supported width, got 'gradual:12-2:1'$"):
+            qat.RetrainConfig(schedule="gradual:12-2:1", bits=2)
+        assert qat.RetrainConfig(schedule="gradual:8-2:1", bits=2)
 
     @pytest.mark.parametrize("field, value", [
         ("stop_at_lr_floor", "false"),
         ("max_epochs", -3), ("max_epochs", True), ("max_epochs", 2.0),
-        ("bits", 3.0), ("bits", "3"), ("bits", True), ("bits", 1),
+        ("bits", 3.0), ("bits", "3"), ("bits", True), ("bits", 1), ("bits", 9),
+        ("seed", -1),
     ])
     def test_value_types_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be .*, got {value!r}"):
@@ -271,7 +271,7 @@ class TestInPlaceRequantize:
             return opt
 
         monkeypatch.setattr(qat, "make_optimizer", make_optimizer)
-        cfg = TestRun().retrain_cfg("conventional", max_epochs=3)
+        cfg = retrain_cfg("conventional", max_epochs=3)
         with pytest.raises(qat.DivergenceError,
                            match="^b2_s0: epoch 1: group 'fc_out', key 'fc_out.W': "):
             qat.run(cfg, toy_float_ckpt(), task, run_id="b2_s0")
@@ -285,7 +285,7 @@ class TestInPlaceRequantize:
                                              for x, y in batches(split, epoch))
         with pytest.raises(qat.DivergenceError,
                            match="^b2_s0: epoch 0: non-finite loss nan at batch 0$"):
-            qat.run(TestRun().retrain_cfg("conventional"), toy_float_ckpt(), task,
+            qat.run(retrain_cfg("conventional"), toy_float_ckpt(), task,
                     run_id="b2_s0")
 
     def test_per_batch_steps_allocate_no_weight_sized_arrays(self):
@@ -333,242 +333,99 @@ class TestInPlaceRequantize:
         assert max(peaks.values()) < 16 * 1024, peaks
 
 
-class TestRetrainEpoch:
-    def _setup(self, seed=0):
-        task = toy_task(seed)
-        net = build_network(MLP, np.random.default_rng(seed))
-        master = net.get_params()
-        shadow = qat.init_quantization(master, net.quant_group_map(), 2)
-        net.bind_params(shadow.quantized, shadow.grads)
-        return task, net, shadow
-
-    def test_zero_lr_leaves_shadow_unchanged(self):
-        task, net, shadow = self._setup()
-        before_master = {k: v.copy() for k, v in shadow.master.items()}
-        before_q = {k: v.copy() for k, v in shadow.quantized.items()}
-        opt = make_optimizer(OptimizerConfig(kind="sgd_nesterov"))
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.0, False)
-        for k in before_master:
-            np.testing.assert_array_equal(shadow.master[k], before_master[k])
-            np.testing.assert_array_equal(shadow.quantized[k], before_q[k])
-
-    def test_freeze_keeps_specs(self):
-        task, net, shadow = self._setup()
-        before = dict(shadow.specs)
-        opt = make_optimizer(OptimizerConfig())
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01, False)
-        assert shadow.specs == before
-
-    def test_update_step_matches_independent_solver(self):
-        task, net, shadow = self._setup()
-        opt = make_optimizer(OptimizerConfig())
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01, True)
-        for gid in shadow.groups:
-            step, _ = optimize_step(
-                WeightGroup(group_vector(shadow, gid), gid), shadow.specs[gid].points
-            )
-            assert shadow.specs[gid].step == pytest.approx(step, rel=1e-8)
-            for k in shadow.groups[gid]:
-                np.testing.assert_allclose(
-                    shadow.quantized[k],
-                    quantize(shadow.master[k], shadow.specs[gid]), atol=0,
-                )
-
-    def test_master_never_on_grid_by_construction(self):
-        # master receives float updates; quantized is always derived
-        task, net, shadow = self._setup()
-        opt = make_optimizer(OptimizerConfig())
-        qat.retrain_epoch(shadow, net, task.batches("train", 0), opt, 0.01, False)
-        gid = next(iter(shadow.groups))
-        k = shadow.groups[gid][0]
-        mult = shadow.master[k] / shadow.specs[gid].step
-        assert not np.allclose(mult, np.round(mult))
-
-
 # -- full runs ---------------------------------------------------------------
 
-def _float_ckpt_for_toy(seed=0):
-    cfg = ExperimentConfig(
-        task="classification-vector",
-        dataset={"kind": "clusters", "n_samples": 300, "classes": 3, "dim": 6,
-                 "seed": 5, "spread": 0.6},
-        network=MLP,
-        float_training={"max_epochs": 15, "batch_size": 32,
-                        "optimizer": {"kind": "sgd_nesterov", "learning_rate": 0.05,
-                                      "lr_schedule": {"initial_lr": 0.05, "final_lr": 1e-4,
-                                                      "decay_factor": 2.0, "patience_evals": 3}}},
-        seeds=[seed],
+def optimizer(kind, lr, floor=False):
+    """Starts at `lr`; with `floor`, halves after every evaluation without a
+    new best, down to lr / 4."""
+    return {"kind": kind, "learning_rate": lr,
+            "lr_schedule": {"initial_lr": lr, "final_lr": lr / (4 if floor else 500),
+                            "patience_evals": 1 if floor else 3}}
+
+
+# name -> (ExperimentConfig keys, batching keys, optimizer kind, learning rate)
+REFERENCE_NETWORKS = {
+    "fc": ({"task": "classification-vector", "network": MLP,
+            "dataset": {"kind": "clusters", "n_samples": 300, "classes": 3, "dim": 6,
+                        "seed": 5, "spread": 0.6}},
+           {"batch_size": 32}, "sgd_nesterov", 0.05),
+    "cnn": ({"task": "classification-image",
+             "dataset": {"kind": "digit-images", "n_samples": 120, "classes": 3, "seed": 5},
+             "network": [{"kind": "conv2d", "in_ch": 1, "out_ch": 3, "kernel": 3},
+                         {"kind": "batchnorm", "features": 3},
+                         {"kind": "activation", "fn": "relu"}, {"kind": "maxpool2d", "size": 2},
+                         {"kind": "flatten"}, {"kind": "fc", "in": 27, "out": 3},
+                         {"kind": "softmax"}]},
+            {"batch_size": 32}, "sgd_nesterov", 0.05),
+    "lstm": ({"task": "char-language-model",
+              "dataset": {"kind": "synthetic-text", "n_chars": 600, "vocab_size": 4, "seed": 3},
+              "network": [{"kind": "lstm", "in": 4, "hidden": 6},
+                          {"kind": "fc", "in": 6, "out": 4}, {"kind": "softmax"}]},
+             {"unroll": 8, "update_stride": 8, "streams": 4}, "adadelta", 1.0),
+}
+
+
+def reference_config(net, seed, max_epochs=15, floor=False):
+    keys, batching, kind, lr = REFERENCE_NETWORKS[net]
+    return ExperimentConfig(**keys, seeds=[seed], float_training={
+        **batching, "max_epochs": max_epochs, "optimizer": optimizer(kind, lr, floor)})
+
+
+@functools.lru_cache(maxsize=None)  # shared: `qat.run` leaves a checkpoint as it was
+def reference_ckpt(net, seed):
+    return train_float(reference_config(net, seed), seed)[0]
+
+
+def retrain_cfg(schedule, bits=2, max_epochs=4, seed=0):
+    return qat.RetrainConfig(
+        schedule=schedule, bits=bits, seed=seed, max_epochs=max_epochs,
+        optimizer=OptimizerConfig(
+            kind="sgd_nesterov", learning_rate=0.02,
+            lr_schedule={"initial_lr": 0.02, "final_lr": 1e-5,
+                         "decay_factor": 2.0, "patience_evals": 4},
+        ),
     )
-    ckpt, _ = train_float(cfg, seed)
-    return ckpt
-
-
-class TestRun:
-    def retrain_cfg(self, schedule, bits=2, max_epochs=4, seed=0):
-        return qat.RetrainConfig(
-            schedule=schedule, bits=bits, seed=seed, max_epochs=max_epochs,
-            optimizer=OptimizerConfig(
-                kind="sgd_nesterov", learning_rate=0.02,
-                lr_schedule={"initial_lr": 0.02, "final_lr": 1e-5,
-                             "decay_factor": 2.0, "patience_evals": 4},
-            ),
-        )
-
-    def test_direct_runs_zero_epochs(self):
-        ckpt = _float_ckpt_for_toy()
-        task = toy_task()
-        shadow, record = qat.run(self.retrain_cfg("direct"), ckpt, task)
-        assert all(r.split != "train" for r in record.rows)
-        assert record.final_test_metric is not None
-        # direct metric equals evaluating the quantized checkpoint independently
-        net = build_network(MLP, np.random.default_rng(0))
-        net.set_params(ckpt.params)
-        master = net.get_params()
-        indep = qat.init_quantization(master, net.quant_group_map(), 2)
-        net.set_params(indep.quantized)
-        assert record.final_test_metric == pytest.approx(task.evaluate(net, "test"))
-
-    def test_max_epochs_zero_equals_direct(self):
-        ckpt = _float_ckpt_for_toy()
-        task = toy_task()
-        _, direct = qat.run(self.retrain_cfg("direct"), ckpt, task)
-        _, zero = qat.run(self.retrain_cfg("adaptive", max_epochs=0), ckpt, task)
-        assert zero.final_test_metric == pytest.approx(direct.final_test_metric)
-
-    def test_exhaustive_init_picks_a_candidate_step(self):
-        ckpt = _float_ckpt_for_toy()
-        task = toy_task()
-        net = build_network(MLP, np.random.default_rng(0))
-        net.set_params(ckpt.params)
-        init = qat.init_quantization(net.get_params(), net.quant_group_map(), 2)
-        shadow, _ = qat.run(self.retrain_cfg("exhaustive"), ckpt, task)
-        for gid, keys in shadow.groups.items():
-            d0 = init.specs[gid].step
-            candidates = np.geomspace(d0 / 2, 2 * d0, qat.EXHAUSTIVE_CANDIDATES)
-            assert shadow.specs[gid].step in candidates, gid
-            for k in keys:
-                assert_on_grid(shadow.quantized[k], shadow.specs[gid].step,
-                               shadow.specs[gid].points)
-
-    def test_conventional_specs_constant(self):
-        ckpt = _float_ckpt_for_toy()
-        _, record = qat.run(self.retrain_cfg("conventional"), ckpt, toy_task())
-        by_group = {}
-        for d in record.deltas:
-            by_group.setdefault(d.group_id, set()).add(d.delta)
-        for gid, deltas in by_group.items():
-            assert len(deltas) == 1, gid
-
-    def test_adaptive_fix1_changes_only_first_epoch(self):
-        ckpt = _float_ckpt_for_toy()
-        _, record = qat.run(self.retrain_cfg("adaptive_fix1"), ckpt, toy_task())
-        epochs = sorted({d.epoch for d in record.deltas})
-        by_group_epoch = {(d.group_id, d.epoch): d.delta for d in record.deltas}
-        groups = {d.group_id for d in record.deltas}
-        for g in groups:
-            later = [by_group_epoch[(g, e)] for e in epochs]
-            assert len(set(later[0:])) <= 2  # epoch-0 update, then frozen
-            assert len(set(later[1:])) == 1
-
-    def test_adaptive_consistency_with_saved_master(self):
-        # dev best at epoch 1: the returned shadow holds that epoch's master
-        # and steps, which differ from the last epoch's
-        ckpt = _float_ckpt_for_toy()
-        task = ScriptedDevTask([5.0, 1.0, 3.0])
-        shadow, record = qat.run(self.retrain_cfg("adaptive", max_epochs=3), ckpt, task)
-        logged = {(d.epoch, d.group_id): d.delta for d in record.deltas}
-        for gid in shadow.groups:
-            step, _ = optimize_step(
-                WeightGroup(group_vector(shadow, gid), gid), shadow.specs[gid].points
-            )
-            assert shadow.specs[gid].step == step == logged[1, gid], gid
-            assert logged[2, gid] != step, gid
-
-    def test_gradual_drops_one_bit_per_stage(self):
-        ckpt = _float_ckpt_for_toy()
-        cfg = self.retrain_cfg("gradual:4-2:2", max_epochs=6)
-        shadow, record = qat.run(cfg, ckpt, toy_task())
-        assert [e for e in record.events if e.startswith("drop-bit")] == [
-            "drop-bit:2:3", "drop-bit:4:2",
-        ]
-        assert all(s.bits == 2 for s in shadow.specs.values())
-
-    @pytest.mark.parametrize("schedule", [
-        "direct", "conventional", "adaptive", "adaptive_fix2", "gradual:4-2:1",
-    ])
-    def test_quantized_weights_on_grid(self, schedule):
-        ckpt = _float_ckpt_for_toy()
-        shadow, _ = qat.run(self.retrain_cfg(schedule, max_epochs=4), ckpt, toy_task())
-        assert shadow.groups
-        for gid, keys in shadow.groups.items():
-            for k in keys:
-                assert_on_grid(shadow.quantized[k], shadow.specs[gid].step,
-                               shadow.specs[gid].points)
-
-    def test_seed_reproducibility(self):
-        ckpt = _float_ckpt_for_toy()
-        cfg = self.retrain_cfg("adaptive", max_epochs=2)
-        _, a = qat.run(cfg, ckpt, toy_task())
-        _, b = qat.run(cfg, ckpt, toy_task())
-        assert a.to_dict() == b.to_dict()
-
-    def test_delta_rows_positive_and_contiguous(self):
-        ckpt = _float_ckpt_for_toy()
-        _, record = qat.run(self.retrain_cfg("adaptive", max_epochs=3), ckpt, toy_task())
-        epochs = sorted({d.epoch for d in record.deltas})
-        assert epochs == list(range(len(epochs)))
-        assert all(d.delta > 0 for d in record.deltas)
 
 
 class ScriptedDevTask:
-    """`toy_task`'s batches, with the dev metric of the e-th dev evaluation
-    taken from `dev_script`; remembers the parameters and buffers each
-    evaluation saw."""
+    """`task`'s batches and metrics (`toy_task()`'s by default), the e-th dev
+    evaluation reporting dev_script[e] if a script is given.  Keeps each
+    evaluation's split and metric in `metrics`, and copies of the layers'
+    params and buffers, by key, in `seen[split]`."""
 
-    metric_name = "error"
-
-    def __init__(self, dev_script):
-        self.inner = toy_task()
-        self.dev_script = dev_script
-        self.seen = {"dev": [], "test": []}
-        self.seen_buffers = {"dev": [], "test": []}
-
-    def batches(self, split, epoch):
-        return self.inner.batches(split, epoch)
+    def __init__(self, dev_script=None, task=None):
+        self.task, self.dev_script = task or toy_task(), dev_script
+        self.metric_name, self.batches = self.task.metric_name, self.task.batches
+        self.seen, self.metrics = {"dev": [], "test": []}, []
 
     def evaluate(self, net, split):
-        self.seen[split].append(net.get_params())
-        self.seen_buffers[split].append(net.get_buffers())
-        return self.dev_script[len(self.seen["dev"]) - 1] if split == "dev" else 0.0
+        metric = self.task.evaluate(net, split)
+        self.metrics.append((split, metric))
+        held = {f"{ly.name}.{p}": w.copy() for ly in net.layers for p, w in ly.params.items()}
+        held.update({f"{ly.name}.{b}": getattr(ly, b).copy() for ly in net.layers
+                     for b in ly.buffers})
+        self.seen[split].append(held)
+        if split == "dev" and self.dev_script:
+            return self.dev_script[len(self.seen["dev"]) - 1]
+        return metric
 
 
 def assert_same_params(got, want):
     assert got.keys() == want.keys()
     for k in want:
-        np.testing.assert_array_equal(got[k], want[k], err_msg=k)
-
-
-def params_differ(a, b):
-    return any(not np.array_equal(a[k], b[k]) for k in a)
+        assert_bits_equal(got[k], want[k])
 
 
 class TestBestOnDev:
-    """Dev metrics [5, 1, 3, 4]: epoch 1 is best, and later epochs move the weights."""
-
-    def test_final_test_eval_sees_best_epoch_quantized_weights(self):
-        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
-        cfg = TestRun().retrain_cfg("adaptive", max_epochs=4)
-        qat.run(cfg, _float_ckpt_for_toy(), task)
-        assert len(task.seen["dev"]) == 4 and len(task.seen["test"]) == 1
-        assert_same_params(task.seen["test"][0], task.seen["dev"][1])
-        assert params_differ(task.seen["test"][0], task.seen["dev"][3])
+    """How `fit` keeps the best-on-dev state; what a run computes is pinned by
+    `test_run_matches_reference`."""
 
     @pytest.mark.parametrize("schedule, restores", [("adaptive", 2), ("gradual:3-2:2", 3)])
     def test_best_is_quantized_once_per_stage(self, monkeypatch, schedule, restores):
         # dev improves every epoch, so every epoch takes a snapshot; `run`
         # builds one shadow, and the network's buffers are set by run's
         # set-up and by the restore at each stage change and at the end
-        ckpt, built, init = _float_ckpt_for_toy(), [], qat.ShadowParams.__init__
+        ckpt, built, init = reference_ckpt("fc", 0), [], qat.ShadowParams.__init__
         set_buffers, buffer_sets = Network.set_buffers, []
 
         def counting_init(shadow, *args):
@@ -582,91 +439,88 @@ class TestBestOnDev:
         monkeypatch.setattr(qat.ShadowParams, "__init__", counting_init)
         monkeypatch.setattr(Network, "set_buffers", counting_set_buffers)
         task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
-        shadow, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        shadow, _ = qat.run(retrain_cfg(schedule, max_epochs=4), ckpt, task)
         assert built == [shadow]
         assert len(buffer_sets) == restores
         assert_same_params(task.seen["test"][0], task.seen["dev"][3])
 
-    def test_final_test_eval_sees_best_epoch_buffers(self):
-        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
-        net = build_network(BN_MLP, np.random.default_rng(0))
-        ckpt = Checkpoint(layer_cfgs=BN_MLP, params=net.get_params(), buffers=net.get_buffers())
-        qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4), ckpt, task)
-        dev, test = task.seen_buffers["dev"], task.seen_buffers["test"]
-        assert_same_params(test[0], dev[1])
-        assert params_differ(test[0], dev[3])
 
-    def test_float_checkpoint_holds_best_epoch_master(self, monkeypatch):
-        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
+# -- whole runs against the reference -------------------------------------------
+
+# (schedule, bits, max_epochs): the float baseline and every form of
+# qat.SCHEDULE_FORMS, gradual with each inner form
+REFERENCE_FORMS = [("float", 2, 3), ("direct", 2, 3), ("conventional", 2, 3),
+                   ("exhaustive", 2, 3), ("adaptive", 2, 3), ("adaptive", 2, 0),
+                   ("adaptive_fix2", 3, 3), ("gradual:4-2:2", 2, 5),
+                   ("gradual:4-2:1:conventional", 2, 3), ("gradual:3-2:2:adaptive_fix1", 2, 4)]
+# (..., dev script, floor): the best epoch is never the last.  The floor stops
+# the floor cases after epoch 3, but not the gradual one, which floors in its
+# first stage; its stages' best epochs are 1 and 5.
+REFERENCE_SCRIPTS = [("adaptive", 2, 4, [5, 1, 3, 4], False),
+                     ("adaptive_fix2", 2, 6, [5, 1, 3, 4, 2, 6], True),
+                     ("gradual:3-2:4", 2, 7, [5, 1, 3, 4, 3, 1, 2], True),
+                     ("float", 2, 4, [5, 1, 3, 4], False),
+                     ("float", 2, 6, [5, 1, 3, 4, 2, 6], True)]
+
+
+REFERENCE_CASES = (
+    [(net, seed, *form, None, False) for net in REFERENCE_NETWORKS for seed in (0, 1)
+     for form in REFERENCE_FORMS]
+    + [(net, 0, *script) for net in REFERENCE_NETWORKS for script in REFERENCE_SCRIPTS])
+
+
+@pytest.mark.parametrize(
+    "net, seed, schedule, bits, max_epochs, dev_script, floor", REFERENCE_CASES,
+    ids=["-".join(map(str, c[:5])) + "-scripted" * bool(c[5]) + "-floor" * c[6]
+         for c in REFERENCE_CASES])
+def test_run_matches_reference(monkeypatch, net, seed, schedule, bits, max_epochs,
+                               dev_script, floor):
+    # every record field, the final master, quantized view, specs and
+    # buffers, and what each evaluation saw, bit for bit
+    ecfg = reference_config(net, seed, max_epochs, floor)
+    cfg = qat.RetrainConfig(schedule=schedule.replace("float", "conventional"), bits=bits,
+                            max_epochs=max_epochs, seed=seed,
+                            optimizer=ecfg.float_training["optimizer"])
+    task, ref_task = (ScriptedDevTask(dev_script, harness.make_task(ecfg, seed))
+                      for _ in range(2))
+    if schedule == "float":
         monkeypatch.setattr(harness, "make_task", lambda cfg, seed: task)
-        cfg = ExperimentConfig(
-            task="classification-vector",
-            dataset={"kind": "clusters", "n_samples": 300, "classes": 3, "dim": 6,
-                     "seed": 5, "spread": 0.6},
-            network=MLP,
-            float_training={"max_epochs": 4, "optimizer": {
-                "learning_rate": 0.05, "lr_schedule": {"initial_lr": 0.05}}},
-        )
-        ckpt, _ = train_float(cfg, 0)
-        # a float network has no quantized view: dev evaluates the master
-        assert_same_params(ckpt.params, task.seen["dev"][1])
-        assert_same_params(task.seen["test"][0], task.seen["dev"][1])
-        assert params_differ(ckpt.params, task.seen["dev"][3])
+        ckpt, record = train_float(ecfg, seed)
+        final, ref = run_reference(cfg, ckpt, ref_task, f"float_s{seed}", float_baseline=True)
+        assert ckpt.layer_cfgs == ecfg.network
+        got = ckpt.params, ckpt.params, {}, ckpt.buffers
+    else:  # the buffers `run` leaves are those its test evaluation saw
+        shadow, record = qat.run(cfg, reference_ckpt(net, seed), task, "cell")
+        final, ref = run_reference(cfg, reference_ckpt(net, seed), ref_task, "cell")
+        got = (shadow.master, shadow.quantized,
+               {gid: (s.bits, s.step) for gid, s in shadow.specs.items()})
+    assert record.to_dict() == ref.to_dict()
+    assert task.metrics == ref_task.metrics
+    for have, want in zip(got, final):
+        assert_same_params(have, want)
+    for split in ("dev", "test"):
+        for have, want in zip(task.seen[split], ref_task.seen[split]):
+            assert_same_params(have, want)
 
-    def test_float_checkpoint_holds_best_epoch_buffers(self, monkeypatch):
-        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
-        monkeypatch.setattr(harness, "make_task", lambda cfg, seed: task)
-        cfg = ExperimentConfig(
-            task="classification-vector",
-            dataset={"kind": "clusters", "n_samples": 300, "classes": 3, "dim": 6,
-                     "seed": 5, "spread": 0.6},
-            network=BN_MLP,
-            float_training={"max_epochs": 4, "optimizer": {
-                "learning_rate": 0.05, "lr_schedule": {"initial_lr": 0.05}}},
-        )
-        ckpt, _ = train_float(cfg, 0)
-        dev = task.seen_buffers["dev"]
-        assert_same_params(ckpt.buffers, dev[1])
-        assert_same_params(task.seen_buffers["test"][0], dev[1])
-        assert params_differ(ckpt.buffers, dev[3])
 
-    def test_next_gradual_stage_starts_from_stage_best_master(self, monkeypatch):
-        task, ckpt = ScriptedDevTask([5.0, 1.0, 3.0, 4.0, 2.0]), _float_ckpt_for_toy()
-        masters = []  # (master before, master after) each epoch's training
-        retrain_epoch = qat.retrain_epoch
+def test_reference_runs_without_the_code_it_checks(monkeypatch):
+    ckpts = {net: reference_ckpt(net, 0) for net in ("cnn", "lstm")}
 
-        def recording(shadow, *args, **kwargs):
-            before = {k: v.copy() for k, v in shadow.master.items()}
-            loss = retrain_epoch(shadow, *args, **kwargs)
-            masters.append((before, {k: v.copy() for k, v in shadow.master.items()}))
-            return loss
+    def refuse(*args, **kwargs):
+        raise AssertionError("the reference called the code it checks")
 
-        monkeypatch.setattr(qat, "retrain_epoch", recording)
-        cfg = TestRun().retrain_cfg("gradual:3-2:4", max_epochs=5)
-        _, record = qat.run(cfg, ckpt, task)
-        assert [e for e in record.events if e.startswith("drop-bit")] == ["drop-bit:4:2"]
-        assert len(masters) == 5
-        assert_same_params(masters[4][0], masters[1][1])
-        assert params_differ(masters[4][0], masters[3][1])
-        # the 2-bit stage has one epoch, so it is that stage's best
-        assert_same_params(task.seen["test"][0], task.seen["dev"][4])
-
-    def test_next_gradual_stage_starts_from_stage_best_buffers(self, monkeypatch):
-        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0, 2.0])
-        net = build_network(BN_MLP, np.random.default_rng(0))
-        ckpt = Checkpoint(layer_cfgs=BN_MLP, params=net.get_params(), buffers=net.get_buffers())
-        starts = []  # the network's buffers as each epoch's training starts
-        retrain_epoch = qat.retrain_epoch
-
-        def recording(shadow, net, *args, **kwargs):
-            starts.append(net.get_buffers())
-            return retrain_epoch(shadow, net, *args, **kwargs)
-
-        monkeypatch.setattr(qat, "retrain_epoch", recording)
-        qat.run(TestRun().retrain_cfg("gradual:3-2:4", max_epochs=5), ckpt, task)
-        dev = task.seen_buffers["dev"]
-        assert_same_params(starts[4], dev[1])
-        assert params_differ(starts[4], dev[3])
+    for owner, names in ((qat, ("ShadowParams", "fit", "retrain_epoch", "init_quantization")),
+                         (Network, ("bind_params", "set_params", "get_params", "get_grads",
+                                    "zero_grads", "reset_state"))):
+        for name in names:
+            monkeypatch.setattr(owner, name, refuse)
+    for net, schedule, float_baseline in (
+            ("cnn", "exhaustive", False), ("cnn", "conventional", True),
+            ("cnn", "gradual:3-2:1", False), ("lstm", "adaptive", False)):
+        _, record = run_reference(qat.RetrainConfig(schedule=schedule, max_epochs=2), ckpts[net],
+                                  harness.make_task(reference_config(net, 0), 0),
+                                  float_baseline=float_baseline)
+        assert [r.epoch for r in record.rows if r.split == "dev"] == [0, 1]
 
 
 # -- one set of parameter arrays ------------------------------------------------
@@ -689,7 +543,7 @@ class TestBinding:
     def test_network_computes_on_the_shadow_arrays(self, monkeypatch, schedule):
         # one shadow for the whole run, a gradual stage change included: the
         # network holds its quantized view at every epoch and at the test
-        ckpt, task = _float_ckpt_for_toy(), toy_task()
+        ckpt, task = reference_ckpt("fc", 0), toy_task()
         epochs, fits, tested = [], [], []  # each epoch's shadow; fit's (net, shadow)
         retrain_epoch, fit, evaluate = qat.retrain_epoch, qat.fit, task.evaluate
 
@@ -711,7 +565,7 @@ class TestBinding:
         monkeypatch.setattr(qat, "retrain_epoch", checking_epoch)
         monkeypatch.setattr(qat, "fit", checking_fit)
         task.evaluate = evaluating
-        final, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        final, _ = qat.run(retrain_cfg(schedule, max_epochs=4), ckpt, task)
         assert len(epochs) == 4 and all(s is final for s in epochs)
         (net, shadow), = fits
         assert shadow is final
@@ -724,25 +578,11 @@ class TestBinding:
         for k, v in final.quantized.items():
             assert (v is final.master[k]) == (k not in grouped), k
 
-    def test_final_shadow_stays_on_its_own_grid(self):
-        # dev best at epoch 1: the shadow `run` returns holds that epoch's
-        # view, the one the test evaluation saw, on its own grid
-        task = ScriptedDevTask([5.0, 1.0, 3.0, 4.0])
-        shadow, _ = qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4),
-                            _float_ckpt_for_toy(), task)
-        assert_same_params(shadow.quantized, task.seen["test"][0])
-        assert_same_params(shadow.quantized, task.seen["dev"][1])
-        for gid, keys in shadow.groups.items():
-            spec = shadow.specs[gid]
-            for k in keys:
-                assert_on_grid(shadow.quantized[k], spec.step, spec.points)
-                assert_bits_equal(shadow.quantized[k], quantize(shadow.master[k], spec))
-
     def test_run_leaves_the_checkpoint_as_it_was(self):
-        ckpt = _float_ckpt_for_toy()
+        ckpt = reference_ckpt("fc", 0)
         before = {k: v.copy() for k, v in ckpt.params.items()}
         for schedule in ("adaptive", "gradual:3-2:1"):
-            shadow, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=3), ckpt, toy_task())
+            shadow, _ = qat.run(retrain_cfg(schedule, max_epochs=3), ckpt, toy_task())
             assert not any(shadow.master[k] is v for k, v in ckpt.params.items())
         assert ckpt.params.keys() == before.keys()
         for k in before:
@@ -757,7 +597,7 @@ class TestBinding:
             return fit(cfg, net, shadow, *args)
 
         monkeypatch.setattr(qat, "fit", checking_fit)
-        _float_ckpt_for_toy()
+        train_float(reference_config("fc", 0), 0)
         assert len(seen) == 1 and not seen[0].groups
 
     @pytest.mark.parametrize("schedule, stages", [("adaptive", 1), ("gradual:3-2:2", 2)])
@@ -765,7 +605,7 @@ class TestBinding:
         # dev improves every epoch: each improvement is one np.copyto of the
         # master vector into one vector kept for the run, and each stage
         # change and the end copy that vector back into the master
-        ckpt, epochs, copies = _float_ckpt_for_toy(), [], []  # copies: (kind, vector)
+        ckpt, epochs, copies = reference_ckpt("fc", 0), [], []  # copies: (kind, vector)
         retrain_epoch, copyto = qat.retrain_epoch, np.copyto
 
         def starting(shadow, *args, **kwargs):
@@ -782,7 +622,7 @@ class TestBinding:
         monkeypatch.setattr(qat, "retrain_epoch", starting)
         monkeypatch.setattr(np, "copyto", recording)
         task = ScriptedDevTask([5.0, 4.0, 3.0, 2.0])
-        shadow, _ = qat.run(TestRun().retrain_cfg(schedule, max_epochs=4), ckpt, task)
+        shadow, _ = qat.run(retrain_cfg(schedule, max_epochs=4), ckpt, task)
         assert all(s is shadow for s in epochs)
         per_stage = 4 // stages
         assert [kind for kind, _ in copies] == (["snapshot"] * per_stage + ["restore"]) * stages
@@ -905,7 +745,7 @@ class TestLayout:
             return evaluate(net, split)
 
         task.evaluate = evaluating
-        shadow, _ = qat.run(TestRun().retrain_cfg("adaptive", max_epochs=4), ckpt, task)
+        shadow, _ = qat.run(retrain_cfg("adaptive", max_epochs=4), ckpt, task)
         assert built == [shadow]
         (params, grads), = tested
         grouped = [k for keys in shadow.groups.values() for k in keys]
