@@ -155,7 +155,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # a bool seed passes here; check_args rejects it, naming its index
-        if not self.seeds or not all(isinstance(s, int) and s >= 0 for s in self.seeds):
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(isinstance(s, int) and s >= 0 for s in self.seeds)):
             raise ValueError(f"seeds must be a nonempty list of ints, got {self.seeds!r}; "
                              "each must be >= 0")
         check_args(type(self).__name__, vars(self), type(self))

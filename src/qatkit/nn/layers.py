@@ -10,9 +10,8 @@ one quantization step; biases and batch-norm gain/shift are not quantized.
 trains.  `backward` returns the input gradient; with `need_dx=False` a layer
 with weights may skip computing it and return None (the first layer of a
 network has no use for it).  Image activations are channels-first: (batch,
-channels, h, w).  The LSTM keeps work arrays across calls, sized to the
-largest window it has seen; they are scratch, not `buffers`.  A constructor
-raises ValueError, naming the layer, for a size or rate out of range.
+channels, h, w).  A constructor raises ValueError, naming the layer, for a
+size or rate out of range.
 """
 
 from __future__ import annotations
@@ -360,13 +359,9 @@ class LSTM(Layer):
     Each step works on a few whole contiguous arrays.  One batched product
     before the loop gives every step's input term, the gate activations are
     stored gate-major as (time, 4, batch, hidden), and backward forms the
-    weight gradients after the loop as batched products.  The window arrays
-    live in work buffers that the layer keeps across calls, sized to the
-    largest window seen (a smaller one uses their leading entries): fresh
-    window-sized arrays on every call went back to the system and were
-    faulted in again each time.  Every GEMM keeps the per-step shapes of the
-    first version, `tests/oracles.lstm_reference`, and results match it bit
-    for bit.
+    weight gradients after the loop as batched products.  Every GEMM keeps
+    the per-step shapes of the first version, `tests/oracles.lstm_reference`,
+    and results match it bit for bit.
     """
 
     def __init__(self, name, input_size, hidden_size, rng):
@@ -380,17 +375,7 @@ class LSTM(Layer):
         b[h : 2 * h] = 1.0  # forget-gate bias
         self.params["b"] = b
         self.quant_keys = ["Wx", "Wh"]
-        self._work: dict[str, np.ndarray] = {}
         self.zero_grads()
-
-    def _scratch(self, key, *shape):
-        """An uninitialized array of `shape` on the leading entries of work
-        buffer `key`, which grows to the largest size asked for."""
-        size = math.prod(shape)
-        buf = self._work.get(key)
-        if buf is None or buf.size < size:
-            buf = self._work[key] = np.empty(size)
-        return buf[:size].reshape(shape)
 
     def forward(self, x, train=True):
         if x.ndim != 3 or x.shape[2] != self.input_size:
@@ -401,16 +386,15 @@ class LSTM(Layer):
         hsz = self.hidden_size
         # sigmoid(z) of the four gates per step; backward writes each step's
         # gate gradient over them
-        acts = self._scratch("acts", t_len, 4, bsz, hsz)
+        acts = np.empty((t_len, 4, bsz, hsz))
         # per step (f, g, c_prev, i, tanh(c)), of which backward fills f and i:
         # that order puts dc's four products in one call; cells[t_len, 2] is
         # the last c
-        cells = self._scratch("cells", t_len + 1, 5, bsz, hsz)
-        hidden = self._scratch("hidden", t_len + 1, bsz, hsz)  # h before step t
-        xw = self._scratch("window", t_len, bsz, 4 * hsz)
+        cells = np.empty((t_len + 1, 5, bsz, hsz))
+        hidden = np.empty((t_len + 1, bsz, hsz))  # h before step t
         hidden[0] = 0.0
         cells[0, 2] = 0.0
-        np.matmul(x, self.params["Wx"], out=xw)
+        xw = np.matmul(x, self.params["Wx"])
         # the bias on every row: a broadcast add over 4*hidden columns is slower
         b = np.broadcast_to(self.params["b"], (bsz, 4 * hsz)).copy()
         z = np.empty((bsz, 4 * hsz))
@@ -436,19 +420,13 @@ class LSTM(Layer):
 
     def backward(self, dy, need_dx=True):
         x, acts, cells, hidden = self._take_cache()
-        t_len, bsz, n_in = x.shape
+        t_len, bsz, _ = x.shape
         hsz = self.hidden_size
-        n = t_len * bsz * hsz
-        # the window's derivative factors during the loop, then the per-step
-        # weight-gradient products
-        work = self._scratch("window", max(5 * n, t_len * max(n_in, hsz) * 4 * hsz))
-        one_minus = work[: 4 * n].reshape(acts.shape)  # 1-i, 1-f, 1-g*g, 1-o
-        np.subtract(1.0, acts, out=one_minus)
+        one_minus = np.subtract(1.0, acts)  # 1-i, 1-f, 1-g*g, 1-o
         g = cells[:t_len, 1]
         np.multiply(g, g, out=one_minus[:, 2])
         np.subtract(1.0, one_minus[:, 2], out=one_minus[:, 2])
-        dtanh_c = work[4 * n : 5 * n].reshape(t_len, bsz, hsz)  # 1-tanh(c)^2
-        np.multiply(cells[:t_len, 4], cells[:t_len, 4], out=dtanh_c)
+        dtanh_c = np.multiply(cells[:t_len, 4], cells[:t_len, 4])  # 1-tanh(c)^2
         np.subtract(1.0, dtanh_c, out=dtanh_c)
         cells[:t_len, 0] = acts[:, 1]
         cells[:t_len, 3] = acts[:, 0]
@@ -477,12 +455,9 @@ class LSTM(Layer):
 
         # per-step products, last step first: the order the gradients sum in
         rev = dz[::-1]
-        prod = work[: t_len * n_in * 4 * hsz].reshape(t_len, n_in, 4 * hsz)
         g = self.grads
-        np.sum(np.matmul(x[::-1].transpose(0, 2, 1), rev, out=prod), axis=0, out=g["Wx"])
-        prod = work[: t_len * hsz * 4 * hsz].reshape(t_len, hsz, 4 * hsz)
-        np.sum(np.matmul(hidden[:t_len][::-1].transpose(0, 2, 1), rev, out=prod), axis=0,
-               out=g["Wh"])
+        np.sum(np.matmul(x[::-1].transpose(0, 2, 1), rev), axis=0, out=g["Wx"])
+        np.sum(np.matmul(hidden[:t_len][::-1].transpose(0, 2, 1), rev), axis=0, out=g["Wh"])
         np.sum(rev.sum(axis=1), axis=0, out=g["b"])
         if not need_dx:
             return None

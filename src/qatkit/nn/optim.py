@@ -102,16 +102,17 @@ class SGDNesterov:
 
     def __init__(self, momentum=0.9):
         self.momentum = momentum
-        self.v = self.scratch = None  # the velocity and lr*(g + mu*v)
+        self.v = None  # the velocity
 
     def update(self, w: np.ndarray, g: np.ndarray, lr: float):
         if self.v is None:
-            self.v, self.scratch = np.zeros_like(g), np.empty_like(g)
-        v, t, mu = self.v, self.scratch, self.momentum
-        # in place, in the order of operations of the formulas above
+            self.v = np.zeros_like(g)
+        v, mu = self.v, self.momentum
+        # in place, in the order of operations of the formulas above; t is
+        # lr*(g + mu*v)
         v *= mu
         v += g
-        np.multiply(v, mu, out=t)
+        t = v * mu
         t += g
         t *= lr
         w -= t
@@ -124,20 +125,18 @@ class AdaDelta:
 
     def __init__(self, rho=0.95, eps=1e-6):
         self.rho, self.eps = rho, eps
-        self.eg = self.ex = self.scratch = None  # scratch: two work vectors
+        self.eg = self.ex = None
 
     def update(self, w: np.ndarray, g: np.ndarray, lr: float):
         if self.eg is None:
             self.eg, self.ex = np.zeros_like(g), np.zeros_like(g)
-            self.scratch = np.empty((2,) + g.shape)
         rho, eps, eg, ex = self.rho, self.eps, self.eg, self.ex
-        dx, t = self.scratch
         # in place, in the order of operations of the formulas above
         eg *= rho
-        np.multiply(g, 1 - rho, out=t)
+        t = g * (1 - rho)
         t *= g
         eg += t
-        np.add(ex, eps, out=dx)
+        dx = ex + eps
         np.sqrt(dx, out=dx)
         np.negative(dx, out=dx)
         np.add(eg, eps, out=t)

@@ -137,7 +137,6 @@ class ShadowParams:
         self._levels = _views(self.quantized_vector, sizes)  # and of the quantized view
         self.quantized = {**self.master, **_views(self.quantized_vector,
                                                   {k: shapes[k] for k in grouped})}
-        self._scratch = np.empty(max((w.size for w in self._weights.values()), default=0))
         self.requantize()
 
     def solve_steps(self, bits: int):
@@ -150,8 +149,7 @@ class ShadowParams:
         that is NaN or infinite."""
         for gid in (gids if gids is not None else self.groups):
             try:
-                quantize(self._weights[gid], self.specs[gid], out=self._levels[gid],
-                         scratch=self._scratch)
+                quantize(self._weights[gid], self.specs[gid], out=self._levels[gid])
             except ValueError as e:
                 key = next(k for k in self.groups[gid] if not np.isfinite(self.master[k]).all())
                 raise DivergenceError(f"group {gid!r}, key {key!r}: {e}") from None

@@ -78,13 +78,12 @@ class WeightGroup:
             raise ValueError(f"group {self.group_id!r} contains non-finite values")
 
 
-def _round_onto_grid(w: np.ndarray, step: float, max_level: int, out: np.ndarray,
-                     n: np.ndarray) -> np.ndarray:
-    """out = sgn(w) * min(floor(|w|/step + 0.5), max_level) * step, with the
-    level magnitudes in `n`; `out` and `n` are float64 arrays of w's shape.
-    Raises ValueError, before `out` is written, if any weight is NaN or
-    infinite."""
-    np.abs(w, out=n)
+def _round_onto_grid(w: np.ndarray, step: float, max_level: int,
+                     out: np.ndarray) -> np.ndarray:
+    """out = sgn(w) * min(floor(|w|/step + 0.5), max_level) * step; `out` is a
+    float64 array of w's shape.  Raises ValueError, before `out` is written,
+    if any weight is NaN or infinite."""
+    n = np.abs(w)  # the level magnitudes
     if not math.isfinite(n.max(initial=0.0)):  # the max of |w| is NaN or inf
         raise ValueError("quantize: input contains non-finite values")
     n /= step
@@ -99,15 +98,12 @@ def _round_onto_grid(w: np.ndarray, step: float, max_level: int, out: np.ndarray
     return out
 
 
-def quantize(w, spec: QuantizerSpec, out: np.ndarray | None = None,
-             scratch: np.ndarray | None = None):
+def quantize(w, spec: QuantizerSpec, out: np.ndarray | None = None):
     """Round weights onto the grid of `spec`, clipping at step*(M-1)/2.
 
     Uses magnitude round-half-up: sgn(w) * step * min(floor(|w|/step + 0.5), (M-1)/2).
     Accepts a scalar or an array; returns the same shape.  Given `out`, a
-    float64 array of w's shape, writes the result there and returns it;
-    given `scratch`, a flat float64 array of at least w.size elements, keeps
-    the level magnitudes in it, so a call given both allocates no array.
+    float64 array of w's shape, writes the result there and returns it.
     Raises ValueError, leaving `out` as it was, if any weight is non-finite.
     """
     arr = np.asarray(w, dtype=np.float64)
@@ -118,12 +114,11 @@ def quantize(w, spec: QuantizerSpec, out: np.ndarray | None = None,
     elif out.shape != arr.shape or out.dtype != np.float64:
         raise ValueError(f"quantize: out must be float64 of shape {arr.shape}, "
                          f"got {out.dtype} {out.shape}")
-    n = np.empty(arr.shape) if scratch is None else scratch[:arr.size].reshape(arr.shape)
-    return _round_onto_grid(arr, spec.step, spec.max_level, out, n)
+    return _round_onto_grid(arr, spec.step, spec.max_level, out)
 
 
 def _half_squared_error(w: np.ndarray, step: float, max_level: int) -> float:
-    d = _round_onto_grid(w, step, max_level, np.empty(w.shape), np.empty(w.shape))
+    d = _round_onto_grid(w, step, max_level, np.empty(w.shape))
     d -= w
     return 0.5 * float(np.dot(d, d))
 
@@ -186,7 +181,7 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
         )
     s1 = max_level * float(absw.sum())
     s2 = float(max_level) ** 2 * n
-    rank = np.argsort(absw, kind="stable")
+    rank = np.argsort(absw)  # equal magnitudes in any order: the sweep fixes theirs
     mag = absw[rank]
     del absw  # the sweep reads the sorted copy
 

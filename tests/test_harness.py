@@ -457,6 +457,8 @@ class TestConfigValidation:
         (mlp_config, ("seeds", 0), "0", r"seeds must be a nonempty list of ints, got \['0'\]"),
         (mlp_config, ("seeds", 0), -3,
          r"^seeds must be a nonempty list of ints, got \[-3\]; each must be >= 0$"),
+        (mlp_config, ("seeds",), 5,
+         "^seeds must be a nonempty list of ints, got 5; each must be >= 0$"),
         (mlp_config, ("dataset", "seed"), -1, "^clusters dataset: seed must be >= 0, got -1$"),
         (mlp_config, ("cells", 0, "bits"), 9, r"^retrain with cells\[0\]: bits must be at most 8 "
          "bits wide, the widest supported width, got 9$"),
@@ -474,21 +476,25 @@ class TestConfigValidation:
             "zero-update-stride", "str-momentum", "optimizer-kind", "optimizer-key",
             "cell-missing-key", "float-str-max-epochs", "float-lr-mismatch",
             "retrain-lr-mismatch", "no-cells-retrain-lr-mismatch", "str-seed",
-            "negative-seed", "dataset-negative-seed", "cell-bits-9",
+            "negative-seed", "int-seeds", "dataset-negative-seed", "cell-bits-9",
             "inf-learning-rate", "nan-initial-lr", "inf-final-lr", "rho-above-one",
             "negative-eps"])
     def test_bad_value_rejected_at_load(self, make, path, value, message):
-        *outer, key = path
-        bad = copy.deepcopy(getattr(make(), outer[0]))
-        inner = bad
-        for k in outer[1:]:
-            inner = inner[k]
-        if value is None:
-            del inner[key]
-        else:
-            inner[key] = value
+        top, *inner_path = path
+        if inner_path:
+            *outer, key = inner_path
+            bad = copy.deepcopy(getattr(make(), top))
+            inner = bad
+            for k in outer:
+                inner = inner[k]
+            if value is None:
+                del inner[key]
+            else:
+                inner[key] = value
+        else:  # the whole top-level value
+            bad = value
         with pytest.raises(ValueError, match=message):
-            make(**{outer[0]: bad})
+            make(**{top: bad})
 
     @pytest.mark.parametrize("dataset, message", [
         ({"kind": "clusters", "n_samples": 0, "classes": 2, "dim": 4, "seed": 1},

@@ -6,8 +6,6 @@ payloads count).  The convolution's GEMMs and training batch norm's sums over (b
 h, w) run channels-first, in another order than the channels-last references,
 and are compared within `assert_close_to_reference`'s rtol of 1e-12."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -279,35 +277,12 @@ def test_lstm_eval_forward_matches_reference():
 
 
 def test_lstm_windows_of_changing_size_reuse_no_stale_values():
-    # the work buffers keep their contents between calls: a shorter window
-    # after a long one, a new input after an old one of the same shape,
-    # another batch size and then a larger window that grows the buffers
+    # a shorter window after a long one, a new input after an old one of the
+    # same shape, another batch size and then a larger window
     layer = make_lstm(16, 24)
     for i, (t_len, bsz) in enumerate([(16, 16), (5, 16), (5, 16), (3, 4), (20, 16), (1, 16)]):
         x, dy = lstm_window(t_len, bsz, 16, 24, seed=20 + i, one_hot=i % 2 == 0)
         check_lstm(layer, x, dy)
-
-
-def test_lstm_work_buffers_are_kept_and_bounded():
-    # the charlm-lstm layer and window: after one training step the layer
-    # holds its work buffers; the next step allocates only small per-call
-    # arrays.  Fails if window-sized arrays come back on every call or if
-    # the buffers multiply.
-    layer = make_lstm(16, 24)
-    x, dy = lstm_window(16, 16, 16, 24, seed=40, one_hot=True)
-    tracemalloc.start()
-    try:
-        layer.forward(x)
-        layer.backward(dy, need_dx=True)
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        layer.forward(x)
-        layer.backward(dy, need_dx=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert held <= 1.0e6, f"held {held / 1e6:.3f} MB"
-    assert peak - held <= 0.25e6, f"peak {(peak - held) / 1e6:.3f} MB above held"
 
 
 # -- the network skips the first layer's input gradient ------------------------

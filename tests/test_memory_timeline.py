@@ -49,15 +49,18 @@ def test_stub_workload_timeline(memory_timeline, monkeypatch, capsys, flags, tra
     assert [getattr(owner, attr) for owner, attr, _ in memory_timeline.CALLS] == originals
 
     header, *rows, last = capsys.readouterr().out.splitlines()
-    assert header.split() == ["hwm", "before", "hwm", "after", "rise", "traced", "peak", "call"]
+    assert header.split() == ["hwm", "before", "hwm", "after", "rise", "traced", "peak",
+                              "minor", "faults", "call"]
     assert last.startswith("process high-water mark ")
-    calls = []
+    calls, faulted = [], []
     for row in rows:
-        before, after, rise, peak = row[:40].split()
+        before, after, rise, peak, faults = row[:53].split()
         assert float(before) > 0 and float(after) > 0
         assert float(rise) == pytest.approx(float(after) - float(before), abs=0.011)
         assert (peak != "-") == traced
-        calls.append(row[42:])
+        assert int(faults) >= 0
+        faulted.append(int(faults))
+        calls.append(row[55:])
     setup = ["make_task"] * memory_timeline.SETUP_REPEATS
     train = ["  evaluate dev"] * 2 + ["  evaluate test"]
     cell = ["  ensure_float_checkpoint", "  make_task"]
@@ -66,3 +69,11 @@ def test_stub_workload_timeline(memory_timeline, monkeypatch, capsys, flags, tra
                      "run_cell direct@3", *cell, "  init_quantization 3 bits", "  evaluate test",
                      "run_cell adaptive@2", *cell, "  init_quantization 2 bits",
                      *["  update_steps", "  evaluate dev"] * 2, "  evaluate test"]
+    # a call's faults include those of the calls nested in it
+    nested = 0
+    for call, faults in reversed(list(zip(calls, faulted))):
+        if call.startswith("  "):
+            nested += faults
+        else:
+            assert faults >= nested, call
+            nested = 0

@@ -96,23 +96,22 @@ def in_place_cases():
 
 
 class TestQuantizeInPlace:
-    """`quantize` with `out` and `scratch`, as ShadowParams rebuilds its view,
-    against the first array quantizer bit for bit."""
+    """`quantize` with `out`, as ShadowParams rebuilds its view, against the
+    first array quantizer bit for bit."""
 
     @pytest.mark.parametrize("name, w, spec", in_place_cases(),
                              ids=[c[0] for c in in_place_cases()])
     def test_matches_array_oracle(self, name, w, spec):
         want = quantize_array(w, spec.step, spec.points)
         assert_bits_equal(quantize(w, spec), want)
-        out, scratch = np.full(w.shape, 7.0), np.full(w.size + 3, 7.0)
-        assert quantize(w, spec, out=out, scratch=scratch) is out
+        out = np.full(w.shape, 7.0)
+        assert quantize(w, spec, out=out) is out
         assert_bits_equal(out, want)
 
     def test_signs_of_zero(self):
         # sgn(-0.0) is +0.0, so -0.0 quantizes to +0.0 and a tiny negative to -0.0
         spec = QuantizerSpec.from_bits(2, 1.0)
-        got = quantize(np.array([-0.0, -1e-300, 0.0]), spec, out=np.empty(3),
-                       scratch=np.empty(3))
+        got = quantize(np.array([-0.0, -1e-300, 0.0]), spec, out=np.empty(3))
         assert list(np.signbit(got)) == [False, True, False]
 
     @pytest.mark.parametrize("x", [0.7, -0.0, -1e-300, 2.6, np.float64(-0.5)])
@@ -130,7 +129,7 @@ class TestQuantizeInPlace:
             quantize_array(w, spec.step, spec.points)
         out = np.full(3, 5.0)
         with pytest.raises(ValueError, match="non-finite"):
-            quantize(w, spec, out=out, scratch=np.empty(3))
+            quantize(w, spec, out=out)
         assert_bits_equal(out, np.full(3, 5.0))
         with pytest.raises(ValueError, match="non-finite"):
             quantize(bad, spec)
@@ -140,19 +139,6 @@ class TestQuantizeInPlace:
         for out in (np.empty(4), np.empty((3, 1)), np.empty(3, dtype=np.float32)):
             with pytest.raises(ValueError, match="out must be float64 of shape"):
                 quantize(np.ones(3), spec, out=out)
-
-    def test_in_place_allocates_no_array(self):
-        w = np.random.default_rng(0).normal(size=(256, 256))
-        spec = QuantizerSpec.from_bits(4, 0.1)
-        out, scratch = np.empty_like(w), np.empty(w.size)
-        quantize(w, spec, out=out, scratch=scratch)
-        tracemalloc.start()
-        try:
-            quantize(w, spec, out=out, scratch=scratch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4096, f"peak {peak} bytes"
 
 
 class TestQuantizerSpec:
@@ -272,6 +258,8 @@ class TestOptimizeStepMatchesLoop:
     def test_heavy_same_value_ties(self, bits):
         rng = np.random.default_rng(200 + bits)
         assert_same_as_loop(rng.choice(rng.normal(0, 1, size=4), size=500), bits)
+        for name, w in shuffled(tie_heavy_groups(rng), 250 + bits):
+            assert_same_as_loop(w, bits)
 
     @pytest.mark.parametrize("bits", [2, 3, 4, 5, 6])
     def test_integer_valued(self, bits):
@@ -335,6 +323,14 @@ def tie_heavy_groups(rng):
                                        rng.normal(size=100)])
 
 
+def shuffled(groups, seed):
+    """(name, weights) of `groups`, each in a shuffled index order: the sweep
+    sorts magnitudes without stability, so its result must not depend on the
+    order that leaves equal ones in."""
+    rng = np.random.default_rng(seed)
+    return [(f"{name}-shuffled", rng.permutation(w)) for name, w in groups]
+
+
 class TestSweepWindows:
     """The sweep holds one window of breakpoints at a time; windows of any
     size give the reference loop's result."""
@@ -344,17 +340,19 @@ class TestSweepWindows:
     def test_tiny_windows_match_loop_on_ties(self, monkeypatch, chunk, bits):
         monkeypatch.setattr(quantizer, "SWEEP_CHUNK", chunk)
         rng = np.random.default_rng(700 + bits)
-        for name, w in tie_heavy_groups(rng):
+        groups = list(tie_heavy_groups(rng))
+        for name, w in groups + shuffled(groups, 750 + bits):
             assert_same_as_loop(w, bits)
         assert_same_as_loop(rng.normal(size=300), bits)
 
     @pytest.mark.parametrize("chunk", [5, 64, 1000])
     def test_windows_hold_the_breakpoints_in_reference_order(self, chunk):
         rng = np.random.default_rng(chunk)
-        groups = [("gaussian", rng.normal(size=700)), *tie_heavy_groups(rng)]
+        ties = list(tie_heavy_groups(rng))
+        groups = [("gaussian", rng.normal(size=700)), *ties, *shuffled(ties, chunk + 1)]
         for name, w in groups:
             absw = np.abs(w[w != 0])
-            rank = np.argsort(absw, kind="stable")
+            rank = np.argsort(absw)  # as optimize_step sorts, ties in any order
             for max_level in (1, 3, 15):
                 halves = np.arange(1, max_level + 1) - 0.5
                 # the reference's order: value, then weight index, then level

@@ -13,8 +13,11 @@ thread.  It prints one line per call of `harness.make_task`,
 `qat.ShadowParams.update_steps` (the adaptive re-solve of every group's step)
 and a task's `evaluate`, in call order and indented by nesting depth: the
 process high-water mark before and after the call, its rise, and the
-tracemalloc peak during the call, all in MB.  The high-water mark is `VmHWM`
-from `/proc/self/status`, or `ru_maxrss` where that file cannot be read.
+tracemalloc peak during the call, all in MB, then the minor page faults the
+process took during the call (the rise of `ru_minflt`), so that an
+allocation change shows its fault cost beside its memory.  The high-water
+mark is `VmHWM` from `/proc/self/status`, or `ru_maxrss` where that file
+cannot be read.
 tracemalloc's bookkeeping itself takes memory, so with it the high-water marks
 run above an untraced run's; `--no-tracemalloc` leaves it off.
 """
@@ -47,9 +50,15 @@ def high_water_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def minor_faults() -> int:
+    """The process's minor page faults so far."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 class Timeline:
     """Wraps the calls of CALLS and keeps one row per call, in call order:
-    [depth, label, high-water before, after, tracemalloc peak or None]."""
+    [depth, label, high-water before, after, tracemalloc peak or None,
+    minor faults]."""
 
     def __init__(self, traced: bool):
         self.traced = traced
@@ -73,13 +82,14 @@ class Timeline:
                 self._peaks[-1] = max(self._peaks[-1], tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             self._peaks.append(0)
-        row = [len(self._open), label, high_water_mb(), None, None]
+        row = [len(self._open), label, high_water_mb(), None, None, minor_faults()]
         self.rows.append(row)
         self._open.append(row)
 
     def _exit(self):
         row = self._open.pop()
         row[3] = high_water_mb()
+        row[5] = minor_faults() - row[5]
         if self.traced:
             peak = max(self._peaks.pop(), tracemalloc.get_traced_memory()[1])
             if self._peaks:
@@ -88,12 +98,12 @@ class Timeline:
 
     def write(self, out=None):
         """Print the rows to `out`, standard output by default."""
-        print(f"{'hwm before':>10} {'hwm after':>10} {'rise':>6} {'traced peak':>11}  call",
-              file=out)
-        for depth, label, before, after, peak in self.rows:
+        print(f"{'hwm before':>10} {'hwm after':>10} {'rise':>6} {'traced peak':>11} "
+              f"{'minor faults':>12}  call", file=out)
+        for depth, label, before, after, peak, faults in self.rows:
             traced = "-" if peak is None else f"{peak:.2f}"
-            print(f"{before:10.2f} {after:10.2f} {after - before:6.2f} {traced:>11}  "
-                  f"{'  ' * depth}{label}", file=out)
+            print(f"{before:10.2f} {after:10.2f} {after - before:6.2f} {traced:>11} "
+                  f"{faults:12d}  {'  ' * depth}{label}", file=out)
 
 
 # (owner, attribute, label of a call from its arguments)
