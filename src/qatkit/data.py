@@ -90,6 +90,13 @@ DATASET_COUNTS = {
     "synthetic-text": {"n_chars": 0, "vocab_size": 1, "order": 0, "seed": 0},
     "idx": {"seed": 0},
 }
+# dataset kind -> the key that sets its size, its default fractions and the
+# least entries `_split` takes per split (an input and its target for text)
+DATASET_SIZES = {
+    "clusters": ("n_samples", CLASSIFICATION_FRACTIONS, 1),
+    "digit-images": ("n_samples", CLASSIFICATION_FRACTIONS, 1),
+    "synthetic-text": ("n_chars", TEXT_FRACTIONS, 2),
+}
 
 
 def check_dataset_counts(kind: str, **values):
@@ -125,6 +132,28 @@ def split_indices(n: int, fractions=TEXT_FRACTIONS):
     return n_train, n_dev, n_test
 
 
+def _split_sizes(n: int, fractions, least: int, what: str = "") -> tuple[int, int, int]:
+    """`split_indices(n, fractions)`; raises ValueError, naming the sizes
+    after `what`, if a split would hold fewer than `least` entries."""
+    n_train, n_dev, n_test = sizes = split_indices(n, fractions)
+    if min(sizes) < least:
+        raise ValueError(f"{what}train, dev and test sizes {n_train}, {n_dev} and {n_test}: "
+                         f"each split needs at least {least}")
+    return sizes
+
+
+def check_dataset_size(kind: str, **values):
+    """Raise ValueError, naming the dataset kind, its size key and the three
+    split sizes, if a dataset of `kind` built from `values` (fractions
+    already checked) would leave a split too small; a kind whose size is
+    known only once it is read passes."""
+    if kind in DATASET_SIZES:
+        key, fractions, least = DATASET_SIZES[kind]
+        n = values[key]
+        _split_sizes(n, values.get("fractions", fractions), least,
+                     f"{kind} dataset: {key} {n} gives ")
+
+
 def _shuffled(rng: np.random.Generator, *arrays) -> tuple:
     """`arrays`, each reordered by one permutation of their rows drawn from `rng`."""
     order = rng.permutation(len(arrays[0]))
@@ -137,10 +166,7 @@ def _split(arrays: tuple, fractions, meta: dict | None = None, least: int = 1) -
     `check_fractions` rejects and, naming the sizes, if a split would hold
     fewer than `least` entries."""
     check_fractions(fractions)
-    n_train, n_dev, n_test = split_indices(len(arrays[0]), fractions)
-    if min(n_train, n_dev, n_test) < least:
-        raise ValueError(f"train, dev and test sizes {n_train}, {n_dev} and {n_test}: "
-                         f"each split needs at least {least}")
+    n_train, n_dev, n_test = _split_sizes(len(arrays[0]), fractions, least)
     cuts = (slice(None, n_train), slice(n_train, n_train + n_dev), slice(n_train + n_dev, None))
     return Splits(*(tuple(a[c] for a in arrays) for c in cuts), meta=meta or {})
 

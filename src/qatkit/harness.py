@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 
 from . import qat
-from .data import DATASET_BUILDERS, Splits, check_dataset_counts, check_fractions, load_dataset
+from .data import (DATASET_BUILDERS, Splits, check_dataset_counts, check_dataset_size,
+                   check_fractions, load_dataset)
 from .nn import (
     Checkpoint,
     bits_per_char,
@@ -168,6 +169,7 @@ class ExperimentConfig:
         check_dataset_counts(**self.dataset)
         if "fractions" in self.dataset:
             _named(f"{kind} dataset", check_fractions, self.dataset["fractions"])
+        check_dataset_size(**self.dataset)
         batching = check_args(f"{self.task} float_training", _batching_keys(self),
                               TASKS[self.task], lambda p: p.kind is p.KEYWORD_ONLY)
         for key, value in batching.items():

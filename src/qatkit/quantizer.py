@@ -4,7 +4,7 @@ A weight group is quantized onto the grid {n * step : |n| <= (M-1)/2} where
 M = 2^bits - 1 levels are symmetric about zero.  The step size that minimizes
 the squared error between float and quantized weights is found exactly, by a
 sweep over the breakpoints where a weight changes level, for N weights and
-K = (M-1)/2: O(N log N + N*K log SWEEP_CHUNK) time, and memory for a few
+K = (M-1)/2: O(N log N + N*K log SWEEP_CHUNK) time, and memory for two
 arrays of N and one window of about SWEEP_CHUNK of the N*K breakpoints.
 """
 
@@ -147,15 +147,17 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
 
     With K = (M-1)/2, the N*K breakpoints form K ascending rows (one per
     level, over the sorted magnitudes).  They are swept in ascending windows
-    of about SWEEP_CHUNK (`_breakpoint_windows`), each built from a rank
-    slice of every row and sorted on its own, with the running sums carried
-    from window to window: O(N log N + N*K log SWEEP_CHUNK) time.  Memory is
-    a few arrays of N, one window, and the window bounds and threshold
-    sample, up to 2*K*K*N/SWEEP_CHUNK entries each; a window grows beyond
-    SWEEP_CHUNK only where equal breakpoints pile up.  Equal breakpoints are
-    visited in weight-index, then level order, and the running sums are
-    subtracted sequentially, so the result is bit-identical to the
-    one-breakpoint-at-a-time reference (`tests/oracles.optimize_step_loop`).
+    of about SWEEP_CHUNK (`_breakpoint_windows`), each built from a slice
+    of every row and sorted on its own, with the running sums carried from
+    window to window: O(N log N + N*K log SWEEP_CHUNK) time.  Memory is the
+    sorted magnitudes and one more array of N, one window, and the window
+    bounds and threshold sample, up to 2*K*K*N/SWEEP_CHUNK entries each; a
+    window grows beyond SWEEP_CHUNK only where equal breakpoints pile up.
+    Equal breakpoints are visited in level order, then in ascending
+    magnitude: the order a stable sort of the breakpoints laid out level
+    by level leaves.  The running sums are subtracted sequentially, so the
+    result is bit-identical to the one-breakpoint-at-a-time reference
+    (`tests/oracles.optimize_step_loop`).
 
     Raises DegenerateGroupError for an all-zero group, and ValueError naming
     the group when the sum of its squared weights overflows.  The returned step is
@@ -181,13 +183,11 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
         )
     s1 = max_level * float(absw.sum())
     s2 = float(max_level) ** 2 * n
-    rank = np.argsort(absw)  # equal magnitudes in any order: the sweep fixes theirs
-    mag = absw[rank]
-    del absw  # the sweep reads the sorted copy
+    absw.sort()  # in place, once the sums are taken: sorted, they would round differently
 
     best_step, best_mse = None, math.inf
     prev_b = 0.0
-    for b, m, h in _breakpoint_windows(mag, rank, max_level, SWEEP_CHUNK):
+    for b, m, h in _breakpoint_windows(absw, max_level, SWEEP_CHUNK):
         # running sums before each breakpoint, subtracted in sweep order;
         # crossing |w|/(k - 0.5) takes |w| off s1 and 2k - 1 off s2, which
         # counts integers, so it stays exact and positive
@@ -229,37 +229,43 @@ def optimize_step(group: WeightGroup, M: int) -> tuple[float, float]:
     # re-evaluate through the forward rounding path so the reported mse is
     # bit-identical to quant_mse at the returned step, without the sweep's
     # arrays of N alive beside its temporaries
-    del rank, mag
+    del absw
     return best_step, _half_squared_error(group.values, best_step, max_level)
 
 
-def _breakpoint_windows(mag: np.ndarray, rank: np.ndarray, max_level: int, chunk: int):
-    """Yield the breakpoints mag / (k - 0.5), k = 1..max_level, in sweep order,
-    one window of about `chunk` at a time, as (breakpoints, their magnitudes,
-    their k - 0.5).
+def _breakpoint_windows(mag: np.ndarray, max_level: int, chunk: int):
+    """Yield the breakpoints mag / (k - 0.5), k = 1..max_level, of the sorted
+    magnitudes `mag` in sweep order, one window of about `chunk` at a time,
+    as (breakpoints, their magnitudes, their k - 0.5).
 
-    Within a window, equal breakpoints are in weight-index, then level order
-    (`_reference_tie_order`).  Row k of the breakpoints ascends with the
-    sorted magnitudes `mag`, so value thresholds cut it into one rank slice
-    per window; a window is its rows' slices, divided as whole rows would be,
-    then sorted.  Equal breakpoints all fall on one side of a threshold, so a
-    run of ties never straddles two windows.
+    Equal breakpoints keep their window order: level, then magnitude.  Row
+    k of the breakpoints ascends with `mag`, so value thresholds cut it into
+    one slice per window; a window is its rows' slices in level order,
+    divided as whole rows would be, then sorted.  Equal breakpoints all fall
+    on one side of a threshold, so a run of ties never straddles two windows.
     """
     halves = np.arange(1, max_level + 1) - 0.5
     # timsort merges the K ascending runs in log2(K) passes; from 4 bits
-    # (K = 7) on, numpy's quicksort is faster.  Neither fixes the order of ties.
+    # (K = 7) on, numpy's quicksort is faster, but it leaves equal keys in
+    # an order that depends on the numpy build
     kind = "stable" if max_level <= 3 else "quicksort"
-    for m, h, lo, counts in _window_slices(mag, halves, chunk):
+    for m, h in _window_slices(mag, halves, chunk):
         bp = m / h  # the same division as a whole row, so the same values
         order = np.argsort(bp, kind=kind)
         bp = bp[order]
-        _reference_tie_order(bp, order, rank, lo, counts)
+        if kind == "quicksort":
+            eq = bp[1:] == bp[:-1]  # bp[p + 1] == bp[p]
+            # each run of ties back in window order: a tie across levels
+            # (x/0.5 == fl(3x)/1.5) takes different magnitudes off the sums
+            if eq.any():
+                run = np.concatenate(([0], np.cumsum(~eq)))
+                order = order[np.lexsort((order, run))]
         yield bp, m[order], h[order]
 
 
 def _window_slices(mag: np.ndarray, halves: np.ndarray, chunk: int):
-    """Yield each window's (magnitudes, k - 0.5, first rank per row, count per
-    row), its rows' slices in level order, in ascending order of value.
+    """Yield each window's (magnitudes, k - 0.5), its rows' slices in level
+    order, in ascending order of value.
 
     The thresholds are every 2K-th point of a sorted sample of each row's
     every (chunk/2K)-th breakpoint: a row's count below a threshold is then
@@ -282,32 +288,7 @@ def _window_slices(mag: np.ndarray, halves: np.ndarray, chunk: int):
         counts = hi - lo
         if counts.any():
             m = np.concatenate([mag[a:z] for a, z in zip(lo.tolist(), hi.tolist())])
-            yield m, np.repeat(halves, counts), lo, counts
-
-
-def _reference_tie_order(bp: np.ndarray, order: np.ndarray, rank: np.ndarray,
-                         lo: np.ndarray, counts: np.ndarray) -> None:
-    """Reorder `order` in place so that equal sorted breakpoints `bp` are in
-    weight-index, then level order, as in the reference loop.
-
-    `order` indexes a window laid out as row slices: `counts[k]` breakpoints
-    of level k + 1 from magnitude rank `lo[k]` on.  The sort may leave equal
-    breakpoints in any order, and ties across levels (e.g.
-    x/0.5 == fl(3x)/1.5) must still follow the reference's order, or the
-    running sums round differently.
-    """
-    eq = bp[1:] == bp[:-1]  # bp[p + 1] == bp[p]
-    if not eq.any():
-        return
-    eq = np.concatenate(([False], eq))
-    tied = eq.copy()
-    tied[:-1] |= eq[1:]
-    sub = order[tied]
-    starts = np.cumsum(counts) - counts
-    level = np.searchsorted(starts, sub, side="right") - 1
-    weight = rank[lo[level] + sub - starts[level]]
-    run = np.cumsum(~eq[tied])
-    order[tied] = sub[np.lexsort((level, weight, run))]
+            yield m, np.repeat(halves, counts)
 
 
 def exhaustive_search_step(

@@ -113,12 +113,13 @@ def grid_search_mse(values, points, candidates):
 def optimize_step_loop(group: WeightGroup, M: int) -> tuple[float, float]:
     """Reference exact step solver: one Python iteration per breakpoint.
 
-    The loop `quantizer.optimize_step` replaced.  It sorts all N*K
-    breakpoints |w|/(k-0.5) with a stable argsort (ties in weight-index, then
-    level order), then walks them in ascending order keeping sum(n*|w|) and
-    sum(n^2), checking each region's interior stationary point and its right
-    endpoint; the first strict minimum wins.  `optimize_step` must return
-    the same `(step, mse)` bit for bit.
+    The loop `quantizer.optimize_step` replaced.  It lays all N*K
+    breakpoints |w|/(k-0.5) out level by level, row k over the sorted
+    magnitudes, and sorts them with a stable argsort (ties in level, then
+    ascending magnitude order).  It then walks them in ascending order
+    keeping sum(n*|w|) and sum(n^2), checking each region's interior
+    stationary point and its right endpoint; the first strict minimum wins.
+    `optimize_step` must return the same `(step, mse)` bit for bit.
     """
     if M < 3 or M % 2 == 0:
         raise ValueError(f"M must be odd and >= 3, got {M}")
@@ -129,17 +130,20 @@ def optimize_step_loop(group: WeightGroup, M: int) -> tuple[float, float]:
         raise DegenerateGroupError(
             f"group {group.group_id!r} is all zeros; no positive step exists"
         )
+    # both sums over |w| in index order: a sorted copy sums differently
     sum_w2 = float(np.dot(absw, absw))
+    s1 = max_level * float(absw.sum())
+    s2 = float(max_level) ** 2 * absw.size
+    mag = np.sort(absw)
     ks = np.arange(1, max_level + 1, dtype=np.float64)
-    # breakpoint matrix: |w_i| / (k - 0.5); crossing it drops level k -> k-1
-    bp = (absw[:, None] / (ks - 0.5)[None, :]).ravel()
-    d_s1 = np.repeat(absw, max_level)
-    d_s2 = np.tile(2.0 * ks - 1.0, absw.size)
+    # breakpoint matrix, row k - 1 over mag: |w| / (k - 0.5); crossing it
+    # drops level k -> k-1
+    bp = (mag[None, :] / (ks - 0.5)[:, None]).ravel()
+    d_s1 = np.tile(mag, max_level)
+    d_s2 = np.repeat(2.0 * ks - 1.0, mag.size)
     order = np.argsort(bp, kind="stable")
     bp, d_s1, d_s2 = bp[order], d_s1[order], d_s2[order]
 
-    s1 = max_level * float(absw.sum())
-    s2 = float(max_level) ** 2 * absw.size
     best_step, best_mse = None, math.inf
     prev_b = 0.0
     for j in range(bp.size):

@@ -472,13 +472,18 @@ class TestConfigValidation:
          r"^retrain with cells\[0\]: rho must be in \[0, 1\), got 5.0"),
         (mlp_config, ("float_training", "optimizer", "eps"), -1.0,
          "^float_training: eps must be positive and finite, got -1.0"),
+        # at the parent these loaded and failed only in make_task
+        (mlp_config, ("dataset", "n_samples"), 5, "^clusters dataset: n_samples 5 gives "
+         "train, dev and test sizes 5, 0 and 0: each split needs at least 1$"),
+        (char_lm_config, ("dataset", "n_chars"), 20, "^synthetic-text dataset: n_chars 20 "
+         "gives train, dev and test sizes 18, 1 and 1: each split needs at least 2$"),
     ], ids=["dataset-missing-key", "dataset-float-seed", "str-batch-size", "zero-batch-size",
             "zero-update-stride", "str-momentum", "optimizer-kind", "optimizer-key",
             "cell-missing-key", "float-str-max-epochs", "float-lr-mismatch",
             "retrain-lr-mismatch", "no-cells-retrain-lr-mismatch", "str-seed",
             "negative-seed", "int-seeds", "dataset-negative-seed", "cell-bits-9",
             "inf-learning-rate", "nan-initial-lr", "inf-final-lr", "rho-above-one",
-            "negative-eps"])
+            "negative-eps", "n-samples-too-small-to-split", "n-chars-too-small-to-split"])
     def test_bad_value_rejected_at_load(self, make, path, value, message):
         top, *inner_path = path
         if inner_path:

@@ -4,6 +4,7 @@ in call order and nested under its caller, and every wrapped call restored."""
 import importlib.util
 import os
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -64,16 +65,19 @@ def test_stub_workload_timeline(memory_timeline, monkeypatch, capsys, flags, tra
     setup = ["make_task"] * memory_timeline.SETUP_REPEATS
     train = ["  evaluate dev"] * 2 + ["  evaluate test"]
     cell = ["  ensure_float_checkpoint", "  make_task"]
+    # one solve per group, fc0 (4 x 6 weights) then fc1 (6 x 2), nested in its caller
+    solves = ["    optimize_step N=24 bits={}", "    optimize_step N=12 bits={}"]
+    solves3, solves2 = ([row.format(bits) for row in solves] for bits in (3, 2))
     assert calls == [*setup, "ensure_float_checkpoint", "  make_task",
                      "  init_quantization float", *train,
-                     "run_cell direct@3", *cell, "  init_quantization 3 bits", "  evaluate test",
-                     "run_cell adaptive@2", *cell, "  init_quantization 2 bits",
-                     *["  update_steps", "  evaluate dev"] * 2, "  evaluate test"]
-    # a call's faults include those of the calls nested in it
-    nested = 0
+                     "run_cell direct@3", *cell, "  init_quantization 3 bits", *solves3,
+                     "  evaluate test",
+                     "run_cell adaptive@2", *cell, "  init_quantization 2 bits", *solves2,
+                     *["  update_steps", *solves2, "  evaluate dev"] * 2, "  evaluate test"]
+    # a call's faults include those of the calls nested directly in it
+    nested = defaultdict(int)  # depth -> faults of the later rows there, up to their caller
     for call, faults in reversed(list(zip(calls, faulted))):
-        if call.startswith("  "):
-            nested += faults
-        else:
-            assert faults >= nested, call
-            nested = 0
+        depth = (len(call) - len(call.lstrip())) // 2
+        assert faults >= nested[depth + 1], call
+        nested[depth + 1] = 0
+        nested[depth] += faults

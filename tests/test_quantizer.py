@@ -351,22 +351,21 @@ class TestSweepWindows:
         ties = list(tie_heavy_groups(rng))
         groups = [("gaussian", rng.normal(size=700)), *ties, *shuffled(ties, chunk + 1)]
         for name, w in groups:
-            absw = np.abs(w[w != 0])
-            rank = np.argsort(absw)  # as optimize_step sorts, ties in any order
+            mag = np.sort(np.abs(w[w != 0]))
+            # 15 levels: the windows are quicksorted, and their ties repaired
             for max_level in (1, 3, 15):
                 halves = np.arange(1, max_level + 1) - 0.5
-                # the reference's order: value, then weight index, then level
-                bp = (absw[:, None] / halves).ravel()
+                # the reference's order: value, then level, then magnitude
+                bp = (mag / halves[:, None]).ravel()
                 order = np.argsort(bp, kind="stable")
-                windows = list(quantizer._breakpoint_windows(absw[rank], rank, max_level,
-                                                             chunk))
-                for got, want in zip(zip(*windows), (bp, np.repeat(absw, max_level),
-                                                     np.tile(halves, absw.size))):
+                windows = list(quantizer._breakpoint_windows(mag, max_level, chunk))
+                for got, want in zip(zip(*windows), (bp, np.tile(mag, max_level),
+                                                     np.repeat(halves, mag.size))):
                     np.testing.assert_array_equal(np.concatenate(got), want[order])
                 if name == "gaussian":  # no ties: every window is chunk +- chunk/2
                     sizes = [b.size for b, _, _ in windows]
                     assert max(sizes) <= chunk + chunk // 2
-                    if absw.size * max_level > 2 * chunk:
+                    if mag.size * max_level > 2 * chunk:
                         assert min(sizes[:-1]) >= chunk // 2
 
     def test_peak_memory_is_far_below_n_times_k(self):
@@ -379,6 +378,9 @@ class TestSweepWindows:
         finally:
             tracemalloc.stop()
         assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+        # and below three float64 arrays of N: the sorted magnitudes and one
+        # temporary at a time, beside the window and the threshold sample
+        assert peak < 3 * 8 * g.values.size, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestGridOracleSelfCheck:

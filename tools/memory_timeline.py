@@ -10,9 +10,10 @@ for each cell, `report`), with the `src/qatkit` of this checkout and one BLAS
 thread.  It prints one line per call of `harness.make_task`,
 `harness.ensure_float_checkpoint`, `harness.run_cell`, `qat.init_quantization`
 (which also sets up the float baseline's master),
-`qat.ShadowParams.update_steps` (the adaptive re-solve of every group's step)
-and a task's `evaluate`, in call order and indented by nesting depth: the
-process high-water mark before and after the call, its rise, and the
+`qat.ShadowParams.update_steps` (the adaptive re-solve of every group's step),
+`qat.optimize_step` (one group's step solve, labelled with its weight count
+and bit width) and a task's `evaluate`, in call order and indented by nesting
+depth: the process high-water mark before and after the call, its rise, and the
 tracemalloc peak during the call, all in MB, then the minor page faults the
 process took during the call (the rise of `ru_minflt`), so that an
 allocation change shows its fault cost beside its memory.  The high-water
@@ -116,6 +117,9 @@ CALLS = [
     (qat, "init_quantization", lambda master, groups, bits:
      f"init_quantization {bits} bits" if groups else "init_quantization float"),
     (qat.ShadowParams, "update_steps", lambda shadow, *a, **k: "update_steps"),
+    # M = 2**bits - 1 levels
+    (qat, "optimize_step", lambda group, M:
+     f"optimize_step N={group.values.size} bits={(M + 1).bit_length() - 1}"),
     (harness.ClassificationTask, "evaluate", lambda task, net, split: f"evaluate {split}"),
     (harness.CharLMTask, "evaluate", lambda task, net, split: f"evaluate {split}"),
 ]
