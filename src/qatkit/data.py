@@ -1,9 +1,15 @@
 """Dataset loading and generation: IDX image files, UTF-8 character corpora,
-and seeded synthetic classification data at desk scale."""
+and seeded synthetic classification data at desk scale.
+
+The builders' own checks are the only dataset rules: a builder raises
+ValueError, starting `<kind> dataset: ` and naming the key, for a value below
+its floor or not finite, for bad `fractions` and for a split too small to
+use.  `harness.ExperimentConfig` checks a dataset config by building it."""
 
 from __future__ import annotations
 
 import bisect
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -83,45 +89,14 @@ CLASSIFICATION_FRACTIONS = (0.7, 0.15, 0.15)  # train, dev, test
 TEXT_FRACTIONS = (0.9, 0.05, 0.05)
 
 
-# dataset kind -> the numeric keys its builder checks and the least value each takes
-DATASET_COUNTS = {
-    "clusters": {"n_samples": 1, "classes": 1, "dim": 1, "spread": 0, "seed": 0},
-    "digit-images": {"n_samples": 1, "classes": 1, "noise": 0, "seed": 0},
-    "synthetic-text": {"n_chars": 0, "vocab_size": 1, "order": 0, "seed": 0},
-    "idx": {"seed": 0},
-}
-# dataset kind -> the key that sets its size, its default fractions and the
-# least entries `_split` takes per split (an input and its target for text)
-DATASET_SIZES = {
-    "clusters": ("n_samples", CLASSIFICATION_FRACTIONS, 1),
-    "digit-images": ("n_samples", CLASSIFICATION_FRACTIONS, 1),
-    "synthetic-text": ("n_chars", TEXT_FRACTIONS, 2),
-}
-
-
-def check_dataset_counts(kind: str, **values):
+def _check_floors(kind: str, floor, **values):
     """Raise ValueError, naming the dataset kind and every key, for a value
-    below its least one in DATASET_COUNTS, and for a digit-images `size`
-    that is not an even integer >= 2; other keys are not read."""
-    bad = [f"{key} must be >= {least}, got {values[key]}"
-           for key, least in DATASET_COUNTS.get(kind, {}).items()
-           if key in values and values[key] < least]
+    below `floor` or not finite."""
+    bad = [f"{key} must be >= {floor}, got {value}" if value < floor
+           else f"{key} must be finite, got {value}"
+           for key, value in values.items() if not floor <= value < math.inf]
     if bad:
         raise ValueError(f"{kind} dataset: {'; '.join(bad)}")
-    size = values.get("size", 2) if kind == "digit-images" else 2
-    if size < 2 or size % 2:
-        raise ValueError(f"digit-images size must be an even integer >= 2, got {size}")
-
-
-def check_fractions(fractions):
-    """Raise ValueError, naming the value, unless `fractions` (train, dev,
-    test) is three numbers in [0, 1] whose sum is within 1e-9 of 1."""
-    numbers = isinstance(fractions, (list, tuple)) and all(
-        isinstance(f, (int, float)) and not isinstance(f, bool) for f in fractions)
-    if not (numbers and len(fractions) == 3 and all(0 <= f <= 1 for f in fractions)
-            and abs(sum(fractions) - 1) <= 1e-9):
-        raise ValueError("fractions must be three numbers in [0, 1] that sum to 1, "
-                         f"got {fractions!r}")
 
 
 def split_indices(n: int, fractions=TEXT_FRACTIONS):
@@ -132,41 +107,30 @@ def split_indices(n: int, fractions=TEXT_FRACTIONS):
     return n_train, n_dev, n_test
 
 
-def _split_sizes(n: int, fractions, least: int, what: str = "") -> tuple[int, int, int]:
-    """`split_indices(n, fractions)`; raises ValueError, naming the sizes
-    after `what`, if a split would hold fewer than `least` entries."""
-    n_train, n_dev, n_test = sizes = split_indices(n, fractions)
-    if min(sizes) < least:
-        raise ValueError(f"{what}train, dev and test sizes {n_train}, {n_dev} and {n_test}: "
-                         f"each split needs at least {least}")
-    return sizes
-
-
-def check_dataset_size(kind: str, **values):
-    """Raise ValueError, naming the dataset kind, its size key and the three
-    split sizes, if a dataset of `kind` built from `values` (fractions
-    already checked) would leave a split too small; a kind whose size is
-    known only once it is read passes."""
-    if kind in DATASET_SIZES:
-        key, fractions, least = DATASET_SIZES[kind]
-        n = values[key]
-        _split_sizes(n, values.get("fractions", fractions), least,
-                     f"{kind} dataset: {key} {n} gives ")
-
-
 def _shuffled(rng: np.random.Generator, *arrays) -> tuple:
     """`arrays`, each reordered by one permutation of their rows drawn from `rng`."""
     order = rng.permutation(len(arrays[0]))
     return tuple(a[order] for a in arrays)
 
 
-def _split(arrays: tuple, fractions, meta: dict | None = None, least: int = 1) -> Splits:
+def _split(arrays: tuple, fractions, kind: str, source: str, meta: dict | None = None,
+           least: int = 1) -> Splits:
     """Cut each of `arrays` contiguously into train, dev and test, sized by
-    `split_indices` on their common length.  Raises ValueError for fractions
-    `check_fractions` rejects and, naming the sizes, if a split would hold
+    `split_indices` on their common length.  Raises ValueError, naming the
+    dataset kind, unless `fractions` (train, dev, test) is three numbers in
+    [0, 1] whose sum is within 1e-9 of 1, and, naming `source` (what sets
+    the length, such as "n_samples 5") and the sizes, if a split would hold
     fewer than `least` entries."""
-    check_fractions(fractions)
-    n_train, n_dev, n_test = _split_sizes(len(arrays[0]), fractions, least)
+    numbers = isinstance(fractions, (list, tuple)) and all(
+        isinstance(f, (int, float)) and not isinstance(f, bool) for f in fractions)
+    if not (numbers and len(fractions) == 3 and all(0 <= f <= 1 for f in fractions)
+            and abs(sum(fractions) - 1) <= 1e-9):
+        raise ValueError(f"{kind} dataset: fractions must be three numbers in [0, 1] that "
+                         f"sum to 1, got {fractions!r}")
+    n_train, n_dev, n_test = sizes = split_indices(len(arrays[0]), fractions)
+    if min(sizes) < least:
+        raise ValueError(f"{kind} dataset: {source} gives train, dev and test sizes {n_train}, "
+                         f"{n_dev} and {n_test}: each split needs at least {least}")
     cuts = (slice(None, n_train), slice(n_train, n_train + n_dev), slice(n_train + n_dev, None))
     return Splits(*(tuple(a[c] for a in arrays) for c in cuts), meta=meta or {})
 
@@ -174,33 +138,35 @@ def _split(arrays: tuple, fractions, meta: dict | None = None, least: int = 1) -
 def synthetic_clusters(n_samples: int, classes: int, dim: int, seed: int,
                        spread: float = 1.0, fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Seeded Gaussian-cluster classification data, shuffled then split."""
-    check_dataset_counts("clusters", n_samples=n_samples, classes=classes, dim=dim,
-                         spread=spread, seed=seed)
+    _check_floors("clusters", 1, n_samples=n_samples, classes=classes, dim=dim)
+    _check_floors("clusters", 0, spread=spread, seed=seed)
     rng = np.random.default_rng(seed)
     centers = rng.normal(0.0, 1.0, size=(classes, dim))
     y = rng.integers(0, classes, size=n_samples)
     x = centers[y] + rng.normal(0.0, spread, size=(n_samples, dim))
-    return _split(_shuffled(rng, x, y), fractions)
+    return _split(_shuffled(rng, x, y), fractions, "clusters", f"n_samples {n_samples}")
 
 
 def synthetic_digit_images(n_samples: int, classes: int, seed: int,
                            size: int = 8, noise: float = 0.25,
                            fractions=CLASSIFICATION_FRACTIONS) -> Splits:
     """Digit-style images: one random blocky template per class plus noise."""
-    check_dataset_counts("digit-images", n_samples=n_samples, classes=classes, noise=noise,
-                         seed=seed, size=size)
+    _check_floors("digit-images", 1, n_samples=n_samples, classes=classes)
+    _check_floors("digit-images", 0, noise=noise, seed=seed)
+    if size < 2 or size % 2:
+        raise ValueError(f"digit-images dataset: size must be an even integer >= 2, got {size}")
     rng = np.random.default_rng(seed)
     coarse = rng.uniform(0.0, 1.0, size=(classes, size // 2, size // 2))
     templates = coarse.repeat(2, axis=1).repeat(2, axis=2)
     y = rng.integers(0, classes, size=n_samples)
     x = templates[y] + rng.normal(0.0, noise, size=(n_samples, size, size))
     x = x[:, None, :, :]  # channel axis
-    return _split(_shuffled(rng, x, y), fractions)
+    return _split(_shuffled(rng, x, y), fractions, "digit-images", f"n_samples {n_samples}")
 
 
 def load_idx_classification(images, labels, fractions=CLASSIFICATION_FRACTIONS,
                             seed: int = 0) -> Splits:
-    check_dataset_counts("idx", seed=seed)
+    _check_floors("idx", 0, seed=seed)
     x = read_idx(images)
     y = read_idx(labels)
     if x.ndim != 3:
@@ -210,7 +176,8 @@ def load_idx_classification(images, labels, fractions=CLASSIFICATION_FRACTIONS,
             f"{labels}: label count {y.shape} does not match images {x.shape[0]}"
         )
     x = x.astype(np.float64)[:, None, :, :] / 255.0
-    return _split(_shuffled(np.random.default_rng(seed), x, y.astype(np.int64)), fractions)
+    return _split(_shuffled(np.random.default_rng(seed), x, y.astype(np.int64)), fractions,
+                  "idx", f"images {images}")
 
 
 def _dense_codes(points: np.ndarray):
@@ -228,12 +195,12 @@ def _code_points(text: str) -> np.ndarray:
     return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
 
 
-def _corpus_splits(points: np.ndarray, fractions) -> Splits:
+def _corpus_splits(points: np.ndarray, fractions, kind: str, source: str) -> Splits:
     """Integer characters `points`, densely re-coded and split contiguously
-    train/dev/test (floor rule, remainder to train); each split needs 2
-    codes, an input and its target."""
+    train/dev/test (floor rule, remainder to train) by `_split`; each split
+    needs 2 codes, an input and its target."""
     codes, vocab = _dense_codes(points)
-    return _split((codes,), fractions, {"vocab_size": len(vocab)}, least=2)
+    return _split((codes,), fractions, kind, source, {"vocab_size": len(vocab)}, least=2)
 
 
 def encode_text(text: str):
@@ -246,22 +213,23 @@ def encode_text(text: str):
 def text_splits(text: str, fractions=TEXT_FRACTIONS) -> Splits:
     """Encode `text` and split it contiguously train/dev/test (floor rule,
     remainder to train); each split needs 2 codes, an input and its target."""
-    return _corpus_splits(_code_points(text), fractions)
+    return _corpus_splits(_code_points(text), fractions, "text",
+                          f"a text of {len(text)} characters")
 
 
 def load_text_corpus(path, fractions=TEXT_FRACTIONS) -> Splits:
-    """UTF-8 character corpus from `path`, split by `text_splits`."""
+    """UTF-8 character corpus from `path`, split as `text_splits` splits it."""
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     if not text:
-        raise ValueError(f"{path}: empty corpus")
-    return text_splits(text, fractions)
+        raise ValueError(f"text dataset: path {path}: empty corpus")
+    return _corpus_splits(_code_points(text), fractions, "text", f"path {path}")
 
 
 def _markov_codes(n_chars: int, seed: int, vocab_size: int, order: int) -> bytearray:
     """The letter codes (0 for "a") of `synthetic_text`."""
-    check_dataset_counts("synthetic-text", n_chars=n_chars, vocab_size=vocab_size, order=order,
-                         seed=seed)
+    _check_floors("synthetic-text", 0, n_chars=n_chars, order=order, seed=seed)
+    _check_floors("synthetic-text", 1, vocab_size=vocab_size)
     rng = np.random.default_rng(seed)
     v = min(vocab_size, 26)
     n_states = v ** order
@@ -306,7 +274,7 @@ def synthetic_text_corpus(n_chars: int, seed: int, vocab_size: int = 26, order: 
                           fractions=TEXT_FRACTIONS) -> Splits:
     """`synthetic_text`, split by `text_splits`, from its letter codes."""
     points = np.frombuffer(_markov_codes(n_chars, seed, vocab_size, order), np.uint8)
-    return _corpus_splits(points, fractions)
+    return _corpus_splits(points, fractions, "synthetic-text", f"n_chars {n_chars}")
 
 
 # dataset kind -> builder; a dataset config's other keys are the builder's arguments
@@ -320,7 +288,9 @@ DATASET_BUILDERS = {
 
 
 def load_dataset(cfg: dict) -> Splits:
-    """Build the dataset of kind cfg['kind'] from the config's other keys."""
+    """Build the dataset of kind cfg['kind'] from the config's other keys.
+    The builder raises ValueError for a value it rejects and OSError for a
+    file it cannot open."""
     args = dict(cfg)
     kind = args.pop("kind")
     if kind not in DATASET_BUILDERS:

@@ -4,6 +4,7 @@ sweeps over (bits, schedule, seed) cells, and CSV/JSON reporting."""
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import logging
 from dataclasses import dataclass, field
@@ -12,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import qat
-from .data import (DATASET_BUILDERS, Splits, check_dataset_counts, check_dataset_size,
-                   check_fractions, load_dataset)
+from .data import DATASET_BUILDERS, IdxParseError, Splits, load_dataset
 from .nn import (
     Checkpoint,
     bits_per_char,
@@ -145,6 +145,10 @@ CELL_KEYS = ("bits", "schedule")
 
 @dataclass
 class ExperimentConfig:
+    """A sweep's config.  Construction checks every section and raises
+    ValueError naming it.  The network and the dataset are checked by
+    building them: see `_check_first_batch`."""
+
     task: str  # a key of TASKS
     dataset: dict
     network: list[dict]
@@ -166,10 +170,6 @@ class ExperimentConfig:
         reject_unknown("dataset kind", [kind], DATASET_BUILDERS)
         check_args(f"{kind} dataset", {k: v for k, v in self.dataset.items() if k != "kind"},
                    DATASET_BUILDERS[kind])
-        check_dataset_counts(**self.dataset)
-        if "fractions" in self.dataset:
-            _named(f"{kind} dataset", check_fractions, self.dataset["fractions"])
-        check_dataset_size(**self.dataset)
         batching = check_args(f"{self.task} float_training", _batching_keys(self),
                               TASKS[self.task], lambda p: p.kind is p.KEYWORD_ONLY)
         for key, value in batching.items():
@@ -178,7 +178,7 @@ class ExperimentConfig:
                                  f"got {value}")
         check_args("retrain", self.retrain, qat.RetrainConfig,
                    lambda p: p.name not in (*CELL_KEYS, "seed"))
-        build_network(self.network, np.random.default_rng(0))
+        _check_first_batch(self, build_network(self.network, np.random.default_rng(0)))
         _named("float_training", _float_retrain_config, self, self.seeds[0])
         writers = {}  # run id -> (cell index, seed) writing it
         for i, cell in enumerate(self.cells):
@@ -215,6 +215,30 @@ def _named(section: str, build, *args):
         return build(*args)
     except ValueError as e:
         raise ValueError(f"{section}: {e}") from e
+
+
+def _check_first_batch(cfg: ExperimentConfig, net):
+    """Build `cfg`'s dataset and forward the first training batch of a task
+    over it, with every batching count 1 (one row, or one step of one
+    stream), through `net`.  Raises ValueError starting `<kind> dataset: `
+    for a dataset its builder rejects or a file it cannot read, naming the
+    layer under `network: ` for an input a layer cannot take, and naming the
+    output count and the largest target for a network with no output for a
+    target of some split (the last array of each: labels, or codes)."""
+    kind = cfg.dataset["kind"]
+    try:
+        splits = load_dataset(cfg.dataset)
+    except (OSError, IdxParseError) as e:
+        raise ValueError(f"{kind} dataset: {e}") from e
+    task_cls = TASKS[cfg.task]
+    ones = {p.name: 1 for p in inspect.signature(task_cls).parameters.values()
+            if p.kind is p.KEYWORD_ONLY}
+    x, _ = next(task_cls(splits, **ones).batches("train", 0))
+    outputs = _named("network", net.forward, x, False).shape[-1]
+    top = max(int(splits.get(split)[-1].max()) for split in ("train", "dev", "test"))
+    if top >= outputs:
+        raise ValueError(f"network: {outputs} outputs cannot score the {kind} dataset's "
+                         f"target {top}")
 
 
 def _batching_keys(cfg: ExperimentConfig) -> dict:

@@ -416,7 +416,7 @@ class LSTM(Layer):
             np.tanh(cells[t + 1, 2], out=s[4])
             np.multiply(a[3], s[4], out=hidden[t + 1])
         self._cache = (x, acts, cells, hidden)
-        return hidden[1:].copy()
+        return hidden[1:]  # a view of what backward reads: no layer writes into its input
 
     def backward(self, dy, need_dx=True):
         x, acts, cells, hidden = self._take_cache()

@@ -31,8 +31,8 @@ class LrScheduleConfig:
             _check_rate(key, getattr(self, key))
         if not (self.initial_lr >= self.final_lr):
             raise ValueError("need initial_lr >= final_lr")
-        if self.decay_factor <= 1:
-            raise ValueError("decay_factor must be > 1")
+        if not 1 < self.decay_factor < math.inf:
+            raise ValueError(f"decay_factor must be finite and > 1, got {self.decay_factor!r}")
         if self.patience_evals < 1:
             raise ValueError("patience_evals must be >= 1")
 

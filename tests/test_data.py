@@ -98,8 +98,8 @@ class TestSynthetic:
 
     @pytest.mark.parametrize("size", [7, 1, 0])
     def test_digit_images_odd_or_tiny_size_rejected(self, size):
-        with pytest.raises(ValueError, match=f"digit-images size must be an even integer "
-                                             f">= 2, got {size}"):
+        with pytest.raises(ValueError, match=f"^digit-images dataset: size must be an even "
+                                             f"integer >= 2, got {size}$"):
             synthetic_digit_images(50, 10, seed=3, size=size)
 
     @pytest.mark.parametrize("build, message", [
@@ -121,9 +121,19 @@ class TestSynthetic:
         (lambda: synthetic_text(50, -1), "synthetic-text dataset: seed must be >= 0, got -1"),
         (lambda: load_dataset({"kind": "idx", "images": "i.idx", "labels": "l.idx", "seed": -1}),
          "idx dataset: seed must be >= 0, got -1"),
+        # these four used to build NaN or inf inputs
+        (lambda: synthetic_clusters(40, 2, 3, seed=0, spread=float("nan")),
+         "clusters dataset: spread must be finite, got nan"),
+        (lambda: synthetic_clusters(40, 2, 3, seed=0, spread=float("inf")),
+         "clusters dataset: spread must be finite, got inf"),
+        (lambda: synthetic_digit_images(40, 2, seed=0, noise=float("nan")),
+         "digit-images dataset: noise must be finite, got nan"),
+        (lambda: synthetic_digit_images(40, 2, seed=0, noise=float("inf")),
+         "digit-images dataset: noise must be finite, got inf"),
     ], ids=["clusters-spread", "digit-images-noise", "text-vocab-0", "text-order",
             "corpus-vocab", "text-n-chars", "clusters-seed", "digit-images-seed", "text-seed",
-            "idx-seed"])
+            "idx-seed", "clusters-nan-spread", "clusters-inf-spread", "digit-images-nan-noise",
+            "digit-images-inf-noise"])
     def test_builder_rejects_a_value_below_its_least(self, build, message):
         # at the parent these failed inside numpy or the sampler, with
         # `scale < 0`, IndexError, TypeError or `high <= 0`
@@ -233,9 +243,9 @@ class TestSplitIndices:
     def test_bad_fractions_rejected(self, fractions):
         message = re.escape("fractions must be three numbers in [0, 1] that sum to 1, "
                             f"got {fractions!r}")
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^clusters dataset: {message}$"):
             synthetic_clusters(40, 2, 3, seed=0, fractions=fractions)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^text dataset: {message}$"):
             text_splits("ab" * 40, fractions)
 
     def test_fractions_within_rounding_of_one_accepted(self):

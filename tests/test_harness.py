@@ -472,6 +472,10 @@ class TestConfigValidation:
          r"^retrain with cells\[0\]: rho must be in \[0, 1\), got 5.0"),
         (mlp_config, ("float_training", "optimizer", "eps"), -1.0,
          "^float_training: eps must be positive and finite, got -1.0"),
+        (mlp_config, ("retrain", "optimizer", "lr_schedule", "decay_factor"), float("nan"),
+         r"^retrain with cells\[0\]: decay_factor must be finite and > 1, got nan$"),
+        (mlp_config, ("float_training", "optimizer", "lr_schedule", "decay_factor"),
+         float("inf"), "^float_training: decay_factor must be finite and > 1, got inf$"),
         # at the parent these loaded and failed only in make_task
         (mlp_config, ("dataset", "n_samples"), 5, "^clusters dataset: n_samples 5 gives "
          "train, dev and test sizes 5, 0 and 0: each split needs at least 1$"),
@@ -483,7 +487,8 @@ class TestConfigValidation:
             "retrain-lr-mismatch", "no-cells-retrain-lr-mismatch", "str-seed",
             "negative-seed", "int-seeds", "dataset-negative-seed", "cell-bits-9",
             "inf-learning-rate", "nan-initial-lr", "inf-final-lr", "rho-above-one",
-            "negative-eps", "n-samples-too-small-to-split", "n-chars-too-small-to-split"])
+            "negative-eps", "nan-decay-factor", "inf-decay-factor",
+            "n-samples-too-small-to-split", "n-chars-too-small-to-split"])
     def test_bad_value_rejected_at_load(self, make, path, value, message):
         top, *inner_path = path
         if inner_path:
@@ -526,10 +531,20 @@ class TestConfigValidation:
         ({"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": -1},
          "seed must be >= 0, got -1"),
         ({"kind": "synthetic-text", "n_chars": 2000, "seed": -2}, "seed must be >= 0, got -2"),
+        ({"kind": "clusters", "n_samples": 40, "classes": 2, "dim": 4, "seed": 1,
+          "spread": float("nan")}, "spread must be finite, got nan"),
+        ({"kind": "clusters", "n_samples": 40, "classes": 2, "dim": 4, "seed": 1,
+          "spread": float("inf")}, "spread must be finite, got inf"),
+        ({"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": 1,
+          "noise": float("nan")}, "noise must be finite, got nan"),
+        ({"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": 1,
+          "noise": float("inf")}, "noise must be finite, got inf"),
     ], ids=["clusters-n-samples", "clusters-classes", "clusters-dim", "clusters-two-keys",
             "digit-images-n-samples", "digit-images-classes", "synthetic-text-vocab-size",
             "synthetic-text-order", "clusters-spread", "digit-images-noise",
-            "synthetic-text-n-chars", "digit-images-seed", "synthetic-text-seed"])
+            "synthetic-text-n-chars", "digit-images-seed", "synthetic-text-seed",
+            "clusters-nan-spread", "clusters-inf-spread", "digit-images-nan-noise",
+            "digit-images-inf-noise"])
     def test_bad_dataset_count_rejected_at_load(self, dataset, message):
         full = f"^{dataset['kind']} dataset: {message}$"
         with pytest.raises(ValueError, match=full):
@@ -541,8 +556,8 @@ class TestConfigValidation:
         # at the parent it loaded and failed only at make_task
         dataset = {"kind": "digit-images", "n_samples": 40, "classes": 2, "seed": 1, "size": 3}
         for build in (lambda: mlp_config(dataset=dataset), lambda: load_dataset(dataset)):
-            with pytest.raises(ValueError, match="^digit-images size must be an even integer "
-                                                 ">= 2, got 3$"):
+            with pytest.raises(ValueError, match="^digit-images dataset: size must be an even "
+                                                 "integer >= 2, got 3$"):
                 build()
 
     @pytest.mark.parametrize("fractions", [[0.5, 0.6, 0.2], [0.7, 0.3], [2.0, -0.5, 0.1]],
@@ -554,18 +569,52 @@ class TestConfigValidation:
                    "fractions": fractions}
         message = re.escape("fractions must be three numbers in [0, 1] that sum to 1, "
                             f"got {fractions!r}")
-        with pytest.raises(ValueError, match=f"^clusters dataset: {message}$"):
-            mlp_config(dataset=dataset)
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            load_dataset(dataset)
+        for build in (lambda: mlp_config(dataset=dataset), lambda: load_dataset(dataset)):
+            with pytest.raises(ValueError, match=f"^clusters dataset: {message}$"):
+                build()
 
     def test_least_dataset_counts_load(self):
         cfg = mlp_config(dataset={"kind": "clusters", "n_samples": 40, "classes": 1, "dim": 1,
-                                  "seed": 1})
+                                  "seed": 1},
+                         network=[{"kind": "fc", "in": 1, "out": 1}, {"kind": "softmax"}])
         assert len(harness.make_task(cfg, 0).splits.train[0]) == 28
         splits = load_dataset({"kind": "synthetic-text", "n_chars": 60, "vocab_size": 1,
                                "order": 0, "seed": 1})
         assert splits.meta == {"vocab_size": 1}
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda tmp: mlp_config(dataset={**mlp_config().dataset, "classes": 3}),
+         "^network: 2 outputs cannot score the clusters dataset's target 2$"),
+        (lambda tmp: mlp_config(dataset={**mlp_config().dataset, "dim": 5}),
+         r"^network: fc0: expected input \(\.\.\., 4\), got \(1, 5\)$"),
+        (lambda tmp: char_lm_config(dataset={**char_lm_config().dataset, "vocab_size": 6}),
+         r"^network: lstm0: expected input \(time, batch, 4\), got \(1, 1, 6\)$"),
+        (lambda tmp: char_lm_config(
+            dataset={**char_lm_config().dataset, "vocab_size": 6},
+            network=[{"kind": "lstm", "in": 6, "hidden": 8}, {"kind": "fc", "in": 8, "out": 4},
+                     {"kind": "softmax"}]),
+         "^network: 4 outputs cannot score the synthetic-text dataset's target 5$"),
+        # the cnn-digits network: a 10x10 image flattens to 300 features
+        (lambda tmp: mlp_config(task="classification-image", network=CNN_DIGITS,
+                                dataset={"kind": "digit-images", "n_samples": 40,
+                                         "classes": 10, "seed": 1, "size": 10}),
+         r"^network: fc5: expected input \(\.\.\., 192\), got \(1, 300\)$"),
+        (lambda tmp: char_lm_config(dataset={"kind": "text", "path": str(tmp / "none.txt")}),
+         r"^text dataset: \[Errno 2\] No such file or directory: '.*none\.txt'$"),
+    ], ids=["3-classes-2-outputs", "dim-5-into-in-4", "vocab-wider-than-lstm",
+            "vocab-wider-than-outputs", "cnn-digits-size-10", "missing-corpus"])
+    def test_data_the_network_cannot_take_rejected_at_load(self, tmp_path, make, message):
+        # each of these used to load, and failed at make_task or the first batch
+        with pytest.raises(ValueError, match=message):
+            make(tmp_path)
+
+    def test_unreadable_idx_file_rejected_at_load(self, tmp_path):
+        (tmp_path / "images.idx").write_bytes(b"\x00\x00")
+        dataset = {"kind": "idx", "images": str(tmp_path / "images.idx"),
+                   "labels": str(tmp_path / "labels.idx")}
+        with pytest.raises(ValueError, match=r"^idx dataset: .*images\.idx: truncated magic "
+                                             r"at byte 0$"):
+            mlp_config(task="classification-image", network=CNN_DIGITS, dataset=dataset)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: {**raw, "dataset": "clusters"}, "dataset must be a mapping, got 'clusters'"),

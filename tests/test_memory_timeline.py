@@ -68,7 +68,9 @@ def test_stub_workload_timeline(memory_timeline, monkeypatch, capsys, flags, tra
     # one solve per group, fc0 (4 x 6 weights) then fc1 (6 x 2), nested in its caller
     solves = ["    optimize_step N=24 bits={}", "    optimize_step N=12 bits={}"]
     solves3, solves2 = ([row.format(bits) for row in solves] for bits in (3, 2))
-    assert calls == [*setup, "ensure_float_checkpoint", "  make_task",
+    # one config load before the set-up loop, one in the sweep
+    assert calls == ["ExperimentConfig", *setup, "ExperimentConfig",
+                     "ensure_float_checkpoint", "  make_task",
                      "  init_quantization float", *train,
                      "run_cell direct@3", *cell, "  init_quantization 3 bits", *solves3,
                      "  evaluate test",

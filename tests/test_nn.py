@@ -677,6 +677,11 @@ class TestLrSchedule:
             LrScheduleConfig(initial_lr=1e-6, final_lr=1e-3)
         with pytest.raises(ValueError):
             LrScheduleConfig(decay_factor=1.0)
+        # NaN never reached the floor; inf dropped the rate straight to it
+        for factor in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"^decay_factor must be finite and > 1, "
+                                                 f"got {factor}$"):
+                LrScheduleConfig(decay_factor=factor)
         with pytest.raises(ValueError):
             LrScheduleConfig(patience_evals=0)
 

@@ -4,10 +4,12 @@
     python tools/memory_timeline.py --workload wide-fc --seed 0 --no-tracemalloc
 
 Runs, in a temporary directory, what `perfbench/child.py` runs for one
-repetition of that workload: its set-up loop of `make_task` calls, then the
-sweep `tools/output_digest.py` runs (`ensure_float_checkpoint`, `run_cell`
-for each cell, `report`), with the `src/qatkit` of this checkout and one BLAS
-thread.  It prints one line per call of `harness.make_task`,
+repetition of that workload: its config load, its set-up loop of `make_task`
+calls, then the sweep `tools/output_digest.py` runs (a config load,
+`ensure_float_checkpoint`, `run_cell` for each cell, `report`), with the
+`src/qatkit` of this checkout and one BLAS thread.  It prints one line per
+construction of `harness.ExperimentConfig` (which builds the dataset and
+forwards one batch to check the config), per call of `harness.make_task`,
 `harness.ensure_float_checkpoint`, `harness.run_cell`, `qat.init_quantization`
 (which also sets up the float baseline's master),
 `qat.ShadowParams.update_steps` (the adaptive re-solve of every group's step),
@@ -109,6 +111,7 @@ class Timeline:
 
 # (owner, attribute, label of a call from its arguments)
 CALLS = [
+    (harness.ExperimentConfig, "__init__", lambda cfg, *a, **k: "ExperimentConfig"),
     (harness, "make_task", lambda cfg, seed: "make_task"),
     (harness, "ensure_float_checkpoint", lambda *a, **k: "ensure_float_checkpoint"),
     (harness, "run_cell",
